@@ -30,7 +30,6 @@ from .simulate import (
     WindowTooLarge,
     WindowTruths,
     circuit_cut,
-    cut_limit,
     cut_truth_tables,
     eval_tt_words,
     exhaustive_window_sim,
@@ -67,8 +66,8 @@ __all__ = [
     "MAX_ARITY", "NetlistError", "Network", "Not", "PatternSet", "SatOutcome",
     "SatStatus", "Signature", "SweepConfig", "SweepStats", "Var",
     "WindowTooLarge", "WindowTruths", "bool_vec", "canonical_form",
-    "check_equivalence", "circuit_cut", "constant_prop", "cut_limit",
-    "cut_truth_tables", "encode_cone", "eval_expr", "eval_tt_words",
+    "check_equivalence", "circuit_cut", "constant_prop", "cut_truth_tables",
+    "encode_cone", "eval_expr", "eval_tt_words",
     "exhaustive_window_sim", "flip_tt_input", "gen_random_patterns",
     "init_equiv_classes", "kronecker", "parse_aiger_ascii", "parse_blif",
     "parse_expr", "parse_patterns", "prove_equiv", "refine_classes",

@@ -6,21 +6,23 @@ exhaustive pattern set (pattern ``j`` = input assignment ``j``, counting
 up from all-zeros) is the truth row read in increasing assignment order,
 i.e. the reverse of the :mod:`stpsweep.stp` row string.
 
-Two simulation modes are provided: :func:`simulate_all` walks every
-node, while :func:`simulate_specified` partitions the relevant part of
-the network into tree cuts, composes one logic matrix per cut with the
-canonical-form machinery, and only evaluates the cut roots.
+One routine, :func:`_simulate`, evaluates LUTs over packed rows in
+topological order, and every entry point runs it: :func:`simulate_all`
+over the whole network, :func:`simulate_specified` over the targets'
+input cone, :func:`exhaustive_window_sim` over that cone with
+exhaustive patterns on its PI support, and :func:`cut_truth_tables`
+over the members of each cut with exhaustive patterns on the cut's
+leaves, which yields the cut's STP logic matrix.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .bexpr import Lut, Var, canonical_form
 from .netlist import Network
 from .stp import MAX_ARITY, LogicMatrix
 
@@ -163,33 +165,79 @@ def _eval_tt_gather(tt: int, words: list[int], mask: int) -> int:
     return _bitarray_to_int(table[idx])
 
 
-def simulate_all(net: Network, patterns: PatternSet) -> dict[int, Signature]:
-    """Signatures of every live node, PIs included."""
+def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int) -> None:
+    """Evaluate the LUTs of ``order`` into ``bits``.
+
+    This is the only simulator.  ``order`` is topologically sorted, and
+    each fanin of a LUT in it is either earlier in ``order`` or already
+    in ``bits``.  PIs in ``order`` are skipped: their rows come in
+    ``bits``.
+    """
+    nodes = net.nodes
+    for nid in order:
+        node = nodes[nid]
+        if not node.is_pi:
+            bits[nid] = eval_tt_words(node.tt, [bits[f] for f in node.fanins], mask)
+
+
+def _pi_rows(net: Network, patterns: PatternSet) -> dict[int, int]:
     if patterns.n_pis != len(net.pis):
         raise ValueError(
             f"pattern set has {patterns.n_pis} rows, network has {len(net.pis)} PIs")
-    mask = patterns.mask
+    return dict(zip(net.pis, patterns.rows))
+
+
+def simulate_all(net: Network, patterns: PatternSet) -> dict[int, Signature]:
+    """Signatures of every live node, PIs included."""
+    bits = _pi_rows(net, patterns)
+    order = net.topo_order()
+    _simulate(net, order, bits, patterns.mask)
     n = patterns.n_patterns
-    pi_row = {pid: patterns.rows[i] for i, pid in enumerate(net.pis)}
-    bits: dict[int, int] = {}
-    for nid in net.topo_order():
-        node = net.nodes[nid]
+    return {nid: Signature(nid, bits[nid], n) for nid in order}
+
+
+def _cone(net: Network, targets: list[int], pi_cap: int | None = None) -> set[int]:
+    """The targets' input cones: the targets, every node they read, and PIs.
+
+    Raises ``ValueError`` for a dead target, and :class:`WindowTooLarge`
+    as soon as the walk finds more than ``pi_cap`` PIs.
+    """
+    nodes = net.nodes
+    stack = list(targets)
+    for t in stack:
+        if nodes[t].dead:
+            raise ValueError(f"target {t} is dead")
+    cone: set[int] = set()
+    n_pis = 0
+    while stack:
+        nid = stack.pop()
+        if nid in cone:
+            continue
+        cone.add(nid)
+        node = nodes[nid]
         if node.is_pi:
-            bits[nid] = pi_row[nid]
+            n_pis += 1
+            if pi_cap is not None and n_pis > pi_cap:
+                raise WindowTooLarge(f"window has more than {pi_cap} leaves")
         else:
-            bits[nid] = eval_tt_words(node.tt, [bits[f] for f in node.fanins], mask)
-    return {nid: Signature(nid, b, n) for nid, b in bits.items()}
+            stack.extend(node.fanins)
+    return cone
+
+
+def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -> dict[int, Signature]:
+    """Signatures of the target nodes only; nothing outside their input cone is simulated.
+
+    Bit-identical to ``simulate_all`` restricted to the targets.
+    """
+    bits = _pi_rows(net, patterns)
+    cone = _cone(net, targets)
+    _simulate(net, [nid for nid in net.topo_order() if nid in cone], bits, patterns.mask)
+    n = patterns.n_patterns
+    return {t: Signature(t, bits[t], n) for t in targets}
 
 
 # ---------------------------------------------------------------------------
 # Cut construction.
-
-
-def cut_limit(n_patterns: int) -> int:
-    """Cut leaf budget for a pattern count: floor(log2 n), clamped to [1, 16]."""
-    if n_patterns < 2:
-        raise ValueError("need at least 2 patterns for a cut limit")
-    return max(1, min(16, int(math.log2(n_patterns))))
 
 
 @dataclass
@@ -222,36 +270,16 @@ def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone
     """
     if limit < 1:
         raise ValueError("cut limit must be >= 1")
+    if scope not in ("cone", "network"):
+        raise ValueError(f"unknown scope {scope!r}")
     tset = set(targets)
-    for t in targets:
-        if net.nodes[t].dead:
-            raise ValueError(f"target {t} is dead")
+    cone = _cone(net, targets)
     order = net.topo_order()
     rank = {nid: i for i, nid in enumerate(order)}
-
-    if scope == "cone":
-        scope_nodes: set[int] = set()
-        stack = [t for t in tset if not net.nodes[t].is_pi]
-        while stack:
-            nid = stack.pop()
-            if nid in scope_nodes:
-                continue
-            scope_nodes.add(nid)
-            for f in net.nodes[nid].fanins:
-                if not net.nodes[f].is_pi and f not in scope_nodes:
-                    stack.append(f)
-    elif scope == "network":
-        scope_nodes = {nid for nid in order if not net.nodes[nid].is_pi}
-    else:
-        raise ValueError(f"unknown scope {scope!r}")
+    scope_nodes = {nid for nid in (cone if scope == "cone" else order)
+                   if not net.nodes[nid].is_pi}
 
     po_drivers = {d for d, _ in net.pos}
-    scope_fanout: dict[int, int] = {nid: 0 for nid in scope_nodes}
-    for nid in scope_nodes:
-        for f in net.nodes[nid].fanins:
-            if f in scope_nodes:
-                scope_fanout[f] += 1
-
     cut_of: dict[int, int] = {}
     cuts: dict[int, Cut] = {}
     leaf_sets: dict[int, set[int]] = {}
@@ -286,90 +314,21 @@ def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone
 def cut_truth_tables(net: Network, cutset: CutSet) -> dict[int, LogicMatrix]:
     """Logic matrix of each cut over its ordered leaves.
 
-    Composed symbolically from the member LUTs' structural matrices via
-    :func:`stpsweep.bexpr.canonical_form`; leaf 0 (smallest id) is the
-    most significant input.
+    The cut's members are simulated over all ``2**m`` assignments of
+    its ``m`` leaves, leaf 0 (smallest id) being the most significant
+    input, so bit ``v`` of the root's row is its value under assignment
+    ``v``: the top row of the cut's STP logic matrix.
     """
     out: dict[int, LogicMatrix] = {}
     for root in cutset.roots:
         cut = cutset.cuts[root]
-        if len(cut.leaves) > MAX_ARITY:
-            raise ValueError(
-                f"cut at {root} has {len(cut.leaves)} leaves, arity cap is {MAX_ARITY}")
-        members = set(cut.members)
-        leaf_var = {leaf: j + 1 for j, leaf in enumerate(cut.leaves)}
-        cache: dict[int, object] = {}
-
-        def expr_of(nid: int):
-            if nid in cache:
-                return cache[nid]
-            if nid in leaf_var and nid not in members:
-                e = Var(leaf_var[nid])
-            else:
-                node = net.nodes[nid]
-                e = Lut(node.tt, tuple(expr_of(f) for f in node.fanins))
-            cache[nid] = e
-            return e
-
-        out[root] = canonical_form(expr_of(root), len(cut.leaves))
+        m = len(cut.leaves)
+        if m > MAX_ARITY:
+            raise ValueError(f"cut at {root} has {m} leaves, arity cap is {MAX_ARITY}")
+        bits = {leaf: _var_row(j, m) for j, leaf in enumerate(cut.leaves)}
+        _simulate(net, cut.members, bits, (1 << (1 << m)) - 1)
+        out[root] = LogicMatrix(m, bits[root])
     return out
-
-
-def _simulate_over_cuts(
-    net: Network,
-    patterns: PatternSet,
-    targets: list[int],
-    limit: int,
-    scope: str = "cone",
-) -> dict[int, Signature]:
-    """Shared cut-evaluate pipeline behind the specified-node modes."""
-    if patterns.n_pis != len(net.pis):
-        raise ValueError(
-            f"pattern set has {patterns.n_pis} rows, network has {len(net.pis)} PIs")
-    mask = patterns.mask
-    n = patterns.n_patterns
-    pi_row = {pid: patterns.rows[i] for i, pid in enumerate(net.pis)}
-    tset = list(dict.fromkeys(targets))
-    gate_targets = [t for t in tset if not net.nodes[t].is_pi]
-    bits: dict[int, int] = dict(pi_row)
-    arrs: dict[int, np.ndarray] = {}
-
-    def arr_of(nid: int) -> np.ndarray:
-        a = arrs.get(nid)
-        if a is None:
-            a = _int_to_bitarray(bits[nid], n)
-            arrs[nid] = a
-        return a
-
-    if gate_targets:
-        cutset = circuit_cut(net, limit, gate_targets, scope=scope)
-        tts = cut_truth_tables(net, cutset)
-        for root in cutset.roots:
-            cut = cutset.cuts[root]
-            mat = tts[root]
-            m = len(cut.leaves)
-            if m <= 6:
-                words = [bits[leaf] for leaf in cut.leaves]
-                bits[root] = eval_tt_words(mat.row, words, mask)
-                continue
-            # Wide cut: vectorized table lookup over cached leaf bits.
-            idx = arr_of(cut.leaves[0]).astype(np.int32)
-            for leaf in cut.leaves[1:]:
-                np.left_shift(idx, 1, out=idx)
-                np.bitwise_or(idx, arr_of(leaf), out=idx)
-            out = _int_to_bitarray(mat.row, 1 << m)[idx]
-            arrs[root] = out
-            bits[root] = _bitarray_to_int(out)
-    return {t: Signature(t, bits[t], n) for t in tset}
-
-
-def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -> dict[int, Signature]:
-    """Signatures of the target nodes only, via the cut pipeline.
-
-    Bit-identical to ``simulate_all`` restricted to the targets.
-    """
-    limit = cut_limit(patterns.n_patterns) if patterns.n_patterns >= 2 else 1
-    return _simulate_over_cuts(net, patterns, targets, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +356,28 @@ class WindowTruths:
 
     leaves: list[int]  # shared window leaves (PIs), ascending id = MSB first
     supports: dict[int, list[int]]  # per-target own support
-    rows: dict[int, int]  # truth row over the target's own support
     window_rows: dict[int, int]  # truth row over the shared leaves
+
+    @cached_property
+    def rows(self) -> dict[int, int]:
+        """Truth row of each target over its own support, projected on first use."""
+        m = len(self.leaves)
+        position = {leaf: j for j, leaf in enumerate(self.leaves)}
+        own_rows: dict[int, int] = {}
+        for t, sup in self.supports.items():
+            window_row = self.window_rows[t]
+            mt = len(sup)
+            own = 0
+            sup_positions = [position[p] for p in sup]
+            for u in range(1 << mt):
+                v = 0
+                for j, pos in enumerate(sup_positions):
+                    if (u >> (mt - 1 - j)) & 1:
+                        v |= 1 << (m - 1 - pos)
+                if (window_row >> v) & 1:
+                    own |= 1 << u
+            own_rows[t] = own
+        return own_rows
 
     def signature_string(self, target: int) -> str:
         """Exhaustive signature, first pattern (all leaves 0) leftmost."""
@@ -410,69 +389,23 @@ class WindowTruths:
         return format(self.rows[target], f"0{width}b")
 
 
-def _pi_support(net: Network, targets: list[int]) -> tuple[set[int], dict[int, set[int]]]:
-    union: set[int] = set()
-    per: dict[int, set[int]] = {}
-    for t in targets:
-        sup: set[int] = set()
-        stack = [t]
-        seen = set()
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            node = net.nodes[nid]
-            if node.is_pi:
-                sup.add(nid)
-            else:
-                stack.extend(node.fanins)
-        per[t] = sup
-        union |= sup
-    return union, per
-
-
 def exhaustive_window_sim(net: Network, targets: list[int], window_cap: int = 16) -> WindowTruths:
     """Exhaustive truth rows of the targets over their structural support.
 
     The shared window is the union of the targets' PI supports; if it
     holds more than ``window_cap`` leaves a :class:`WindowTooLarge` is
-    raised and the caller falls back to pattern simulation.  Each
-    target additionally gets its row projected onto its own support.
+    raised and the caller falls back to pattern simulation.  Otherwise
+    :func:`simulate_specified` runs over the ``2**m`` exhaustive
+    patterns of the ``m`` window leaves, every other PI held at 0.
     """
     targets = list(dict.fromkeys(targets))
     if not targets:
         raise ValueError("no targets")
-    union, per = _pi_support(net, targets)
-    if len(union) > window_cap:
-        raise WindowTooLarge(f"window has {len(union)} leaves, cap is {window_cap}")
-    leaves = sorted(union)
+    leaves = sorted(nid for nid in _cone(net, targets, window_cap) if net.nodes[nid].is_pi)
     m = len(leaves)
-    n_pat = 1 << m
     position = {leaf: j for j, leaf in enumerate(leaves)}
-    rows = []
-    for pid in net.pis:
-        rows.append(_var_row(position[pid], m) if pid in position else 0)
-    pats = PatternSet(rows, n_pat)
-    limit = max(1, min(window_cap, MAX_ARITY))
-    sigs = _simulate_over_cuts(net, pats, targets, limit)
-
-    own_rows: dict[int, int] = {}
-    supports: dict[int, list[int]] = {}
-    window_rows: dict[int, int] = {}
-    for t in targets:
-        sup = sorted(per[t])
-        supports[t] = sup
-        window_rows[t] = sigs[t].bits
-        mt = len(sup)
-        own = 0
-        sup_positions = [position[p] for p in sup]
-        for u in range(1 << mt):
-            v = 0
-            for j, pos in enumerate(sup_positions):
-                if (u >> (mt - 1 - j)) & 1:
-                    v |= 1 << (m - 1 - pos)
-            if (sigs[t].bits >> v) & 1:
-                own |= 1 << u
-        own_rows[t] = own
-    return WindowTruths(leaves, supports, own_rows, window_rows)
+    rows = [_var_row(position[pid], m) if pid in position else 0 for pid in net.pis]
+    sigs = simulate_specified(net, PatternSet(rows, 1 << m), targets)
+    supports = {
+        t: sorted(nid for nid in _cone(net, [t]) if net.nodes[nid].is_pi) for t in targets}
+    return WindowTruths(leaves, supports, {t: sigs[t].bits for t in targets})

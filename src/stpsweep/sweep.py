@@ -335,26 +335,6 @@ def constant_prop(net: Network, constants: list[tuple[int, bool]]) -> int:
     return count
 
 
-def _bounded_support(net: Network, nodes: list[int], cap: int) -> bool:
-    """True iff the union PI support of the nodes has at most ``cap`` PIs."""
-    support: set[int] = set()
-    seen: set[int] = set()
-    stack = list(nodes)
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        node = net.nodes[nid]
-        if node.is_pi:
-            support.add(nid)
-            if len(support) > cap:
-                return False
-        else:
-            stack.extend(node.fanins)
-    return True
-
-
 def _window_refine_classes(mgr: ClassManager, net: Network, cfg: SweepConfig) -> int:
     """Split classes by exhaustive truth rows over their shared support.
 
@@ -370,7 +350,7 @@ def _window_refine_classes(mgr: ClassManager, net: Network, cfg: SweepConfig) ->
         if cid not in mgr.members or cid in mgr.window_refined:
             continue
         nodes = [n for n in mgr.members[cid] if not net.nodes[n].dead]
-        if len(nodes) < 2 or not _bounded_support(net, nodes, cfg.window_cap):
+        if len(nodes) < 2:
             continue
         try:
             wt = exhaustive_window_sim(net, nodes, cfg.window_cap)
@@ -399,11 +379,10 @@ def refine_classes(
     """Refine candidate classes with a counter-example.
 
     The counter-example is expanded to ``cfg.ce_expansion`` patterns
-    (assigned PIs pinned, the rest random) and only current class
-    members are simulated, via the cut pipeline; everything else is
-    absorbed into cut LUTs.  Classes whose support fits the exhaustive
-    window are afterwards split by full truth rows.  Returns the number
-    of class splits.
+    (assigned PIs pinned, the rest random), and only the input cones of
+    the current class members are simulated.  Classes whose support fits
+    the exhaustive window are afterwards split by full truth rows.
+    Returns the number of class splits.
     """
     if rng is None:
         seed_key = (cfg.seed,) + tuple(sorted(ce.items()))

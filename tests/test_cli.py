@@ -49,6 +49,19 @@ class TestSim:
         assert lines["y1"] == lines["a"].translate(flip)
         assert lines["y2"] == lines["a"]
 
+    def test_targets_mode_deep_chain(self, tmp_path, capsys):
+        # An AND of a and b under 10**4 inverters.
+        depth = 10 ** 4
+        lines = [".model chain", ".inputs a b", ".outputs y", ".names a b n0", "11 1"]
+        for i in range(depth):
+            out = "y" if i == depth - 1 else f"n{i + 1}"
+            lines += [f".names n{i} {out}", "0 1"]
+        p = tmp_path / "chain.blif"
+        p.write_text("\n".join(lines + [".end"]) + "\n")
+        rc = main(["sim", str(p), "--mode", "targets", "--targets", "y"])
+        assert rc == 0
+        assert capsys.readouterr().out == "y\t0001\n"
+
     def test_same_seed_same_output(self, example_files, capsys):
         net_path, _ = example_files
         main(["sim", str(net_path), "--patterns", "32", "--seed", "9"])

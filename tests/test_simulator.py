@@ -9,7 +9,6 @@ from stpsweep import (
     PatternSet,
     WindowTooLarge,
     circuit_cut,
-    cut_limit,
     cut_truth_tables,
     exhaustive_window_sim,
     gen_random_patterns,
@@ -115,8 +114,9 @@ class TestSimulateAll:
 
     def test_matches_scalar_reference(self):
         rng = random.Random(77)
-        for _ in range(15):
-            net = random_network(rng, rng.randint(2, 6), rng.randint(3, 30))
+        # LUTs of more than 6 inputs take the numpy gather path.
+        for max_k in [4] * 15 + [7, 8, 9]:
+            net = random_network(rng, rng.randint(2, 6), rng.randint(3, 30), max_k=max_k)
             p = gen_random_patterns(len(net.pis), rng.randint(1, 70), rng.randrange(99))
             sigs = simulate_all(net, p)
             ref = scalar_signatures(net, p)
@@ -127,18 +127,6 @@ class TestSimulateAll:
         net, _ = two_target_example()
         with pytest.raises(ValueError):
             simulate_all(net, gen_random_patterns(3, 8, 1))
-
-
-class TestCutLimit:
-    def test_values(self):
-        assert cut_limit(10) == 3
-        assert cut_limit(2) == 1
-        assert cut_limit(10 ** 6) == 16  # floor(log2 1e6) = 19, clamped
-        assert cut_limit(4096) == 12
-
-    def test_requires_two(self):
-        with pytest.raises(ValueError):
-            cut_limit(1)
 
 
 class TestCircuitCut:
@@ -217,11 +205,14 @@ class TestCutTruthTables:
 
     def test_any_cut_matches_interior_brute_force(self):
         rng = random.Random(15)
-        for _ in range(15):
-            net = random_network(rng, rng.randint(3, 6), rng.randint(5, 40))
+        # Cuts of more than 6 leaves have multi-word rows, and LUTs of
+        # more than 6 inputs take the numpy gather path.
+        draws = [(4, 2, 5)] * 15 + [(k - 1, k, k) for k in (7, 8, 9, 10)] * 2
+        for max_k, lo, hi in draws:
+            net = random_network(rng, rng.randint(3, 6), rng.randint(5, 40), max_k=max_k)
             live_gates = [n.id for n in net.nodes if not n.is_pi and not n.dead]
             targets = rng.sample(live_gates, min(len(live_gates), 3))
-            cs = circuit_cut(net, rng.randint(2, 5), targets)
+            cs = circuit_cut(net, rng.randint(lo, hi), targets)
             tts = cut_truth_tables(net, cs)
             for root, cut in cs.cuts.items():
                 m = len(cut.leaves)
@@ -252,8 +243,8 @@ class TestSimulateSpecified:
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(123)
-        for _ in range(100):
-            net = random_network(rng, rng.randint(2, 20), rng.randint(4, 500), max_k=4)
+        for max_k in [4] * 100 + [7, 8, 9]:
+            net = random_network(rng, rng.randint(2, 20), rng.randint(4, 500), max_k=max_k)
             live = net.live_ids()
             targets = rng.sample(live, min(len(live), rng.randint(1, 8)))
             p = gen_random_patterns(len(net.pis), rng.choice([2, 10, 64, 200]), rng.randrange(9999))
@@ -261,6 +252,18 @@ class TestSimulateSpecified:
             full = simulate_all(net, p)
             for t in targets:
                 assert spec[t].bits == full[t].bits
+
+    def test_dead_target_is_an_error(self):
+        net, label = two_target_example()
+        dead = label["6"]
+        net.substitute_node(dead, label["7"])
+        p = parse_patterns(PATTERN_BLOCK, 5)
+        with pytest.raises(ValueError, match="dead"):
+            simulate_specified(net, p, [label["8"], dead])
+        with pytest.raises(ValueError, match="dead"):
+            exhaustive_window_sim(net, [dead])
+        with pytest.raises(ValueError, match="dead"):
+            circuit_cut(net, 3, [dead])
 
     def test_example_exhaustive_signatures(self):
         net, label = two_target_example()
@@ -343,3 +346,37 @@ class TestExhaustiveWindow:
         net, label = two_target_example()
         wt = exhaustive_window_sim(net, [label["2"]])
         assert wt.rows[label["2"]] == 0b10
+
+
+def and_under_inverters(depth: int) -> tuple[Network, int]:
+    """An AND of two PIs under ``depth`` one-input inverters, and the chain's output node."""
+    net = Network("chain")
+    a, b = net.add_pi("a"), net.add_pi("b")
+    top = net.add_lut([a, b], 0b1000)
+    for _ in range(depth):
+        top = net.add_lut([top], 0b01)
+    net.add_po(top)
+    return net, top
+
+
+class TestDeepChain:
+    """Simulation needs no recursion: 10**4 inverters (an even count) keep the AND."""
+
+    DEPTH = 10 ** 4
+
+    def test_simulate_specified(self):
+        net, y = and_under_inverters(self.DEPTH)
+        p = gen_random_patterns(2, 64, 3)
+        assert simulate_specified(net, p, [y])[y].bits == p.rows[0] & p.rows[1]
+
+    def test_exhaustive_window_sim(self):
+        net, y = and_under_inverters(self.DEPTH)
+        wt = exhaustive_window_sim(net, [y])
+        assert wt.window_rows[y] == 0b1000
+        assert wt.signature_string(y) == "0001"
+
+    def test_network_cut_truth_table(self):
+        net, y = and_under_inverters(self.DEPTH)
+        cs = circuit_cut(net, 6, [], scope="network")
+        assert cs.roots == [y]
+        assert cut_truth_tables(net, cs)[y].truth_row() == "1000"
