@@ -1,7 +1,8 @@
 """Combinational equivalence checking between two networks.
 
 Small interfaces (at most 14 PIs) are compared by exhaustive
-simulation; larger ones by one SAT miter per output pair.  PI and PO
+simulation; larger ones by one SAT query per output pair on a miter
+network that holds both sides over shared PIs.  PI and PO
 correspondence is by name when both sides carry the same name sets,
 otherwise positional.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import Network
-from .sat import Cnf, SatStatus, lut_clauses, solve
+from .sat import add_xor, encode_cone, pi_assignment, solve
 from .simulate import PatternSet, _var_row, simulate_all
 
 EXHAUSTIVE_PI_LIMIT = 14
@@ -30,25 +31,15 @@ class CecResult:
     output: str | None = None
 
 
-def _pi_correspondence(a: Network, b: Network) -> list[int]:
-    """For each PI position of ``a``, the matching PI position of ``b``."""
-    if len(a.pis) != len(b.pis):
+def _correspondence(what: str, names_a: list[str], names_b: list[str]) -> list[int]:
+    """For each position of ``names_a``, the matching position in ``names_b``."""
+    if len(names_a) != len(names_b):
         raise InterfaceMismatch(
-            f"PI count differs: {len(a.pis)} vs {len(b.pis)}")
-    if set(a.pi_names) == set(b.pi_names) and len(set(a.pi_names)) == len(a.pi_names):
-        pos_b = {name: i for i, name in enumerate(b.pi_names)}
-        return [pos_b[name] for name in a.pi_names]
-    return list(range(len(a.pis)))
-
-
-def _po_correspondence(a: Network, b: Network) -> list[int]:
-    if len(a.pos) != len(b.pos):
-        raise InterfaceMismatch(
-            f"PO count differs: {len(a.pos)} vs {len(b.pos)}")
-    if set(a.po_names) == set(b.po_names) and len(set(a.po_names)) == len(a.po_names):
-        pos_b = {name: i for i, name in enumerate(b.po_names)}
-        return [pos_b[name] for name in a.po_names]
-    return list(range(len(a.pos)))
+            f"{what} count differs: {len(names_a)} vs {len(names_b)}")
+    if set(names_a) == set(names_b) and len(set(names_a)) == len(names_a):
+        pos_b = {name: i for i, name in enumerate(names_b)}
+        return [pos_b[name] for name in names_a]
+    return list(range(len(names_a)))
 
 
 def _exhaustive_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> CecResult:
@@ -73,62 +64,37 @@ def _exhaustive_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]
     return CecResult(True)
 
 
-def _encode_into(cnf: Cnf, net: Network, pi_vars: list[int], needed: set[int]) -> dict[int, int]:
-    """Add one network's cone clauses over shared PI variables."""
-    node_var: dict[int, int] = {}
-    for i, pid in enumerate(net.pis):
-        node_var[pid] = pi_vars[i]
-    cone: set[int] = set()
-    stack = list(needed)
-    while stack:
-        nid = stack.pop()
-        if nid in cone or net.nodes[nid].is_pi:
-            continue
-        cone.add(nid)
-        stack.extend(net.nodes[nid].fanins)
-    for nid in net.topo_order():
-        if nid not in cone:
-            continue
-        node = net.nodes[nid]
-        node_var[nid] = cnf.new_var()
-        for clause in lut_clauses(node_var[nid], [node_var[f] for f in node.fanins], node.tt):
-            cnf.add_clause(clause)
-    return node_var
-
-
 def _miter_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> CecResult:
+    # The miter: a clone of ``a`` with ``b``'s live LUTs added over ``a``'s PIs.
+    miter = a.clone()
+    to_m = {b.pis[pi_map[i]]: pid for i, pid in enumerate(a.pis)}
+    for nid in b.topo_order():
+        node = b.nodes[nid]
+        if not node.is_pi:
+            to_m[nid] = miter.add_lut([to_m[f] for f in node.fanins], node.tt)
     for j, (da, pa) in enumerate(a.pos):
         db, pb = b.pos[po_map[j]]
-        cnf = Cnf()
-        pi_vars_a = [cnf.new_var() for _ in a.pis]
-        pi_vars_b: list[int] = [0] * len(b.pis)
-        for i in range(len(a.pis)):
-            pi_vars_b[pi_map[i]] = pi_vars_a[i]
-        var_a = _encode_into(cnf, a, pi_vars_a, {da})
-        var_b = _encode_into(cnf, b, pi_vars_b, {db})
-        la = var_a[da]
-        lb = var_b[db]
-        t = cnf.new_var()
-        cnf.add_clause([-t, la, lb])
-        cnf.add_clause([-t, -la, -lb])
-        cnf.add_clause([t, -la, lb])
-        cnf.add_clause([t, la, -lb])
-        # Outputs must differ after accounting for the two PO phases.
-        want_xor = not (pa ^ pb)
-        outcome = solve(cnf, assumptions=[t if want_xor else -t])
-        if outcome.status is SatStatus.SAT:
-            ce = {
-                a.pi_names[i]: outcome.model[pi_vars_a[i]]
-                for i in range(len(a.pis))
-            }
+        dm = to_m[db]
+        if da == dm:
+            differ, assignment = pa != pb, {}
+        else:
+            cnf = encode_cone(miter, [da, dm])
+            t = add_xor(cnf, cnf.node_var[da], cnf.node_var[dm])
+            # Outputs must differ after accounting for the two PO phases.
+            outcome = solve(cnf, assumptions=[-t if pa ^ pb else t])
+            differ = outcome.is_sat
+            assignment = pi_assignment(miter, cnf, outcome.model) if differ else {}
+        if differ:
+            # PIs outside both cones do not matter; they read 0.
+            ce = {name: assignment.get(pid, False) for name, pid in zip(a.pi_names, a.pis)}
             return CecResult(False, ce, a.po_names[j])
     return CecResult(True)
 
 
 def check_equivalence(a: Network, b: Network) -> CecResult:
     """Decide whether two networks compute the same PO functions."""
-    pi_map = _pi_correspondence(a, b)
-    po_map = _po_correspondence(a, b)
+    pi_map = _correspondence("PI", a.pi_names, b.pi_names)
+    po_map = _correspondence("PO", a.po_names, b.po_names)
     if len(a.pis) <= EXHAUSTIVE_PI_LIMIT:
         return _exhaustive_cec(a, b, pi_map, po_map)
     return _miter_cec(a, b, pi_map, po_map)

@@ -86,7 +86,6 @@ def cmd_sim(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     net = load_network(args.input)
     cfg = SweepConfig(
-        tfi_bound=args.tfi_limit,
         conflict_limit=args.conflict_limit,
         n_base_patterns=args.base_patterns,
         seed=args.seed,
@@ -159,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="merge equivalent nodes")
     p_sweep.add_argument("input")
     p_sweep.add_argument("output")
-    p_sweep.add_argument("--tfi-limit", type=int, default=1000)
     p_sweep.add_argument("--conflict-limit", type=int, default=0)
     p_sweep.add_argument("--base-patterns", type=int, default=2048)
     p_sweep.add_argument("--seed", type=int, default=1)
@@ -186,11 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NetlistError, ExprSyntaxError, InterfaceMismatch, ValueError) as exc:
+    except (NetlistError, ExprSyntaxError, InterfaceMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_INPUT
 
 

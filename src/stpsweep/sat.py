@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .netlist import Network
+from .simulate import _cone
 
 
 class SatStatus(Enum):
@@ -338,20 +339,11 @@ def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]
 def encode_cone(net: Network, roots: list[int]) -> Cnf:
     """CNF of the union of the roots' input cones.
 
-    Every cone node, PIs included, gets a variable (``cnf.node_var``);
-    non-PI nodes additionally get their LUT consistency clauses.
+    This is the only CNF encoder.  Every cone node, PIs included, gets a
+    variable (``cnf.node_var``) in topological order; non-PI nodes
+    additionally get their LUT consistency clauses.
     """
-    cone: set[int] = set()
-    stack = list(roots)
-    while stack:
-        nid = stack.pop()
-        if nid in cone:
-            continue
-        node = net.nodes[nid]
-        if node.dead:
-            raise ValueError(f"node {nid} is dead")
-        cone.add(nid)
-        stack.extend(node.fanins)
+    cone = _cone(net, roots)
     cnf = Cnf()
     order = [nid for nid in net.topo_order() if nid in cone]
     for nid in order:
@@ -365,6 +357,21 @@ def encode_cone(net: Network, roots: list[int]) -> Cnf:
         for clause in lut_clauses(out_var, fanin_vars, node.tt):
             cnf.add_clause(clause)
     return cnf
+
+
+def add_xor(cnf: Cnf, va: int, vb: int) -> int:
+    """A fresh variable ``t`` constrained to ``t <-> (va xor vb)``."""
+    t = cnf.new_var()
+    cnf.add_clause([-t, va, vb])
+    cnf.add_clause([-t, -va, -vb])
+    cnf.add_clause([t, -va, vb])
+    cnf.add_clause([t, va, -vb])
+    return t
+
+
+def pi_assignment(net: Network, cnf: Cnf, model: dict[int, bool]) -> dict[int, bool]:
+    """The model's values of the PIs encoded in ``cnf``, keyed by PI node id."""
+    return {nid: model[var] for nid, var in cnf.node_var.items() if net.nodes[nid].is_pi}
 
 
 def prove_equiv(
@@ -383,21 +390,9 @@ def prove_equiv(
     if a == b:
         raise ValueError("prove_equiv needs two distinct nodes")
     cnf = encode_cone(net, [a, b])
-    va = cnf.node_var[a]
-    vb = cnf.node_var[b]
-    t = cnf.new_var()
-    # t <-> (a xor b)
-    cnf.add_clause([-t, va, vb])
-    cnf.add_clause([-t, -va, -vb])
-    cnf.add_clause([t, -va, vb])
-    cnf.add_clause([t, va, -vb])
+    t = add_xor(cnf, cnf.node_var[a], cnf.node_var[b])
     # Normal phase: look for a != b; inverted: look for a != not b.
     outcome = solve(cnf, assumptions=[-t if inverted else t], conflict_limit=conflict_limit)
     if not outcome.is_sat:
         return outcome
-    ce = {
-        nid: outcome.model[var]
-        for nid, var in cnf.node_var.items()
-        if net.nodes[nid].is_pi
-    }
-    return SatOutcome(SatStatus.SAT, ce)
+    return SatOutcome(SatStatus.SAT, pi_assignment(net, cnf, outcome.model))

@@ -341,12 +341,13 @@ class WindowTooLarge(Exception):
 
 def _var_row(position: int, m: int) -> int:
     """Packed exhaustive row of input ``position`` (0 = MSB) over 2**m patterns."""
-    t = m - 1 - position
-    step = 1 << t
-    block = (1 << step) - 1
-    row = 0
-    for off in range(step, 1 << m, step << 1):
-        row |= block << off
+    step = 1 << (m - 1 - position)
+    # One period is ``step`` zeros then ``step`` ones; double it up to 2**m bits.
+    row = ((1 << step) - 1) << step
+    width = step << 1
+    while width < 1 << m:
+        row |= row << width
+        width <<= 1
     return row
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .netlist import Network
-from .sat import SatStatus, encode_cone, solve, prove_equiv
+from .sat import SatOutcome, SatStatus, encode_cone, pi_assignment, prove_equiv, solve
 from .simulate import (
     PatternSet,
     WindowTooLarge,
@@ -31,7 +31,6 @@ from .simulate import (
 
 @dataclass
 class SweepConfig:
-    tfi_bound: int = 1000
     conflict_limit: int = 0
     n_base_patterns: int = 2048
     toggle_threshold: float = 1.0 / 64.0
@@ -42,8 +41,6 @@ class SweepConfig:
     ce_expansion: int = 64
 
     def __post_init__(self):
-        if self.tfi_bound < 0:
-            raise ValueError("tfi_bound must be >= 0")
         if not 0 <= self.window_cap <= 16:
             raise ValueError("window_cap must be within [0, 16]")
 
@@ -230,12 +227,21 @@ def _append_patterns(base: PatternSet, extra: list[list[bool]]) -> PatternSet:
     return PatternSet(rows, n + len(extra))
 
 
-def _model_to_ce(net: Network, cnf, model: dict[int, bool]) -> dict[int, bool]:
-    return {
-        nid: model[var]
-        for nid, var in cnf.node_var.items()
-        if net.nodes[nid].is_pi
-    }
+def _find_value(net: Network, nid: int, value: bool, cfg: SweepConfig,
+                stats: SweepStats) -> SatOutcome:
+    """Ask the solver for an input assignment that sets ``nid`` to ``value``.
+
+    A SAT outcome carries the assignment of the cone's PIs, keyed by PI
+    node id; UNSAT proves ``nid`` constant at ``not value``.
+    """
+    cnf = encode_cone(net, [nid])
+    var = cnf.node_var[nid]
+    outcome = solve(cnf, assumptions=[var if value else -var],
+                    conflict_limit=cfg.conflict_limit)
+    stats.record(outcome.status)
+    if outcome.is_sat:
+        return SatOutcome(SatStatus.SAT, pi_assignment(net, cnf, outcome.model))
+    return outcome
 
 
 def sat_guided_patterns(
@@ -271,19 +277,12 @@ def sat_guided_patterns(
         if sig != 0 and sig != mask:
             continue
         stuck_value = sig == mask
-        cnf = encode_cone(net, [nid])
-        var = cnf.node_var[nid]
-        outcome = solve(
-            cnf,
-            assumptions=[-var if stuck_value else var],
-            conflict_limit=cfg.conflict_limit,
-        )
-        stats.record(outcome.status)
+        outcome = _find_value(net, nid, not stuck_value, cfg, stats)
         if outcome.is_unsat:
             constants.append((nid, stuck_value))
             const_nodes.add(nid)
         elif outcome.is_sat:
-            extra.append(_ce_to_pattern(net, _model_to_ce(net, cnf, outcome.model), rng))
+            extra.append(_ce_to_pattern(net, outcome.model, rng))
 
     patterns = _append_patterns(base, extra)
     t0 = time.perf_counter()
@@ -302,16 +301,9 @@ def sat_guided_patterns(
             continue
         ones = bin(bits).count("1")
         minority = ones * 2 <= patterns.n_patterns
-        cnf = encode_cone(net, [nid])
-        var = cnf.node_var[nid]
-        outcome = solve(
-            cnf,
-            assumptions=[var if minority else -var],
-            conflict_limit=cfg.conflict_limit,
-        )
-        stats.record(outcome.status)
+        outcome = _find_value(net, nid, minority, cfg, stats)
         if outcome.is_sat:
-            extra2.append(_ce_to_pattern(net, _model_to_ce(net, cnf, outcome.model), rng))
+            extra2.append(_ce_to_pattern(net, outcome.model, rng))
         elif outcome.is_unsat:
             constants.append((nid, not minority))
             const_nodes.add(nid)
@@ -418,25 +410,6 @@ def refine_classes(
     return splits
 
 
-def _driver_pool(mgr: ClassManager, net: Network, cid: int, bound: int) -> list[int]:
-    """Class members inside some member's bounded input cone, inputs first.
-
-    Every non-PI node counts as part of its own cone, so sibling class
-    members (for instance duplicated cone roots) are always reachable.
-    """
-    members = [n for n in mgr.members[cid] if not net.nodes[n].dead]
-    member_set = set(members)
-    pool: list[int] = []
-    seen: set[int] = set()
-    for gj in members:
-        for gk in net.transitive_fanin(gj, bound):
-            if gk in member_set and gk not in seen:
-                seen.add(gk)
-                pool.append(gk)
-    pool.sort(key=mgr.topo_rank.__getitem__)
-    return pool
-
-
 def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepStats]:
     """Run the full sweeping loop on the network, in place.
 
@@ -463,11 +436,6 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
 
     gate_list = [nid for nid in net.reverse_topo_order() if not net.nodes[nid].is_pi]
     for candidate in gate_list:
-        cnode = net.nodes[candidate]
-        if cnode.dead or cnode.dont_touch:
-            continue
-        if mgr.class_of.get(candidate) is None:
-            continue
         tried: set[int] = set()
         while True:
             if net.nodes[candidate].dead or net.nodes[candidate].dont_touch:
@@ -475,16 +443,12 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
             cid = mgr.class_of.get(candidate)
             if cid is None or cid not in mgr.members:
                 break
-            driver = None
-            for cand_driver in _driver_pool(mgr, net, cid, cfg.tfi_bound):
-                if cand_driver in tried or cand_driver == candidate:
-                    continue
-                if net.nodes[cand_driver].dead:
-                    continue
-                if net.is_in_tfo(candidate, cand_driver):
-                    continue
-                driver = cand_driver
-                break
+            # Member lists are in topological order, so drivers are tried
+            # inputs first.  PIs are never drivers.
+            driver = next((d for d in mgr.members[cid]
+                           if d != candidate and d not in tried
+                           and not net.nodes[d].dead and not net.nodes[d].is_pi
+                           and not net.is_in_tfo(candidate, d)), None)
             if driver is None:
                 break
             tried.add(driver)

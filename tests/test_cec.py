@@ -90,6 +90,43 @@ class TestMiterRoute:
         assert (vx[da] ^ pa) != (vo[db] ^ pb)
 
 
+class TestWideNameMatching:
+    """Miter route with PIs matched by name and a PO driven by a PI."""
+
+    def pair(self, flip: bool) -> tuple[Network, Network]:
+        rng = random.Random(23)
+        a = random_network(rng, 20, 50, po_count=2)
+        a.add_po(a.pis[7], inverted=True, name="direct")
+        order = list(range(len(a.pis)))
+        rng.shuffle(order)
+        b = Network("b")
+        to_b = {a.pis[i]: b.add_pi(a.pi_names[i]) for i in order}
+        for nid in a.topo_order():
+            node = a.nodes[nid]
+            if not node.is_pi:
+                to_b[nid] = b.add_lut([to_b[f] for f in node.fanins], node.tt)
+        for (d, phase), name in zip(a.pos, a.po_names):
+            b.add_po(to_b[d], phase ^ (flip and name == "direct"), name)
+        assert b.pi_names != a.pi_names
+        return a, b
+
+    def test_same_phase_equivalent(self):
+        a, b = self.pair(flip=False)
+        assert check_equivalence(a, b).equivalent
+
+    def test_flipped_phase_has_sound_counterexample(self):
+        a, b = self.pair(flip=True)
+        result = check_equivalence(a, b)
+        assert not result.equivalent
+        assert result.output == "direct"
+        assert set(result.counterexample) == set(a.pi_names)
+        va = eval_assignment(a, {a.names[k]: v for k, v in result.counterexample.items()})
+        vb = eval_assignment(b, {b.names[k]: v for k, v in result.counterexample.items()})
+        j = a.po_names.index("direct")
+        (da, pa), (db, pb) = a.pos[j], b.pos[j]
+        assert (va[da] ^ pa) != (vb[db] ^ pb)
+
+
 class TestSweepThenCec:
     def test_swept_fixtures_equivalent(self):
         from stpsweep import SweepConfig, sweep

@@ -147,6 +147,16 @@ class TestProveCmd:
     def test_parse_error(self, capsys):
         assert main(["prove", "a&", "a"]) == 3
 
+    @pytest.mark.parametrize("expr", ["&".join(["a"] * 3000), "~" * 3000 + "a",
+                                      "(" * 3000 + "a" + ")" * 3000],
+                             ids=["and_chain", "negations", "parentheses"])
+    def test_deep_input_is_an_input_error(self, expr, capsys):
+        assert main(["prove", expr, "a"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestStatsCmd:
     def test_reports_counts(self, tmp_path, capsys):

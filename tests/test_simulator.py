@@ -16,6 +16,7 @@ from stpsweep import (
     simulate_all,
     simulate_specified,
 )
+from stpsweep.simulate import _var_row
 from helpers import bits_of, exhaustive_tables, random_network, scalar_signatures
 
 NAND = 0b0111
@@ -274,6 +275,15 @@ class TestSimulateSpecified:
 
 
 class TestExhaustiveWindow:
+    def test_var_row_matches_per_bit_definition(self):
+        # Bit v of input j's row is bit j (0 = MSB) of assignment v.
+        for m in range(1, 13):
+            for j in range(m):
+                row = _var_row(j, m)
+                assert row >> (1 << m) == 0
+                for v in range(1 << m):
+                    assert (row >> v) & 1 == (v >> (m - 1 - j)) & 1, (j, m, v)
+
     def test_nand_row(self):
         net, label = two_target_example()
         wt = exhaustive_window_sim(net, [label["6"]])

@@ -17,6 +17,7 @@ from stpsweep import (
     simulate_all,
     sweep,
     toggle_rate,
+    write_blif,
 )
 from stpsweep.sat import SatStatus
 from helpers import po_tables, random_network, sweep_fixture
@@ -286,6 +287,18 @@ class TestSweep:
         assert stats.sat_calls_undet >= 1
         assert any(n.dont_touch for n in swept.nodes)
         assert check_equivalence(original, swept).equivalent
+
+    @pytest.mark.parametrize("conflict_limit", [0, 1])
+    def test_same_config_same_result(self, conflict_limit):
+        timing = ("sim_time", "total_time")
+        for seed in range(4):
+            runs = []
+            for _ in range(2):
+                swept, stats = sweep(sweep_fixture(seed),
+                                     tiny_cfg(seed=seed, conflict_limit=conflict_limit))
+                counts = {k: v for k, v in vars(stats).items() if k not in timing}
+                runs.append((write_blif(swept), counts))
+            assert runs[0] == runs[1], f"seed {seed}"
 
     def test_window_disabled_still_correct(self):
         for seed in (2, 5):
