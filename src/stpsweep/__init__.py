@@ -21,7 +21,7 @@ from .netlist import (
     parse_blif,
     write_blif,
 )
-from .sat import Cnf, SatOutcome, SatStatus, encode_cone, prove_equiv, solve
+from .sat import Cnf, SatOutcome, SatStatus, Solver, encode_cone, prove_equiv, solve
 from .simulate import (
     Cut,
     CutSet,
@@ -64,7 +64,7 @@ __all__ = [
     "BinOp", "CecResult", "ClassManager", "Cnf", "Cut", "CutSet", "CycleError",
     "ExprSyntaxError", "InterfaceMismatch", "LogicMatrix", "Lut", "LutNode",
     "MAX_ARITY", "NetlistError", "Network", "Not", "PatternSet", "SatOutcome",
-    "SatStatus", "Signature", "SweepConfig", "SweepStats", "Var",
+    "SatStatus", "Signature", "Solver", "SweepConfig", "SweepStats", "Var",
     "WindowTooLarge", "WindowTruths", "bool_vec", "canonical_form",
     "check_equivalence", "circuit_cut", "constant_prop", "cut_truth_tables",
     "encode_cone", "eval_expr", "eval_tt_words",

@@ -1,8 +1,10 @@
 """Combinational equivalence checking between two networks.
 
 Small interfaces (at most 14 PIs) are compared by exhaustive
-simulation; larger ones by one SAT query per output pair on a miter
-network that holds both sides over shared PIs.  PI and PO
+simulation; larger ones on a miter network that holds both sides over
+shared PIs.  The miter's union cone is encoded once, into one
+incremental solver, which is asked one query per output pair in output
+order, so what one query learns speeds up the next.  PI and PO
 correspondence is by name when both sides carry the same name sets,
 otherwise positional.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import Network
-from .sat import add_xor, encode_cone, pi_assignment, solve
+from .sat import Solver, add_xor, encode_cone, pi_assignment, solve
 from .simulate import PatternSet, _var_row, simulate_all
 
 EXHAUSTIVE_PI_LIMIT = 14
@@ -72,20 +74,28 @@ def _miter_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> 
         node = b.nodes[nid]
         if not node.is_pi:
             to_m[nid] = miter.add_lut([to_m[f] for f in node.fanins], node.tt)
+    # (PO index, a's driver, b's driver in the miter, phases differ)
+    pairs = []
     for j, (da, pa) in enumerate(a.pos):
         db, pb = b.pos[po_map[j]]
-        dm = to_m[db]
-        if da == dm:
-            differ, assignment = pa != pb, {}
+        pairs.append((j, da, to_m[db], pa != pb))
+    # One solver over the union cone of every PO driver, with one XOR per
+    # PO pair of distinct drivers; the pairs are asked in PO order and
+    # share what the solver learns.
+    cnf = encode_cone(miter, [d for _, da, dm, _ in pairs for d in (da, dm)])
+    xors = [add_xor(cnf, cnf.node_var[da], cnf.node_var[dm]) if da != dm else 0
+            for _, da, dm, _ in pairs]
+    solver = Solver(cnf.n_vars, cnf.clauses)  # cnf is read only for node_var from here on
+    for (j, da, dm, flipped), t in zip(pairs, xors):
+        if da == dm:  # one shared driver, a PI: only the phases can differ
+            differ, assignment = flipped, {}
         else:
-            cnf = encode_cone(miter, [da, dm])
-            t = add_xor(cnf, cnf.node_var[da], cnf.node_var[dm])
             # Outputs must differ after accounting for the two PO phases.
-            outcome = solve(cnf, assumptions=[-t if pa ^ pb else t])
+            outcome = solve(solver, assumptions=[-t if flipped else t])
             differ = outcome.is_sat
             assignment = pi_assignment(miter, cnf, outcome.model) if differ else {}
         if differ:
-            # PIs outside both cones do not matter; they read 0.
+            # PIs outside the union cone do not matter; they read 0.
             ce = {name: assignment.get(pid, False) for name, pid in zip(a.pi_names, a.pis)}
             return CecResult(False, ce, a.po_names[j])
     return CecResult(True)

@@ -240,7 +240,8 @@ def _find_value(net: Network, nid: int, value: bool, cfg: SweepConfig,
                     conflict_limit=cfg.conflict_limit)
     stats.record(outcome.status)
     if outcome.is_sat:
-        return SatOutcome(SatStatus.SAT, pi_assignment(net, cnf, outcome.model))
+        return SatOutcome(SatStatus.SAT, pi_assignment(net, cnf, outcome.model),
+                          outcome.conflicts)
     return outcome
 
 
@@ -444,10 +445,11 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
             if cid is None or cid not in mgr.members:
                 break
             # Member lists are in topological order, so drivers are tried
-            # inputs first.  PIs are never drivers.
+            # inputs first.  A PI is a driver like any other member; only
+            # candidates are never PIs.
             driver = next((d for d in mgr.members[cid]
                            if d != candidate and d not in tried
-                           and not net.nodes[d].dead and not net.nodes[d].is_pi
+                           and not net.nodes[d].dead
                            and not net.is_in_tfo(candidate, d)), None)
             if driver is None:
                 break

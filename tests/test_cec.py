@@ -136,3 +136,47 @@ class TestSweepThenCec:
             original = net.clone()
             swept, _ = sweep(net, SweepConfig(n_base_patterns=64, seed=seed))
             assert check_equivalence(original, swept).equivalent
+
+
+class TestIncrementalMiter:
+    """The SAT route asks every PO pair on one solver, in PO order."""
+
+    def test_difference_at_last_of_many_outputs(self):
+        rng = random.Random(41)
+        a = random_network(rng, 16, 80, po_count=12)
+        b = a.clone()
+        # The last PO of b reads d ^ (p & q) instead of d.
+        d, phase = b.pos[-1]
+        p, q = b.pis[0], b.pis[1]
+        xor_and = sum(1 << v for v in range(8) if (v >> 2 & 1) ^ (v >> 1 & v & 1))
+        b.pos[-1] = (b.add_lut([d, p, q], xor_and), phase)
+        result = check_equivalence(a, b)
+        assert not result.equivalent
+        assert result.output == a.po_names[-1]
+        assert set(result.counterexample) == set(a.pi_names)
+        va = eval_assignment(a, {a.names[k]: v for k, v in result.counterexample.items()})
+        vb = eval_assignment(b, {b.names[k]: v for k, v in result.counterexample.items()})
+        (da, pa), (db, pb) = a.pos[-1], b.pos[-1]
+        assert (va[da] ^ pa) != (vb[db] ^ pb)
+        for (da, pa), (db, pb) in zip(a.pos[:-1], b.pos[:-1]):
+            assert (va[da] ^ pa) == (vb[db] ^ pb)
+
+    def test_wide_net_vs_its_sweep(self):
+        from stpsweep import SweepConfig, sweep
+
+        rng = random.Random(43)
+        net = random_network(rng, 16, 60, po_count=4)
+        # A second copy of every LUT over the same PIs, with its own POs,
+        # so the sweep has merges to make.
+        copy = {pid: pid for pid in net.pis}
+        for nid in net.topo_order():
+            node = net.nodes[nid]
+            if not node.is_pi:
+                copy[nid] = net.add_lut([copy[f] for f in node.fanins], node.tt)
+        for d, phase in list(net.pos):
+            net.add_po(copy[d], not phase)
+        original = net.clone()
+        swept, stats = sweep(net, SweepConfig(n_base_patterns=256))
+        assert len(original.pis) >= 15
+        assert stats.merges > 0 and swept.n_luts() < original.n_luts()
+        assert check_equivalence(original, swept).equivalent

@@ -9,11 +9,15 @@ from stpsweep import (
     Cnf,
     Network,
     SatStatus,
+    Solver,
+    SweepConfig,
     encode_cone,
     prove_equiv,
     solve,
+    sweep,
 )
-from helpers import eval_assignment, exhaustive_tables, random_network
+from stpsweep.sat import add_xor
+from helpers import eval_assignment, exhaustive_tables, random_network, sweep_fixture
 
 
 def cnf_from_clauses(n_vars: int, clauses) -> Cnf:
@@ -48,6 +52,39 @@ def enumerate_satisfiable(n_vars: int, clauses) -> bool:
 
 def check_model(clauses, model: dict[int, bool]) -> bool:
     return all(any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses)
+
+
+def pigeonhole(holes: int) -> Cnf:
+    """``holes + 1`` pigeons into ``holes`` holes: unsatisfiable."""
+    cnf = Cnf()
+    pigeons = holes + 1
+    var = {}
+    for p in range(pigeons):
+        for h in range(holes):
+            var[p, h] = cnf.new_var()
+    for p in range(pigeons):
+        cnf.add_clause([var[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                cnf.add_clause([-var[p1, h], -var[p2, h]])
+    return cnf
+
+
+def live(cnf: Cnf) -> Solver:
+    return Solver(cnf.n_vars, cnf.clauses)
+
+
+def random_3sat(seed: int, n_vars: int = 80) -> Cnf:
+    """Random 3-SAT at clause ratio 4.3, near the satisfiability threshold."""
+    rng = random.Random(seed)
+    cnf = Cnf()
+    for _ in range(n_vars):
+        cnf.new_var()
+    for _ in range(int(4.3 * n_vars)):
+        vs = rng.sample(range(1, n_vars + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+    return cnf
 
 
 def random_cnf(rng: random.Random, n_vars: int):
@@ -100,18 +137,7 @@ class TestSolver:
 
     def test_conflict_limit_yields_undet(self):
         # Pigeonhole 5 into 4: hard enough to exceed one conflict.
-        cnf = Cnf()
-        holes, pigeons = 4, 5
-        var = {}
-        for p in range(pigeons):
-            for h in range(holes):
-                var[p, h] = cnf.new_var()
-        for p in range(pigeons):
-            cnf.add_clause([var[p, h] for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    cnf.add_clause([-var[p1, h], -var[p2, h]])
+        cnf = pigeonhole(4)
         assert solve(cnf).status is SatStatus.UNSAT
         assert solve(cnf, conflict_limit=1).status is SatStatus.UNDET
 
@@ -126,6 +152,102 @@ class TestSolver:
         text = cnf.to_dimacs()
         assert text.splitlines()[0] == "p cnf 2 1"
         assert "1 -2 0" in text
+
+
+class TestIncremental:
+    """One live solver asked many queries in turn."""
+
+    def test_assumption_sets_agree_with_enumeration(self):
+        rng = random.Random(2026)
+        for _ in range(60):
+            n_vars = rng.randint(2, 14)
+            clauses = random_cnf(rng, n_vars)
+            cnf = cnf_from_clauses(n_vars, clauses)
+            solver = Solver(cnf.n_vars, cnf.clauses)
+            for _ in range(rng.randint(5, 10)):
+                vs = rng.sample(range(1, n_vars + 1), rng.randint(0, min(4, n_vars)))
+                assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+                got = solve(solver, assumptions=assumptions)
+                expected = enumerate_satisfiable(
+                    n_vars, clauses + [[lit] for lit in assumptions])
+                assert (got.status is SatStatus.SAT) == expected
+                if got.is_sat:
+                    assert check_model(clauses + [[lit] for lit in assumptions], got.model)
+
+    def test_assumption_false_at_level_zero(self):
+        # Clauses force 1 and then 2; assuming -2 contradicts level 0.
+        solver = Solver(3, [[1], [-1, 2], [2, 3]])
+        assert solve(solver, assumptions=[-2]).is_unsat
+        out = solve(solver, assumptions=[-3])
+        assert out.is_sat and out.model[1] and out.model[2] and not out.model[3]
+        assert solve(solver, assumptions=[3, -1]).is_unsat
+        assert solve(solver).is_sat
+
+    def test_conflict_limit_then_no_limit(self):
+        solver = live(pigeonhole(4))
+        assert solve(solver, conflict_limit=1).is_undet
+        out = solve(solver)
+        assert out.is_unsat and out.conflicts > 0
+
+    def test_level_zero_contradiction_is_permanent(self):
+        solver = Solver(2, [[1], [-1], [1, 2]])
+        for assumptions in ([], [2], [-2], [1, 2]):
+            assert solve(solver, assumptions=assumptions).is_unsat
+        # Found by search, not by the units alone.
+        solver = live(pigeonhole(4))
+        assert solve(solver).is_unsat
+        for assumptions in ([], [1], [-1, 2], [1, 2, 3]):
+            out = solve(solver, assumptions=assumptions)
+            assert out.is_unsat and out.conflicts == 0
+
+    def test_learnt_clauses_carry_over(self):
+        # The second identical query reuses what the first one learnt.
+        solver = live(pigeonhole(5))
+        first = solve(solver, assumptions=[1])
+        second = solve(solver, assumptions=[1])
+        assert first.is_unsat and second.is_unsat
+        assert second.conflicts < first.conflicts
+
+    def test_out_of_range_assumption_rejected(self):
+        solver = Solver(2, [[1, 2]])
+        with pytest.raises(ValueError):
+            solve(solver, assumptions=[3])
+
+
+class TestSearchPinned:
+    """``(status, conflicts)`` recorded from the search before the solver
+    became incremental; a kernel edit that changes the search fails here."""
+
+    def test_pigeonhole(self):
+        out = solve(pigeonhole(4))
+        assert (out.status, out.conflicts) == (SatStatus.UNSAT, 28)
+
+    GOLDEN_3SAT = [152, 102, 230, 293, 201, 142]
+    #: The same instances with activities rescaled past 2.0 instead of
+    #: 1e100: rescaling leaves stale heap entries, and that changes the search.
+    GOLDEN_3SAT_RESCALE_2 = [182, 99, 258, 293, 213, 136]
+
+    def test_random_3sat(self, monkeypatch):
+        got = [solve(random_3sat(seed)) for seed in range(6)]
+        assert all(o.is_unsat for o in got)
+        assert [o.conflicts for o in got] == self.GOLDEN_3SAT
+        monkeypatch.setattr(Solver, "_RESCALE", 2.0)
+        assert [solve(random_3sat(seed)).conflicts for seed in range(6)] == self.GOLDEN_3SAT_RESCALE_2
+
+    def test_every_query_of_a_sweep(self, monkeypatch):
+        log = []
+        original = Solver.solve
+
+        def recording(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            log.append((out.status, out.conflicts))
+            return out
+
+        monkeypatch.setattr(Solver, "solve", recording)
+        sweep(sweep_fixture(0), SweepConfig())
+        unsat = SatStatus.UNSAT
+        assert log == [(unsat, 0), (unsat, 0), (unsat, 2), (unsat, 4),
+                       (unsat, 2), (unsat, 2), (unsat, 2), (unsat, 2)]
 
 
 class TestEncodeCone:
@@ -241,6 +363,28 @@ class TestProveEquiv:
                     assert (
                         prove_equiv(net, x, y, inverted=True).status is SatStatus.UNSAT
                     ) == compl
+
+    def test_conflicts_passed_through(self):
+        # 6-input parity as one LUT and as a chain of XNORs (an even
+        # number of them, so the same function): UNSAT only after search.
+        net = Network()
+        xs = [net.add_pi() for _ in range(6)]
+        g = net.add_lut(xs, sum(1 << v for v in range(64) if bin(v).count("1") % 2))
+        h = xs[0]
+        for x in xs[1:]:
+            h = net.add_lut([h, x], 0b1001)
+        h = net.add_lut([h], 0b01)
+        out = prove_equiv(net, g, h)
+        cnf = encode_cone(net, [g, h])
+        t = add_xor(cnf, cnf.node_var[g], cnf.node_var[h])
+        by_hand = solve(cnf, assumptions=[t])
+        assert out.is_unsat and by_hand.is_unsat
+        assert out.conflicts == by_hand.conflicts > 0
+        # A counter-example keeps the count too.
+        out = prove_equiv(net, g, h, inverted=True)
+        by_hand = solve(cnf, assumptions=[-t])
+        assert out.is_sat and by_hand.is_sat
+        assert out.conflicts == by_hand.conflicts
 
     def test_same_node_rejected(self):
         net = Network()

@@ -333,3 +333,17 @@ class TestSweep:
                     break
             if checked >= 3:
                 break
+
+
+class TestPiDriver:
+    def test_lut_equal_to_a_pi_merges_onto_it(self):
+        net = Network()
+        a, b = net.add_pi("a"), net.add_pi("b")
+        g = net.add_lut([a, b], 0b1100)  # = a
+        net.add_po(g, name="o")
+        original = net.clone()
+        swept, stats = sweep(net, SweepConfig())
+        assert swept.n_luts() == 0
+        assert stats.sat_calls_total == 1 and stats.merges == 1
+        assert swept.pos == [(a, False)]
+        assert check_equivalence(original, swept).equivalent
