@@ -13,7 +13,12 @@ into an undetermined outcome; 0 disables the limit.
 assumptions as unit clauses.  A live :class:`Solver` is incremental:
 each query decides its assumptions at levels 1..k, as in MiniSat, and
 the clauses learnt, the activities and the saved phases carry over to
-the next query.
+the next query; variables and clauses may be added between queries.
+A :class:`NetSolver` is such a solver bound to one network: it loads a
+node's LUT clauses the first time the node enters a query cone and
+branches only on each query's cone, and :func:`prove_equiv` on it asks
+an equivalence as two assumption-only queries in one :func:`solve`
+call, as ABC's fraig does.
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ class Solver:
     every positive literal.  Each :meth:`solve` decides its assumptions
     at levels 1..k, returns to level 0, and keeps learnt clauses,
     activities and saved phases for the next call; learnt clauses
-    satisfied at level 0 are dropped when the next call starts.  A
+    satisfied at level 0 are dropped when the next call starts.  Between
+    calls, :meth:`add_vars` and :meth:`add_clause` grow the problem.  A
     conflict at level 0 makes the solver UNSAT for good.
     """
 
@@ -149,6 +155,43 @@ class Solver:
             return
         self.watches[lits[0]].append(lits)
         self.watches[lits[1]].append(lits)
+
+    def add_vars(self, count: int) -> int:
+        """Add ``count`` fresh variables between calls; returns the first."""
+        first = self.n_vars + 1
+        self.n_vars += count
+        # Negative literals sit at the end of the literal-indexed lists,
+        # so the new slots go between the positive and the negative ones.
+        self.value[first:first] = [-1] * (2 * count)
+        self.watches[first:first] = [[] for _ in range(2 * count)]
+        self.level += [0] * count
+        self.reason += [None] * count
+        self.activity += [0.0] * count
+        self.polarity += [0] * count
+        self.seen += [False] * count
+        for v in range(first, self.n_vars + 1):
+            heapq.heappush(self.heap, (0.0, v))
+        return first
+
+    def add_clause(self, lits: list[int]) -> None:
+        """Add a clause between calls, simplified by the level-0 assignment.
+
+        A clause with a true literal is dropped and false literals are
+        removed; a unit left over is enqueued at level 0 (the next call
+        propagates it), and an empty one makes the solver UNSAT for good.
+        """
+        if not self.ok:
+            return
+        value = self.value
+        if any(value[lit] == 1 for lit in lits):
+            return
+        lits = list(dict.fromkeys(lit for lit in lits if value[lit] < 0))
+        if not lits:
+            self.ok = False
+        elif len(lits) == 1:
+            self._enqueue(lits[0], None)
+        else:
+            self._add_clause(lits)
 
     # -- assignment machinery ------------------------------------------
 
@@ -329,6 +372,10 @@ class Solver:
             watch = self.watches[lit]
             watch[:] = [clause for clause in watch if id(clause) not in dead]
 
+    def _model(self) -> dict[int, bool]:
+        value = self.value
+        return {v: value[v] == 1 for v in range(1, self.n_vars + 1)}
+
     def _done(self, status: SatStatus, conflicts: int,
               model: dict[int, bool] | None = None) -> SatOutcome:
         self._backtrack(0)
@@ -388,15 +435,14 @@ class Solver:
                 continue
             branch = self._pick_branch()
             if branch == 0:
-                value = self.value
-                model = {v: value[v] == 1 for v in range(1, self.n_vars + 1)}
-                return self._done(SatStatus.SAT, conflicts, model)
+                return self._done(SatStatus.SAT, conflicts, self._model())
             self.trail_lim.append(len(self.trail))
             self._enqueue(branch, None)
 
 
 def solve(problem: Cnf | Solver, assumptions: list[int] | None = None,
-          conflict_limit: int = 0) -> SatOutcome:
+          conflict_limit: int = 0,
+          alternatives: Sequence[Sequence[int]] = ()) -> SatOutcome:
     """Solve a CNF or query a live :class:`Solver`, under assumption literals.
 
     On a :class:`Cnf` this is one-shot: the assumptions become unit
@@ -405,15 +451,34 @@ def solve(problem: Cnf | Solver, assumptions: list[int] | None = None,
     Either way UNSAT means unsatisfiable under the assumptions.  A
     positive ``conflict_limit`` yields UNDET once this call exceeds it;
     0 means no limit.
+
+    ``alternatives`` (live solver only) are further assumption sets,
+    each asked in turn while every set before it is UNSAT: the outcome
+    is SAT under the first satisfiable set, UNSAT if none is.  The sets
+    share ``conflict_limit``; once a set has spent all of it, the
+    outcome is UNDET.
     """
-    assumptions = list(assumptions or ())
-    for lit in assumptions:
-        if lit == 0 or abs(lit) > problem.n_vars:
-            raise ValueError(f"assumption literal {lit} out of range")
+    cubes = [list(assumptions or ())] + [list(cube) for cube in alternatives]
+    for cube in cubes:
+        for lit in cube:
+            if lit == 0 or abs(lit) > problem.n_vars:
+                raise ValueError(f"assumption literal {lit} out of range")
     if isinstance(problem, Solver):
-        return problem.solve(assumptions, conflict_limit)
+        spent = 0
+        for cube in cubes:
+            left = conflict_limit - spent
+            if conflict_limit and left <= 0:
+                return SatOutcome(SatStatus.UNDET, None, spent)
+            outcome = problem.solve(cube, left if conflict_limit else 0)
+            spent += outcome.conflicts
+            if not outcome.is_unsat:
+                break
+        outcome.conflicts = spent
+        return outcome
+    if alternatives:
+        raise ValueError("alternative assumption sets need a live Solver")
     clauses = [list(clause) for clause in problem.clauses]
-    clauses += [[lit] for lit in assumptions]
+    clauses += [[lit] for lit in cubes[0]]
     return Solver(problem.n_vars, clauses).solve((), conflict_limit)
 
 
@@ -440,11 +505,12 @@ def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]
 def encode_cone(net: Network, roots: list[int]) -> Cnf:
     """CNF of the union of the roots' input cones.
 
-    This is the only CNF encoder.  Every cone node, PIs included, gets a
-    variable (``cnf.node_var``) in topological order; non-PI nodes
-    additionally get their LUT consistency clauses.
+    Every cone node, PIs included, gets a variable (``cnf.node_var``) in
+    topological order; non-PI nodes additionally get their
+    :func:`lut_clauses`.  :class:`NetSolver` loads the same clauses
+    node by node.
     """
-    cone = _cone(net, roots)
+    cone = set(_cone(net, roots))
     cnf = Cnf()
     order = [nid for nid in net.topo_order() if nid in cone]
     for nid in order:
@@ -460,6 +526,95 @@ def encode_cone(net: Network, roots: list[int]) -> Cnf:
     return cnf
 
 
+class NetSolver(Solver):
+    """One incremental :class:`Solver` over a network's LUT clauses.
+
+    :meth:`load` gives a node a variable (``node_var``), and a non-PI
+    node its :func:`lut_clauses`, the first time the node enters a query
+    cone; nothing is encoded twice.  The clauses stay sound while the
+    network is swept: a node is substituted only once it is proven equal
+    to its replacement, so each variable still equals its node's
+    function of the PIs.
+
+    As ABC's fraig prepares its solver with a query's cone, each
+    :meth:`solve` branches only on the scope of its assumptions: their
+    variables and, transitively, the fanin variables each was loaded
+    with (the loaded fanins, not the current ones, since a merge
+    rewires a node but not its clauses).  Its model covers that scope,
+    so a query costs time in its own cone, not in all that is loaded.
+    A SAT answer stays sound: the scope's clauses mention only scope
+    variables, and every variable outside it is a function of the PIs
+    that the model extends to.
+    """
+
+    def __init__(self, net: Network):
+        super().__init__(0, ())
+        self.net = net
+        self.node_var: dict[int, int] = {}
+        #: Fanin variables of each variable when it was loaded (PIs: none).
+        self.fanin_vars: list[list[int]] = [[]]
+        #: The variables the current query's scope walk met, and those
+        #: of them it may branch on.
+        self.scope: set[int] = set()
+        self.scope_vars: list[int] = []
+
+    def load(self, roots: list[int]) -> None:
+        """Encode the nodes of the roots' input cones not encoded yet."""
+        new = _cone(self.net, roots, known=self.node_var)
+        if not new:
+            return
+        nodes, node_var = self.net.nodes, self.node_var
+        # Post-order: every fanin has its variable before its readers.
+        for var, nid in enumerate(new, self.add_vars(len(new))):
+            node_var[nid] = var
+            node = nodes[nid]
+            fanins = [node_var[f] for f in node.fanins]
+            self.fanin_vars.append(fanins)
+            if not node.is_pi:
+                for clause in lut_clauses(var, fanins, node.tt):
+                    self.add_clause(clause)
+
+    def solve(self, assumptions: Sequence[int] = (), conflict_limit: int = 0) -> SatOutcome:
+        """Search under ``assumptions``, branching only on their scope.
+
+        The scope walk does not enter variables already fixed (a call
+        starts at level 0): such a node is constant, so any values of
+        its fanins extend to a model.
+        """
+        value, fanin_vars = self.value, self.fanin_vars
+        scope: set[int] = set()
+        order: list[int] = []
+        stack = [abs(lit) for lit in assumptions]
+        while stack:
+            v = stack.pop()
+            if v in scope:
+                continue
+            scope.add(v)
+            if value[v] < 0:
+                order.append(v)
+                stack.extend(fanin_vars[v])
+        self.scope, self.scope_vars = scope, order
+        activity = self.activity
+        self.heap = [(-activity[v], v) for v in order if value[v] < 0]
+        heapq.heapify(self.heap)
+        return super().solve(assumptions, conflict_limit)
+
+    def _pick_branch(self) -> int:
+        value, activity, heap, scope = self.value, self.activity, self.heap, self.scope
+        while heap:
+            act, v = heapq.heappop(heap)
+            if value[v] < 0 and -act == activity[v] and v in scope:
+                return v if self.polarity[v] else -v
+        for v in self.scope_vars:
+            if value[v] < 0:
+                return v if self.polarity[v] else -v
+        return 0
+
+    def _model(self) -> dict[int, bool]:
+        value = self.value
+        return {v: value[v] == 1 for v in self.scope_vars}
+
+
 def add_xor(cnf: Cnf, va: int, vb: int) -> int:
     """A fresh variable ``t`` constrained to ``t <-> (va xor vb)``."""
     t = cnf.new_var()
@@ -470,13 +625,19 @@ def add_xor(cnf: Cnf, va: int, vb: int) -> int:
     return t
 
 
-def pi_assignment(net: Network, cnf: Cnf, model: dict[int, bool]) -> dict[int, bool]:
-    """The model's values of the PIs encoded in ``cnf``, keyed by PI node id."""
-    return {nid: model[var] for nid, var in cnf.node_var.items() if net.nodes[nid].is_pi}
+def pi_assignment(net: Network, cnf: Cnf | NetSolver,
+                  model: dict[int, bool]) -> dict[int, bool]:
+    """The model's values of the PIs encoded in ``cnf``, keyed by PI node id.
+
+    PIs that ``cnf`` does not encode, or that the model leaves out, are
+    left out.
+    """
+    node_var = cnf.node_var
+    return {nid: model[node_var[nid]] for nid in net.pis if node_var.get(nid) in model}
 
 
 def prove_equiv(
-    net: Network,
+    problem: Network | NetSolver,
     a: int,
     b: int,
     inverted: bool = False,
@@ -485,15 +646,34 @@ def prove_equiv(
     """Decide whether node ``a`` equals node ``b`` (or its complement).
 
     UNSAT certifies the equivalence under the stated phase.  A SAT
-    outcome carries a counter-example assignment over the support PIs
-    of the two cones, keyed by PI node id.
+    outcome carries a counter-example assignment keyed by PI node id.
+
+    On a :class:`Network` this is one-shot: the two cones and an XOR of
+    their roots go to a fresh solver, and the counter-example covers the
+    cones' support PIs.  On a :class:`NetSolver` the cones are loaded
+    if need be and the equivalence is asked as two assumption-only
+    queries, ``(a, not b')`` then ``(not a, b')`` with ``b'`` the
+    phase-adjusted ``b``, in one :func:`solve` call whose assumption
+    sets share ``conflict_limit``.  The counter-example then covers the
+    PIs of the query's scope (see :class:`NetSolver`).
     """
     if a == b:
         raise ValueError("prove_equiv needs two distinct nodes")
-    cnf = encode_cone(net, [a, b])
-    t = add_xor(cnf, cnf.node_var[a], cnf.node_var[b])
-    # Normal phase: look for a != b; inverted: look for a != not b.
-    outcome = solve(cnf, assumptions=[-t if inverted else t], conflict_limit=conflict_limit)
+    if isinstance(problem, Network):
+        net, encoding = problem, encode_cone(problem, [a, b])
+        t = add_xor(encoding, encoding.node_var[a], encoding.node_var[b])
+        # Normal phase: look for a != b; inverted: look for a != not b.
+        outcome = solve(encoding, assumptions=[-t if inverted else t],
+                        conflict_limit=conflict_limit)
+    else:
+        net, encoding = problem.net, problem
+        problem.load([a, b])
+        va, vb = problem.node_var[a], problem.node_var[b]
+        if inverted:
+            vb = -vb
+        outcome = solve(problem, assumptions=[va, -vb], conflict_limit=conflict_limit,
+                        alternatives=[[-va, vb]])
     if not outcome.is_sat:
         return outcome
-    return SatOutcome(SatStatus.SAT, pi_assignment(net, cnf, outcome.model), outcome.conflicts)
+    return SatOutcome(SatStatus.SAT, pi_assignment(net, encoding, outcome.model),
+                      outcome.conflicts)

@@ -18,6 +18,7 @@ leaves, which yields the cut's STP logic matrix.
 from __future__ import annotations
 
 import random
+from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -196,32 +197,45 @@ def simulate_all(net: Network, patterns: PatternSet) -> dict[int, Signature]:
     return {nid: Signature(nid, bits[nid], n) for nid in order}
 
 
-def _cone(net: Network, targets: list[int], pi_cap: int | None = None) -> set[int]:
-    """The targets' input cones: the targets, every node they read, and PIs.
+def _cone(net: Network, targets: list[int], pi_cap: int | None = None,
+          known: Container[int] = ()) -> list[int]:
+    """The targets' input cones (the targets, every node they read, and
+    PIs) in topological order.
 
-    Raises ``ValueError`` for a dead target, and :class:`WindowTooLarge`
-    as soon as the walk finds more than ``pi_cap`` PIs.
+    The walk is an iterative post-order, so every node comes after its
+    fanins and no whole-network sort is needed.  It does not enter
+    ``known`` nodes, so they and what is read only through them are left
+    out.  Raises ``ValueError`` for a dead target, and
+    :class:`WindowTooLarge` as soon as the walk finds more than
+    ``pi_cap`` PIs.
     """
     nodes = net.nodes
-    stack = list(targets)
-    for t in stack:
+    for t in targets:
         if nodes[t].dead:
             raise ValueError(f"target {t} is dead")
-    cone: set[int] = set()
+    order: list[int] = []
+    seen: set[int] = set()
     n_pis = 0
+    # ``~nid`` (negative) marks a node whose fanins are already emitted.
+    stack = list(targets)
     while stack:
         nid = stack.pop()
-        if nid in cone:
+        if nid < 0:
+            order.append(~nid)
             continue
-        cone.add(nid)
+        if nid in seen or nid in known:
+            continue
+        seen.add(nid)
         node = nodes[nid]
         if node.is_pi:
             n_pis += 1
             if pi_cap is not None and n_pis > pi_cap:
                 raise WindowTooLarge(f"window has more than {pi_cap} leaves")
+            order.append(nid)
         else:
+            stack.append(~nid)
             stack.extend(node.fanins)
-    return cone
+    return order
 
 
 def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -> dict[int, Signature]:
@@ -230,8 +244,7 @@ def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -
     Bit-identical to ``simulate_all`` restricted to the targets.
     """
     bits = _pi_rows(net, patterns)
-    cone = _cone(net, targets)
-    _simulate(net, [nid for nid in net.topo_order() if nid in cone], bits, patterns.mask)
+    _simulate(net, _cone(net, targets), bits, patterns.mask)
     n = patterns.n_patterns
     return {t: Signature(t, bits[t], n) for t in targets}
 
@@ -396,17 +409,27 @@ def exhaustive_window_sim(net: Network, targets: list[int], window_cap: int = 16
     The shared window is the union of the targets' PI supports; if it
     holds more than ``window_cap`` leaves a :class:`WindowTooLarge` is
     raised and the caller falls back to pattern simulation.  Otherwise
-    :func:`simulate_specified` runs over the ``2**m`` exhaustive
-    patterns of the ``m`` window leaves, every other PI held at 0.
+    the union cone is walked once and simulated over the ``2**m``
+    exhaustive patterns of its ``m`` leaves.
     """
     targets = list(dict.fromkeys(targets))
     if not targets:
         raise ValueError("no targets")
-    leaves = sorted(nid for nid in _cone(net, targets, window_cap) if net.nodes[nid].is_pi)
+    nodes = net.nodes
+    cone = _cone(net, targets, window_cap)
+    leaves = sorted(nid for nid in cone if nodes[nid].is_pi)
     m = len(leaves)
-    position = {leaf: j for j, leaf in enumerate(leaves)}
-    rows = [_var_row(position[pid], m) if pid in position else 0 for pid in net.pis]
-    sigs = simulate_specified(net, PatternSet(rows, 1 << m), targets)
-    supports = {
-        t: sorted(nid for nid in _cone(net, [t]) if net.nodes[nid].is_pi) for t in targets}
-    return WindowTruths(leaves, supports, {t: sigs[t].bits for t in targets})
+    bits = {leaf: _var_row(j, m) for j, leaf in enumerate(leaves)}
+    _simulate(net, cone, bits, (1 << (1 << m)) - 1)
+    # Each node's own support as a mask over the leaves (bit j = leaf j),
+    # in the same topological pass for every target.
+    support = {leaf: 1 << j for j, leaf in enumerate(leaves)}
+    for nid in cone:
+        if not nodes[nid].is_pi:
+            acc = 0
+            for f in nodes[nid].fanins:
+                acc |= support[f]
+            support[nid] = acc
+    supports = {t: [leaf for j, leaf in enumerate(leaves) if support[t] >> j & 1]
+                for t in targets}
+    return WindowTruths(leaves, supports, {t: bits[t] for t in targets})

@@ -3,12 +3,17 @@
 The engine follows the classic simulate-then-prove loop.  SAT-guided
 initial patterns detect true constants and enrich the pattern set,
 signatures group candidate nodes into polarity-normalized equivalence
-classes, and candidates (visited from the outputs inward) are merged
-into topologically earlier class members once a SAT query certifies
-the equivalence.  Counter-examples from failed queries refine the
-classes; classes whose combined input support fits an exhaustive
-window are additionally refined with full truth rows, which removes
-false candidates without spending satisfiable SAT calls on them.
+classes, and candidates are visited from the inputs to the outputs.
+As in a FRAIG, each candidate is merged into a class member that comes
+earlier in topological order, tried earliest first, once a SAT query
+certifies the equivalence; an earlier member cannot lie in the
+candidate's fanout, so no cycle check is needed to pick one.  One
+incremental :class:`~stpsweep.sat.NetSolver` answers every query of a
+sweep and loads each node's clauses once.  Counter-examples from failed
+queries refine the classes; classes whose combined input support fits
+an exhaustive window are additionally refined with full truth rows,
+which removes false candidates without spending satisfiable SAT calls
+on them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ import time
 from dataclasses import dataclass
 
 from .netlist import Network
-from .sat import SatOutcome, SatStatus, encode_cone, pi_assignment, prove_equiv, solve
+# ``encode_cone`` is not called here: the benchmark's tracer
+# (perfbench/tracer.py) patches it, ``solve`` and ``prove_equiv`` in this
+# module by name.
+from .sat import NetSolver, SatOutcome, SatStatus, encode_cone, pi_assignment, prove_equiv, solve
 from .simulate import (
     PatternSet,
     WindowTooLarge,
@@ -227,26 +235,26 @@ def _append_patterns(base: PatternSet, extra: list[list[bool]]) -> PatternSet:
     return PatternSet(rows, n + len(extra))
 
 
-def _find_value(net: Network, nid: int, value: bool, cfg: SweepConfig,
+def _find_value(solver: NetSolver, nid: int, value: bool, cfg: SweepConfig,
                 stats: SweepStats) -> SatOutcome:
     """Ask the solver for an input assignment that sets ``nid`` to ``value``.
 
-    A SAT outcome carries the assignment of the cone's PIs, keyed by PI
-    node id; UNSAT proves ``nid`` constant at ``not value``.
+    A SAT outcome carries the assignment of the PIs in ``nid``'s cone,
+    keyed by PI node id; UNSAT proves ``nid`` constant at ``not value``.
     """
-    cnf = encode_cone(net, [nid])
-    var = cnf.node_var[nid]
-    outcome = solve(cnf, assumptions=[var if value else -var],
+    solver.load([nid])
+    var = solver.node_var[nid]
+    outcome = solve(solver, assumptions=[var if value else -var],
                     conflict_limit=cfg.conflict_limit)
     stats.record(outcome.status)
     if outcome.is_sat:
-        return SatOutcome(SatStatus.SAT, pi_assignment(net, cnf, outcome.model),
+        return SatOutcome(SatStatus.SAT, pi_assignment(solver.net, solver, outcome.model),
                           outcome.conflicts)
     return outcome
 
 
 def sat_guided_patterns(
-    net: Network, cfg: SweepConfig, stats: SweepStats | None = None
+    solver: NetSolver, cfg: SweepConfig, stats: SweepStats | None = None
 ) -> tuple[PatternSet, list[tuple[int, bool]]]:
     """Two-round SAT-guided pattern generation.
 
@@ -256,10 +264,12 @@ def sat_guided_patterns(
     new pattern.  Round two targets gates whose signatures barely
     toggle and asks the solver for one pattern forcing the minority
     value.  Returns the enriched pattern set and the proven
-    ``(node, constant_value)`` pairs.
+    ``(node, constant_value)`` pairs.  The gates are those of
+    ``solver.net``, and every query goes to ``solver``.
     """
     if stats is None:
         stats = SweepStats()
+    net = solver.net
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
     base = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
     t0 = time.perf_counter()
@@ -278,7 +288,7 @@ def sat_guided_patterns(
         if sig != 0 and sig != mask:
             continue
         stuck_value = sig == mask
-        outcome = _find_value(net, nid, not stuck_value, cfg, stats)
+        outcome = _find_value(solver, nid, not stuck_value, cfg, stats)
         if outcome.is_unsat:
             constants.append((nid, stuck_value))
             const_nodes.add(nid)
@@ -302,7 +312,7 @@ def sat_guided_patterns(
             continue
         ones = bin(bits).count("1")
         minority = ones * 2 <= patterns.n_patterns
-        outcome = _find_value(net, nid, minority, cfg, stats)
+        outcome = _find_value(solver, nid, minority, cfg, stats)
         if outcome.is_sat:
             extra2.append(_ce_to_pattern(net, outcome.model, rng))
         elif outcome.is_unsat:
@@ -424,7 +434,8 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     stats.initial_luts = net.n_luts()
     rng = random.Random(cfg.seed ^ 0x51AB1E)
 
-    patterns, constants = sat_guided_patterns(net, cfg, stats)
+    solver = NetSolver(net)
+    patterns, constants = sat_guided_patterns(solver, cfg, stats)
     stats.constants = constant_prop(net, constants)
 
     t0 = time.perf_counter()
@@ -435,7 +446,11 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     _window_refine_classes(mgr, net, cfg)
     stats.sim_time += time.perf_counter() - t0
 
-    gate_list = [nid for nid in net.reverse_topo_order() if not net.nodes[nid].is_pi]
+    # ``rank`` holds the live nodes in topological order.  A merge
+    # replaces a node by one of lower rank, so the rank stays a
+    # topological order of the network throughout the loop.
+    rank = mgr.topo_rank
+    gate_list = [nid for nid in rank if not net.nodes[nid].is_pi]
     for candidate in gate_list:
         tried: set[int] = set()
         while True:
@@ -444,19 +459,18 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
             cid = mgr.class_of.get(candidate)
             if cid is None or cid not in mgr.members:
                 break
-            # Member lists are in topological order, so drivers are tried
-            # inputs first.  A PI is a driver like any other member; only
-            # candidates are never PIs.
+            # Member lists are in topological order: the driver is the
+            # earliest untried live member, and only one that ranks
+            # before the candidate will do.  A PI is a driver like any
+            # other member; only candidates are never PIs.
             driver = next((d for d in mgr.members[cid]
-                           if d != candidate and d not in tried
-                           and not net.nodes[d].dead
-                           and not net.is_in_tfo(candidate, d)), None)
-            if driver is None:
+                           if d not in tried and not net.nodes[d].dead), None)
+            if driver is None or rank[driver] >= rank[candidate]:
                 break
             tried.add(driver)
             phase = mgr.phase_of.get(candidate, 0) ^ mgr.phase_of.get(driver, 0)
             outcome = prove_equiv(
-                net, candidate, driver,
+                solver, candidate, driver,
                 inverted=bool(phase), conflict_limit=cfg.conflict_limit,
             )
             stats.record(outcome.status)

@@ -193,3 +193,53 @@ def sweep_fixture(seed: int) -> Network:
     net.add_po(g)
     net.add_po(g_near)
     return net
+
+
+# ---------------------------------------------------------------------------
+# Adder self-miter: two architectures of one function on shared PIs.
+
+XOR2, AND2, OR2 = 0b0110, 0b1000, 0b1110
+
+
+def adder_miter(width: int) -> Network:
+    """Ripple-carry and Kogge-Stone adders on the same ``2 * width`` PIs,
+    built from 2-input gates; the POs are both sums and both carries.
+
+    The ripple-carry half comes first and has ``5 * width - 3`` LUTs,
+    all of them read by a PO, so a full sweep leaves exactly that many.
+    """
+    net = Network(f"adder_miter{width}")
+    a = [net.add_pi(f"a{i}") for i in range(width)]
+    b = [net.add_pi(f"b{i}") for i in range(width)]
+
+    carry = None
+    for i in range(width):
+        p = net.add_lut([a[i], b[i]], XOR2)
+        g = net.add_lut([a[i], b[i]], AND2)
+        if carry is None:
+            net.add_po(p, name="rca_s0")
+            carry = g
+            continue
+        net.add_po(net.add_lut([p, carry], XOR2), name=f"rca_s{i}")
+        t = net.add_lut([p, carry], AND2)
+        carry = net.add_lut([g, t], OR2)
+    net.add_po(carry, name="rca_cout")
+
+    p = [net.add_lut([a[i], b[i]], XOR2) for i in range(width)]
+    gen = [net.add_lut([a[i], b[i]], AND2) for i in range(width)]
+    prop = list(p)
+    d = 1
+    while d < width:
+        new_gen, new_prop = list(gen), list(prop)
+        for i in range(d, width):
+            t = net.add_lut([prop[i], gen[i - d]], AND2)
+            new_gen[i] = net.add_lut([gen[i], t], OR2)
+            new_prop[i] = net.add_lut([prop[i], prop[i - d]], AND2)
+        gen, prop = new_gen, new_prop
+        d *= 2
+    net.add_po(p[0], name="ks_s0")
+    for i in range(1, width):
+        net.add_po(net.add_lut([p[i], gen[i - 1]], XOR2), name=f"ks_s{i}")
+    net.add_po(gen[width - 1], name="ks_cout")
+    net.remove_dead()  # the last level's group propagates are read by nothing
+    return net

@@ -7,6 +7,7 @@ import pytest
 
 from stpsweep import (
     Cnf,
+    NetSolver,
     Network,
     SatStatus,
     Solver,
@@ -16,8 +17,9 @@ from stpsweep import (
     solve,
     sweep,
 )
-from stpsweep.sat import add_xor
-from helpers import eval_assignment, exhaustive_tables, random_network, sweep_fixture
+import stpsweep.sat as sat_module
+from stpsweep.sat import add_xor, pi_assignment
+from helpers import adder_miter, eval_assignment, exhaustive_tables, random_network, sweep_fixture
 
 
 def cnf_from_clauses(n_vars: int, clauses) -> Cnf:
@@ -85,6 +87,19 @@ def random_3sat(seed: int, n_vars: int = 80) -> Cnf:
         vs = rng.sample(range(1, n_vars + 1), 3)
         cnf.add_clause([v if rng.random() < 0.5 else -v for v in vs])
     return cnf
+
+
+def parity_pair() -> tuple[Network, int, int]:
+    """6-input parity as one LUT and as a chain of XNORs (an even number
+    of them, so the same function): proven equal only after search."""
+    net = Network()
+    xs = [net.add_pi() for _ in range(6)]
+    g = net.add_lut(xs, sum(1 << v for v in range(64) if bin(v).count("1") % 2))
+    h = xs[0]
+    for x in xs[1:]:
+        h = net.add_lut([h, x], 0b1001)
+    h = net.add_lut([h], 0b01)
+    return net, g, h
 
 
 def random_cnf(rng: random.Random, n_vars: int):
@@ -214,9 +229,297 @@ class TestIncremental:
             solve(solver, assumptions=[3])
 
 
+class TestAlternatives:
+    """Assumption sets asked in turn in one ``solve`` call."""
+
+    def test_agree_with_enumeration(self):
+        rng = random.Random(2027)
+        for _ in range(60):
+            n_vars = rng.randint(2, 12)
+            clauses = random_cnf(rng, n_vars)
+            solver = live(cnf_from_clauses(n_vars, clauses))
+            for _ in range(rng.randint(3, 6)):
+                cubes = []
+                for _ in range(rng.randint(1, 3)):
+                    vs = rng.sample(range(1, n_vars + 1), rng.randint(1, min(3, n_vars)))
+                    cubes.append([v if rng.random() < 0.5 else -v for v in vs])
+                got = solve(solver, assumptions=cubes[0], alternatives=cubes[1:])
+                sat = [enumerate_satisfiable(n_vars, clauses + [[lit] for lit in cube])
+                       for cube in cubes]
+                assert (got.status is SatStatus.SAT) == any(sat)
+                if got.is_sat:
+                    # The model satisfies the first satisfiable set.
+                    cube = cubes[sat.index(True)]
+                    assert check_model(clauses + [[lit] for lit in cube], got.model)
+
+    def test_sets_share_the_conflict_limit(self):
+        # Pigeonhole 5->4 unless x: each set below needs search.
+        cnf = pigeonhole(4)
+        x = cnf.n_vars + 1
+
+        def fresh() -> Solver:
+            return Solver(x, [clause + [x] for clause in cnf.clauses])
+
+        first = solve(fresh(), assumptions=[-x, 1])
+        free = solve(fresh(), assumptions=[-x, 1], alternatives=[[-x, -1]])
+        assert first.is_unsat and free.is_unsat and 0 < first.conflicts < free.conflicts
+        for limit in range(1, free.conflicts):
+            out = solve(fresh(), assumptions=[-x, 1], alternatives=[[-x, -1]],
+                        conflict_limit=limit)
+            assert out.is_undet and out.conflicts <= limit + 1
+        out = solve(fresh(), assumptions=[-x, 1], alternatives=[[-x, -1]],
+                    conflict_limit=free.conflicts + 1)
+        assert out.is_unsat and out.conflicts == free.conflicts
+
+    def test_need_a_live_solver(self):
+        with pytest.raises(ValueError):
+            solve(pigeonhole(2), assumptions=[1], alternatives=[[-1]])
+        with pytest.raises(ValueError):
+            solve(live(pigeonhole(2)), assumptions=[1], alternatives=[[99]])
+
+
+class TestGrowBetweenCalls:
+    """Variables and clauses added to a live solver between queries."""
+
+    def test_batches_agree_with_enumeration(self):
+        rng = random.Random(2027)
+        for _ in range(60):
+            n_vars = rng.randint(2, 14)
+            clauses = random_cnf(rng, n_vars)
+            # Variables arrive in up to three steps, each clause once all
+            # of its variables are there, and queries come in between.
+            steps = sorted(rng.sample(range(1, n_vars), min(2, n_vars - 1))) + [n_vars]
+            solver = Solver(0, [])
+            loaded: list[list[int]] = []
+            pending = list(clauses)
+            for top in steps:
+                solver.add_vars(top - solver.n_vars)
+                ready = [cl for cl in pending if max(abs(l) for l in cl) <= top]
+                pending = [cl for cl in pending if max(abs(l) for l in cl) > top]
+                for at in range(0, len(ready), 4):
+                    for clause in ready[at:at + 4]:
+                        solver.add_clause(list(clause))
+                        loaded.append(clause)
+                    for _ in range(rng.randint(1, 3)):
+                        vs = rng.sample(range(1, top + 1), rng.randint(0, min(3, top)))
+                        assumptions = [v if rng.random() < 0.5 else -v for v in vs]
+                        got = solve(solver, assumptions=assumptions)
+                        units = [[lit] for lit in assumptions]
+                        assert got.is_sat == enumerate_satisfiable(top, loaded + units)
+                        if got.is_sat:
+                            assert check_model(loaded + units, got.model)
+
+    @staticmethod
+    def watched(solver: Solver) -> int:
+        return sum(len(w) for w in solver.watches)
+
+    def test_satisfied_clause_is_dropped(self):
+        solver = Solver(3, [[1], [2, 3]])
+        assert solve(solver).is_sat  # 1 now holds at level 0
+        before = self.watched(solver)
+        solver.add_clause([1, -2, 3])
+        assert self.watched(solver) == before
+
+    def test_false_literals_leave_a_unit(self):
+        solver = Solver(3, [[-1], [2, 3]])
+        assert solve(solver).is_sat  # -1 holds at level 0
+        solver.add_clause([1, -2])  # 1 is false: the unit -2 is left
+        assert solver.value[-2] == 1 and solver.level[2] == 0
+        out = solve(solver)
+        assert out.is_sat and not out.model[2] and out.model[3]
+        assert solve(solver, assumptions=[2]).is_unsat
+        # A clause the unit propagates through once the next call starts.
+        solver.add_vars(1)
+        solver.add_clause([2, 4])
+        out = solve(solver)
+        assert out.is_sat and out.model[4]
+        assert solve(solver, assumptions=[-4]).is_unsat
+
+    def test_all_false_clause_is_unsat_for_good(self):
+        solver = Solver(2, [[1], [-2]])
+        assert solve(solver).is_sat
+        solver.add_clause([-1, 2])
+        for assumptions in ([], [1], [-2]):
+            out = solve(solver, assumptions=assumptions)
+            assert out.is_unsat and out.conflicts == 0
+        solver.add_vars(1)
+        solver.add_clause([3])
+        assert solve(solver, assumptions=[3]).is_unsat
+
+    def test_new_variables_are_searched(self):
+        grown = Solver(0, [])
+        first = grown.add_vars(2)
+        assert first == 1 and grown.n_vars == 2
+        grown.add_clause([1, 2])
+        grown.add_clause([-1, 2])
+        assert grown.add_vars(3) == 3
+        grown.add_clause([-2, -5])
+        grown.add_clause([5, 4, -3])
+        out = solve(grown, assumptions=[3])
+        assert out.is_sat and out.model[2] and not out.model[5] and out.model[4]
+        assert solve(grown, assumptions=[3, -4]).is_unsat
+
+
+class TestNetSolver:
+    """The net-bound solver and equivalence queries asked on it."""
+
+    def test_each_node_loaded_once(self):
+        rng = random.Random(29)
+        net = random_network(rng, 6, 30, max_k=3)
+        solver = NetSolver(net)
+        gates = [n.id for n in net.nodes if not n.is_pi]
+        solver.load(gates[:10])
+        n_vars = solver.n_vars
+        assert n_vars == len(solver.node_var)
+        solver.load(gates[:10])
+        assert solver.n_vars == n_vars
+        solver.load(gates)
+        assert set(solver.node_var) == set(encode_cone(net, gates).node_var)
+        # Every fanin has its variable before its reader.
+        for nid, var in solver.node_var.items():
+            assert all(solver.node_var[f] < var for f in net.nodes[nid].fanins)
+
+    def test_agrees_with_one_shot_queries(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            net = random_network(rng, rng.randint(2, 8), rng.randint(3, 14), max_k=3)
+            solver = NetSolver(net)
+            ids = [n.id for n in net.nodes if not n.dead]
+            for i, x in enumerate(ids):
+                for y in ids[i + 1:]:
+                    for inverted in (False, True):
+                        fresh = prove_equiv(net, x, y, inverted=inverted)
+                        got = prove_equiv(solver, x, y, inverted=inverted)
+                        assert got.status is fresh.status
+                        if got.is_sat:
+                            assignment = {pid: got.model.get(pid, False) for pid in net.pis}
+                            values = eval_assignment(net, assignment)
+                            assert values[x] != (values[y] ^ inverted)
+
+    def test_halves_share_the_conflict_limit(self, monkeypatch):
+        net, g, h = parity_pair()
+        free = prove_equiv(NetSolver(net), g, h)
+        assert free.is_unsat and free.conflicts > 0
+
+        calls = []
+        original = Solver.solve
+
+        def recording(self, assumptions=(), conflict_limit=0):
+            out = original(self, assumptions, conflict_limit)
+            calls.append((conflict_limit, out.conflicts))
+            return out
+
+        monkeypatch.setattr(Solver, "solve", recording)
+        for limit in range(1, free.conflicts + 2):
+            calls.clear()
+            out = prove_equiv(NetSolver(net), g, h, conflict_limit=limit)
+            assert out.conflicts == sum(c for _, c in calls)
+            assert calls[0][0] == limit
+            if len(calls) == 2:  # the second half gets what the first left
+                assert calls[1][0] == limit - calls[0][1] > 0
+            assert out.is_undet or (out.is_unsat and out.conflicts <= limit)
+        assert out.is_unsat  # one conflict more than the free run is enough
+
+
+    def test_one_solve_call_per_equivalence(self, monkeypatch):
+        # Both halves go through one module-level ``solve`` call, whose
+        # outcome is the pair's, so a wrapper around ``solve`` counts
+        # one query per equivalence.
+        calls = []
+        original = sat_module.solve
+
+        def counting(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append(out.status)
+            return out
+
+        monkeypatch.setattr(sat_module, "solve", counting)
+        net = random_network(random.Random(37), 5, 16, max_k=3)
+        solver = NetSolver(net)
+        ids = [n.id for n in net.nodes if not n.dead]
+        for x in ids:
+            for y in ids:
+                if x < y:
+                    calls.clear()
+                    out = prove_equiv(solver, x, y)
+                    assert calls == [out.status]
+
+    def test_model_covers_the_query_cone(self):
+        net = Network()
+        a, b, c, d = (net.add_pi() for _ in range(4))
+        g = net.add_lut([a, b], 0b1000)
+        h = net.add_lut([c, d], 0b1110)
+        solver = NetSolver(net)
+        solver.load([g, h])
+        out = solve(solver, assumptions=[solver.node_var[g]])
+        assert out.is_sat
+        assert set(out.model) == {solver.node_var[n] for n in (a, b, g)}
+        assert out.model[solver.node_var[a]] and out.model[solver.node_var[b]]
+        assert pi_assignment(net, solver, out.model) == {a: True, b: True}
+
+    def test_scope_follows_the_loaded_fanins(self):
+        # y = a AND (p XNOR q) with p, q both b XOR d, so y equals a, but
+        # unit propagation alone cannot see p == q.  Once y is replaced
+        # by a, r still has its clauses over y: a scope taken from r's
+        # current fanins (a, c) would never branch on p, q, b, d and
+        # would call r = a = c = 1 satisfiable, though r = a XOR c.
+        net = Network()
+        a, b, d, c = (net.add_pi() for _ in range(4))
+        p = net.add_lut([b, d], 0b0110)
+        q = net.add_lut([b, d], 0b0110)
+        t = net.add_lut([p, q], 0b1001)
+        y = net.add_lut([a, t], 0b1000)
+        r = net.add_lut([y, c], 0b0110)
+        net.add_po(r)
+        solver = NetSolver(net)
+        solver.load([r])
+        assert prove_equiv(net, y, a).is_unsat
+        net.substitute_node(y, a)
+        var = solver.node_var
+        assert solve(solver, assumptions=[var[r], var[a], var[c]]).is_unsat
+        out = solve(solver, assumptions=[var[r], var[a], -var[c]])
+        assert out.is_sat and out.model[var[y]] is True
+
+    @pytest.mark.parametrize("make", [lambda: adder_miter(3), lambda: adder_miter(4),
+                                      lambda: sweep_fixture(5)])
+    def test_queries_across_merges(self, make):
+        # Substituting proven-equal nodes leaves loaded clauses over the
+        # old fanins; every later answer must still be right on the
+        # current network.  Half the pairs share a function, so merges
+        # are frequent.
+        rng = random.Random(41)
+        net = make()
+        tables = exhaustive_tables(net)
+        mask = (1 << (1 << len(net.pis))) - 1
+        solver = NetSolver(net)
+        merges = 0
+        for _ in range(150):
+            alive = [nid for nid in net.topo_order()]
+            x = rng.choice(alive)
+            twins = [n for n in alive if n != x and tables[n] in (tables[x], tables[x] ^ mask)]
+            y = rng.choice(twins) if twins and rng.random() < 0.5 else rng.choice(alive)
+            if x == y:
+                continue
+            x, y = sorted((x, y), key=alive.index)
+            inverted = rng.random() < 0.5
+            got = prove_equiv(solver, y, x, inverted=inverted)
+            equal = tables[y] == tables[x] ^ (mask if inverted else 0)
+            assert got.is_unsat == equal
+            if got.is_sat:
+                assignment = {pid: got.model.get(pid, False) for pid in net.pis}
+                values = eval_assignment(net, assignment)
+                assert values[y] != (values[x] ^ inverted)
+            elif not net.nodes[y].is_pi:
+                net.substitute_node(y, x, inverted)
+                merges += 1
+        assert merges >= 5
+
+
 class TestSearchPinned:
-    """``(status, conflicts)`` recorded from the search before the solver
-    became incremental; a kernel edit that changes the search fails here."""
+    """Golden ``(status, conflicts)``: the one-shot instances recorded
+    before the solver became incremental, the sweep's queries from the
+    sweep on one net-bound solver.  A kernel edit that changes the search
+    fails here."""
 
     def test_pigeonhole(self):
         out = solve(pigeonhole(4))
@@ -235,6 +538,8 @@ class TestSearchPinned:
         assert [solve(random_3sat(seed)).conflicts for seed in range(6)] == self.GOLDEN_3SAT_RESCALE_2
 
     def test_every_query_of_a_sweep(self, monkeypatch):
+        # Recorded from the sweep on one NetSolver: three constant
+        # queries, then five merges asked as two halves each.
         log = []
         original = Solver.solve
 
@@ -246,8 +551,9 @@ class TestSearchPinned:
         monkeypatch.setattr(Solver, "solve", recording)
         sweep(sweep_fixture(0), SweepConfig())
         unsat = SatStatus.UNSAT
-        assert log == [(unsat, 0), (unsat, 0), (unsat, 2), (unsat, 4),
-                       (unsat, 2), (unsat, 2), (unsat, 2), (unsat, 2)]
+        assert log == [(unsat, 1), (unsat, 1), (unsat, 2),
+                       (unsat, 1), (unsat, 2), (unsat, 0), (unsat, 0), (unsat, 1),
+                       (unsat, 1), (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0)]
 
 
 class TestEncodeCone:
@@ -365,15 +671,7 @@ class TestProveEquiv:
                     ) == compl
 
     def test_conflicts_passed_through(self):
-        # 6-input parity as one LUT and as a chain of XNORs (an even
-        # number of them, so the same function): UNSAT only after search.
-        net = Network()
-        xs = [net.add_pi() for _ in range(6)]
-        g = net.add_lut(xs, sum(1 << v for v in range(64) if bin(v).count("1") % 2))
-        h = xs[0]
-        for x in xs[1:]:
-            h = net.add_lut([h, x], 0b1001)
-        h = net.add_lut([h], 0b01)
+        net, g, h = parity_pair()
         out = prove_equiv(net, g, h)
         cnf = encode_cone(net, [g, h])
         t = add_xor(cnf, cnf.node_var[g], cnf.node_var[h])

@@ -254,6 +254,22 @@ class TestSimulateSpecified:
             for t in targets:
                 assert spec[t].bits == full[t].bits
 
+    def test_orders_the_cone_without_sorting_the_network(self, monkeypatch):
+        # The cone's own post-order is the simulation order; a whole-net
+        # topological sort per call would cost one sort per window class.
+        rng = random.Random(124)
+        for _ in range(20):
+            net = random_network(rng, rng.randint(2, 12), rng.randint(4, 200), max_k=5)
+            live = net.live_ids()
+            targets = rng.sample(live, min(len(live), rng.randint(1, 6)))
+            p = gen_random_patterns(len(net.pis), 64, rng.randrange(9999))
+            full = simulate_all(net, p)
+            with monkeypatch.context() as m:
+                m.setattr(Network, "topo_order", lambda self: pytest.fail("topo_order called"))
+                spec = simulate_specified(net, p, targets)
+            for t in targets:
+                assert spec[t].bits == full[t].bits
+
     def test_dead_target_is_an_error(self):
         net, label = two_target_example()
         dead = label["6"]

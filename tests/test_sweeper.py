@@ -5,6 +5,7 @@ import random
 import pytest
 
 from stpsweep import (
+    NetSolver,
     Network,
     SweepConfig,
     check_equivalence,
@@ -20,7 +21,7 @@ from stpsweep import (
     write_blif,
 )
 from stpsweep.sat import SatStatus
-from helpers import po_tables, random_network, sweep_fixture
+from helpers import adder_miter, po_tables, random_network, sweep_fixture
 
 
 def tiny_cfg(**kw) -> SweepConfig:
@@ -36,7 +37,7 @@ class TestSatGuidedPatterns:
         na = net.add_lut([a], 0b01)
         zero = net.add_lut([a, na], 0b1000)  # a & ~a
         net.add_po(zero)
-        patterns, constants = sat_guided_patterns(net, tiny_cfg())
+        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg())
         assert (zero, False) in constants
 
     def test_constant_one_found(self):
@@ -45,7 +46,7 @@ class TestSatGuidedPatterns:
         na = net.add_lut([a], 0b01)
         one = net.add_lut([a, na], 0b1110)  # a | ~a
         net.add_po(one)
-        _, constants = sat_guided_patterns(net, tiny_cfg())
+        _, constants = sat_guided_patterns(NetSolver(net), tiny_cfg())
         assert (one, True) in constants
 
     def test_wide_and_gets_its_minterm(self):
@@ -56,15 +57,15 @@ class TestSatGuidedPatterns:
         for p in pis[1:]:
             acc = net.add_lut([acc, p], 0b1000)
         net.add_po(acc)
-        patterns, constants = sat_guided_patterns(net, tiny_cfg())
+        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg())
         assert constants == []
         sigs = simulate_all(net, patterns)
         assert sigs[acc].bits != 0  # some pattern drives the AND to one
 
     def test_patterns_grow_deterministically(self):
         net = sweep_fixture(3)
-        p1, c1 = sat_guided_patterns(net.clone(), tiny_cfg())
-        p2, c2 = sat_guided_patterns(net.clone(), tiny_cfg())
+        p1, c1 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg())
+        p2, c2 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg())
         assert p1.rows == p2.rows and c1 == c2
 
 
@@ -346,4 +347,46 @@ class TestPiDriver:
         assert swept.n_luts() == 0
         assert stats.sat_calls_total == 1 and stats.merges == 1
         assert swept.pos == [(a, False)]
+        assert check_equivalence(original, swept).equivalent
+
+
+class TestAdderMiterQoR:
+    """Swept from the inputs up, the Kogge-Stone half of an adder self-miter
+    merges onto the ripple-carry half, which is all that is left."""
+
+    @pytest.mark.parametrize("width, rca_luts", [(4, 17), (8, 37)])
+    def test_sweeps_to_the_ripple_carry_adder(self, width, rca_luts, monkeypatch):
+        net = adder_miter(width)
+        original = net.clone()
+        rank = {nid: i for i, nid in enumerate(net.topo_order())}
+        merges = []
+        substitute = Network.substitute_node
+
+        def recording(self, old, new, inverted=False):
+            merges.append((old, new))
+            substitute(self, old, new, inverted)
+
+        monkeypatch.setattr(Network, "substitute_node", recording)
+        swept, stats = sweep(net, SweepConfig())
+        assert swept.n_luts() == stats.final_luts == rca_luts
+        assert check_equivalence(original, swept).equivalent
+        assert len(merges) == stats.merges > 0
+        # Every driver ranks before its candidate in the input's order.
+        assert all(rank[new] < rank[old] for old, new in merges)
+
+
+class TestLimitedBudgetQoR:
+    """An UNDET answer marks its candidate ``dont_touch``, so under a
+    conflict limit the result depends on how hard each query is.  This
+    net sweeps to 13 LUTs unlimited; the one-shot sweep left 16 at
+    limits 2 and 3, and a sweep that branched on every loaded variable
+    hit an early UNDET and left 30."""
+
+    @pytest.mark.parametrize("conflict_limit", [2, 3])
+    def test_random_net_under_a_small_budget(self, conflict_limit):
+        net = random_network(random.Random(54), 12, 202, max_k=4, po_count=6)
+        original = net.clone()
+        swept, stats = sweep(net, SweepConfig(conflict_limit=conflict_limit, seed=7))
+        assert stats.initial_luts == 202
+        assert swept.n_luts() == 15
         assert check_equivalence(original, swept).equivalent
