@@ -54,9 +54,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
         patterns = gen_random_patterns(len(net.pis), args.patterns, args.seed)
 
     if args.mode == "all":
-        sigs = simulate_all(net, patterns)
-        for nid in net.topo_order():
-            print(f"{label(nid)}\t{sigs[nid].to_string()}")
+        for nid, sig in simulate_all(net, patterns).items():
+            print(f"{label(nid)}\t{sig.to_string()}")
         return EXIT_OK
 
     if not args.targets:
@@ -65,7 +64,6 @@ def cmd_sim(args: argparse.Namespace) -> int:
     targets = [net.resolve(tok) for tok in args.targets.split(",") if tok]
     # Prefer support-exhaustive rows when they are cheaper than the
     # requested pattern count; fall back to pattern signatures.
-    window = None
     try:
         window = exhaustive_window_sim(net, targets)
     except WindowTooLarge:

@@ -132,18 +132,26 @@ class Network:
         return nid
 
     def topo_order(self) -> list[int]:
-        """Live node ids, every fanin before its fanouts; ties by id."""
+        """Live node ids, every fanin before its fanouts; ties by id.
+
+        That is ascending id order unless a live node reads an id at or
+        above its own, as every cycle does; then a heap walk sorts them.
+        """
+        live = self.live_ids()
+        nodes = self.nodes
+        if all(f < nid for nid in live for f in nodes[nid].fanins):
+            return live
         indeg = {}
-        for nid in self.live_ids():
-            indeg[nid] = sum(1 for f in self.nodes[nid].fanins if not self.nodes[f].dead)
+        for nid in live:
+            indeg[nid] = sum(1 for f in nodes[nid].fanins if not nodes[f].dead)
         ready = [nid for nid, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         order = []
         while ready:
             nid = heapq.heappop(ready)
             order.append(nid)
-            for out in self.nodes[nid].fanouts:
-                if self.nodes[out].dead:
+            for out in nodes[nid].fanouts:
+                if nodes[out].dead:
                     continue
                 indeg[out] -= 1
                 if indeg[out] == 0:

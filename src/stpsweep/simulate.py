@@ -13,6 +13,11 @@ input cone, :func:`exhaustive_window_sim` over that cone with
 exhaustive patterns on its PI support, and :func:`cut_truth_tables`
 over the members of each cut with exhaustive patterns on the cut's
 leaves, which yields the cut's STP logic matrix.
+
+:func:`eval_tt_words` applies a LUT by reading its logic matrix ``M_f``
+in column blocks: ``M_f ⋉ x`` is the left half of ``M_f`` for a true
+``x`` and the right half for a false one, so taking the inputs in turn
+is a Shannon mux tree over packed rows.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ def parse_patterns(text: str, n_pi: int) -> PatternSet:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != n_pi:
         raise ValueError(f"expected {n_pi} pattern lines, got {len(lines)}")
-    width = len(lines[0])
+    # No lines (a net without PIs) give no pattern count: PatternSet rejects 0.
+    width = len(lines[0]) if lines else 0
     rows = []
     for ln in lines:
         if len(ln) != width or any(c not in "01" for c in ln):
@@ -97,51 +103,45 @@ class Signature:
 # ---------------------------------------------------------------------------
 # Word-parallel LUT evaluation on packed rows.
 
-_MINTERM_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], bool]] = {}
-
-
-def _minterm_plan(tt: int, arity: int) -> tuple[tuple[int, ...], bool]:
-    """Assignments to OR together, choosing the cheaper output polarity."""
-    key = (tt, arity)
-    plan = _MINTERM_CACHE.get(key)
-    if plan is None:
-        size = 1 << arity
-        ones = [v for v in range(size) if (tt >> v) & 1]
-        if len(ones) * 2 <= size:
-            plan = (tuple(ones), False)
-        else:
-            plan = (tuple(v for v in range(size) if not (tt >> v) & 1), True)
-        if len(_MINTERM_CACHE) < 65536:
-            _MINTERM_CACHE[key] = plan
-    return plan
+#: Widest LUT that the mux tree evaluates; wider ones take the gather.
+_MUX_MAX_ARITY = 9
 
 
 def eval_tt_words(tt: int, words: list[int], mask: int) -> int:
-    """Apply a LUT bitwise to packed fanin rows (first fanin = MSB)."""
+    """Apply a LUT bitwise to packed fanin rows (first fanin = MSB).
+
+    Bit ``v`` of ``tt`` is column ``2**k - 1 - v`` of ``M_f``: the first
+    input picks a half of the columns, the last a column of each pair.
+    The mux tree is built from the last inputs up:
+
+    - Leaves: each nibble ``(tt >> 4i) & 15`` is a column block of the
+      last two inputs ``y, x`` and names one of their 16 functions.
+    - Folds: each earlier input ``x_j``, last to first, merges adjacent
+      entries ``lo`` (``x_j`` false) and ``hi`` into
+      ``lo ^ ((hi ^ lo) & x_j)``, or passes equal cofactors through.
+
+    The tree takes about ``3 * 2**(k-2)`` row operations; a numpy gather's
+    cost hardly grows with ``k``.  At 10 inputs (CPython 3.11, x86) the
+    tree took 85 against the gather's 65 µs at 64 patterns and 93 against
+    88 µs at 2,048 (it won at 9), so wider LUTs take the gather.
+    """
     arity = len(words)
     if arity == 0:
         return mask if tt & 1 else 0
-    if arity == 1:
-        w = words[0]
-        hi = (tt >> 1) & 1
-        lo = tt & 1
-        if hi and lo:
-            return mask
-        if hi:
-            return w & mask
-        if lo:
-            return ~w & mask
-        return 0
-    if arity > 6:
+    if arity > _MUX_MAX_ARITY:
         return _eval_tt_gather(tt, words, mask)
-    terms, invert = _minterm_plan(tt, arity)
-    acc = 0
-    for v in terms:
-        term = mask
-        for i, w in enumerate(words):
-            term &= w if (v >> (arity - 1 - i)) & 1 else ~w
-        acc |= term
-    return (acc ^ mask) if invert else acc & mask
+    x = words[-1] & mask
+    if arity == 1:
+        return (0, x ^ mask, x, mask)[tt & 3]
+    y = words[-2] & mask
+    nx, ny, a, o, e = x ^ mask, y ^ mask, x & y, x | y, x ^ y
+    leaves = (0, o ^ mask, ny & x, ny, y & nx, nx, e, a ^ mask,
+              a, e ^ mask, x, ny | x, y, y | nx, o, mask)
+    level = [leaves[(tt >> s) & 15] for s in range(0, 1 << arity, 4)]
+    for x in words[-3::-1]:
+        level = [lo if lo == hi else lo ^ ((hi ^ lo) & x)
+                 for lo, hi in zip(level[::2], level[1::2])]
+    return level[0]
 
 
 def _int_to_bitarray(x: int, n: int) -> np.ndarray:
@@ -150,20 +150,14 @@ def _int_to_bitarray(x: int, n: int) -> np.ndarray:
     return np.unpackbits(buf, bitorder="little")[:n]
 
 
-def _bitarray_to_int(arr: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
 def _eval_tt_gather(tt: int, words: list[int], mask: int) -> int:
     """Wide-arity LUT evaluation via a vectorized table lookup."""
     n = mask.bit_length()
-    arity = len(words)
-    idx = None
+    idx = np.zeros(n, dtype=np.int32)
     for w in words:
-        bits = _int_to_bitarray(w & mask, n).astype(np.int32)
-        idx = bits if idx is None else (idx << 1) | bits
-    table = _int_to_bitarray(tt, 1 << arity)
-    return _bitarray_to_int(table[idx])
+        idx = (idx << 1) | _int_to_bitarray(w & mask, n)
+    table = _int_to_bitarray(tt, 1 << len(words))
+    return int.from_bytes(np.packbits(table[idx], bitorder="little").tobytes(), "little")
 
 
 def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int) -> None:

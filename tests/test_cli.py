@@ -77,6 +77,17 @@ class TestSim:
     def test_missing_file(self, capsys):
         assert main(["sim", "/nonexistent/net.blif"]) == 3
 
+    def test_empty_pattern_file_is_an_input_error(self, tmp_path, capsys):
+        # A network with no PIs expects no pattern lines, so an empty
+        # file passes the line count but gives no pattern count.
+        net_path = tmp_path / "z.blif"
+        net_path.write_text(".model z\n.inputs\n.outputs y\n.names y\n1\n.end\n")
+        pat_path = tmp_path / "empty.pat"
+        pat_path.write_text("")
+        assert main(["sim", str(net_path), "--pattern-file", str(pat_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSweepCmd:
     def test_fixture_reduces_and_verifies(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Network model, parsers, writer, and structural edits."""
 
+import heapq
 import random
 
 import pytest
@@ -13,7 +14,35 @@ from stpsweep import (
     parse_blif,
     write_blif,
 )
+from stpsweep.sweep import constant_prop
 from helpers import eval_assignment, exhaustive_tables, po_tables, random_network
+
+
+def heap_topo_order(net: Network) -> list[int]:
+    """Kahn's algorithm with ties by id over the live nodes."""
+    live = net.live_ids()
+    indeg = {nid: sum(not net.nodes[f].dead for f in net.nodes[nid].fanins) for nid in live}
+    ready = [nid for nid, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for out in net.nodes[nid].fanouts:
+            if not net.nodes[out].dead:
+                indeg[out] -= 1
+                if indeg[out] == 0:
+                    heapq.heappush(ready, out)
+    return order
+
+
+def assert_topological(net: Network, order: list[int]) -> None:
+    assert sorted(order) == net.live_ids()
+    pos = {nid: i for i, nid in enumerate(order)}
+    for nid in order:
+        for f in net.nodes[nid].fanins:
+            if not net.nodes[f].dead:
+                assert pos[f] < pos[nid]
 
 AND_BLIF = """
 .model tiny
@@ -221,6 +250,48 @@ class TestTraversal:
             for nid in order:
                 for f in net.nodes[nid].fanins:
                     assert pos[f] < pos[nid]
+
+    def test_ascending_ids_match_the_heap_order(self):
+        rng = random.Random(16)
+        for _ in range(30):
+            net = random_network(rng, rng.randint(1, 6), rng.randint(0, 40), max_k=5)
+            assert net.topo_order() == heap_topo_order(net) == net.live_ids()
+
+    def test_order_after_edits_that_read_higher_ids(self):
+        rng = random.Random(17)
+        edited = 0
+        for _ in range(40):
+            net = random_network(rng, 4, 25, po_count=3)
+            gates = [n.id for n in net.nodes if not n.is_pi and n.fanouts]
+            if rng.random() < 0.5:
+                constant_prop(net, [(gates[rng.randrange(len(gates))], rng.random() < 0.5)])
+            else:
+                # A node appended after the net now drives the readers
+                # of an early gate, so those readers read a higher id.
+                old = gates[0]
+                new = net.add_lut([net.pis[0], net.pis[1]], rng.getrandbits(4))
+                net.substitute_node(old, new)
+            reads_higher = any(f > nid for nid in net.live_ids() for f in net.nodes[nid].fanins)
+            edited += reads_higher
+            order = net.topo_order()
+            assert_topological(net, order)
+            assert order == heap_topo_order(net)
+        assert edited > 20
+
+    @pytest.mark.parametrize("loop", ["self", "pair"])
+    def test_hand_made_cycle_raises(self, loop):
+        net = Network()
+        a = net.add_pi()
+        g = net.add_lut([a], 0b10)
+        h = net.add_lut([g], 0b01)
+        net.add_po(h)
+        # Point g's fanin at itself or at its own reader h.
+        back = g if loop == "self" else h
+        net.nodes[g].fanins[0] = back
+        net.nodes[a].fanouts.remove(g)
+        net.nodes[back].fanouts.append(g)
+        with pytest.raises(CycleError):
+            net.topo_order()
 
     def test_transitive_fanin(self):
         net, a, b, c = self.chain()

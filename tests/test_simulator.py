@@ -16,7 +16,7 @@ from stpsweep import (
     simulate_all,
     simulate_specified,
 )
-from stpsweep.simulate import _var_row
+from stpsweep.simulate import _MUX_MAX_ARITY, _eval_tt_gather, _var_row, eval_tt_words
 from helpers import bits_of, exhaustive_tables, random_network, scalar_signatures
 
 NAND = 0b0111
@@ -90,6 +90,59 @@ class TestPatterns:
             parse_patterns("01\n0x\n", 2)
 
 
+def scalar_lut_rows(tt: int, words: list[int], n: int) -> int:
+    """Apply a LUT one pattern at a time, by table lookup."""
+    out = 0
+    for j in range(n):
+        idx = 0
+        for w in words:
+            idx = (idx << 1) | ((w >> j) & 1)
+        out |= ((tt >> idx) & 1) << j
+    return out
+
+
+def lut_tables(rng: random.Random, arity: int) -> list[int]:
+    """Random, constant and input-ignoring truth rows of one arity."""
+    size = 1 << arity
+    tables = [rng.getrandbits(size), 0, (1 << size) - 1]
+    for skip in range(arity):
+        # Bit ``v`` copies the bit of ``v`` with input ``skip`` cleared,
+        # so the row does not depend on that input.
+        base = rng.getrandbits(size)
+        bit = 1 << (arity - 1 - skip)
+        tables.append(sum(((base >> (v & ~bit)) & 1) << v for v in range(size)))
+    return tables
+
+
+class TestEvalTtWords:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2048])
+    def test_matches_scalar_lookup(self, n):
+        # Arities 0..10 reach both the mux tree and, above
+        # _MUX_MAX_ARITY, the numpy gather.
+        assert _MUX_MAX_ARITY < 10
+        rng = random.Random(n)
+        mask = (1 << n) - 1
+        for arity in range(11):
+            words = [rng.getrandbits(n) for _ in range(arity)]
+            fanin_sets = [words]
+            if arity >= 2:
+                # The same fanin row read twice.
+                fanin_sets.append(words[:-1] + [words[0]])
+            for ws in fanin_sets:
+                for tt in lut_tables(rng, arity):
+                    expected = scalar_lut_rows(tt, ws, n)
+                    assert eval_tt_words(tt, ws, mask) == expected, (arity, tt)
+                    if arity:
+                        assert _eval_tt_gather(tt, ws, mask) == expected, (arity, tt)
+
+    def test_every_table_of_two_inputs(self):
+        rng = random.Random(3)
+        words = [rng.getrandbits(70), rng.getrandbits(70)]
+        mask = (1 << 70) - 1
+        for tt in range(16):
+            assert eval_tt_words(tt, words, mask) == scalar_lut_rows(tt, words, 70)
+
+
 class TestSimulateAll:
     def test_inverter_complements(self):
         net = Network()
@@ -115,8 +168,8 @@ class TestSimulateAll:
 
     def test_matches_scalar_reference(self):
         rng = random.Random(77)
-        # LUTs of more than 6 inputs take the numpy gather path.
-        for max_k in [4] * 15 + [7, 8, 9]:
+        # LUTs of more than 9 inputs take the numpy gather path.
+        for max_k in [4] * 15 + [7, 8, 9, 10]:
             net = random_network(rng, rng.randint(2, 6), rng.randint(3, 30), max_k=max_k)
             p = gen_random_patterns(len(net.pis), rng.randint(1, 70), rng.randrange(99))
             sigs = simulate_all(net, p)
@@ -207,8 +260,8 @@ class TestCutTruthTables:
     def test_any_cut_matches_interior_brute_force(self):
         rng = random.Random(15)
         # Cuts of more than 6 leaves have multi-word rows, and LUTs of
-        # more than 6 inputs take the numpy gather path.
-        draws = [(4, 2, 5)] * 15 + [(k - 1, k, k) for k in (7, 8, 9, 10)] * 2
+        # more than 9 inputs take the numpy gather path.
+        draws = [(4, 2, 5)] * 15 + [(k - 1, k, k) for k in (7, 8, 9, 10, 11)] * 2
         for max_k, lo, hi in draws:
             net = random_network(rng, rng.randint(3, 6), rng.randint(5, 40), max_k=max_k)
             live_gates = [n.id for n in net.nodes if not n.is_pi and not n.dead]
