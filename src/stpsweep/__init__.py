@@ -38,14 +38,7 @@ from .simulate import (
     simulate_all,
     simulate_specified,
 )
-from .stp import (
-    MAX_ARITY,
-    LogicMatrix,
-    bool_vec,
-    kronecker,
-    stp,
-    structural_matrix,
-)
+from .stp import MAX_ARITY, LogicMatrix, structural_matrix
 from .sweep import (
     ClassManager,
     SweepConfig,
@@ -65,12 +58,12 @@ __all__ = [
     "ExprSyntaxError", "InterfaceMismatch", "LogicMatrix", "Lut", "LutNode",
     "MAX_ARITY", "NetSolver", "NetlistError", "Network", "Not", "PatternSet", "SatOutcome",
     "SatStatus", "Signature", "Solver", "SweepConfig", "SweepStats", "Var",
-    "WindowTooLarge", "WindowTruths", "bool_vec", "canonical_form",
+    "WindowTooLarge", "WindowTruths", "canonical_form",
     "check_equivalence", "circuit_cut", "constant_prop", "cut_truth_tables",
     "encode_cone", "eval_expr", "eval_tt_words",
     "exhaustive_window_sim", "flip_tt_input", "gen_random_patterns",
-    "init_equiv_classes", "kronecker", "parse_aiger_ascii", "parse_blif",
+    "init_equiv_classes", "parse_aiger_ascii", "parse_blif",
     "parse_expr", "parse_patterns", "prove_equiv", "refine_classes",
     "sat_guided_patterns", "simulate_all", "simulate_specified", "solve",
-    "stp", "structural_matrix", "sweep", "toggle_rate", "write_blif",
+    "structural_matrix", "sweep", "toggle_rate", "write_blif",
 ]

@@ -5,15 +5,12 @@ An expression over variables ``x1 .. xn`` canonicalizes to a single
 the variables' Boolean vectors into ``M`` (first variable first)
 reproduces the expression's value under every assignment.
 
-Two independent strategies are provided and must agree:
-
-* ``enum``   - evaluate the AST under all 2**n assignments;
-* ``stp``    - symbolic composition: every operator contributes its
-  structural matrix, repeated variables are merged with the
-  power-reducing matrix and adjacent swaps, and missing variables are
-  adjoined as ignored inputs.  The composition is carried out on the
-  compact truth-row representation; each primitive step corresponds to
-  one dense matrix product (see :mod:`stpsweep.stp`).
+:func:`canonical_form` computes ``M`` with the package's simulator: each
+variable is an exhaustive packed row over the ``2**n`` assignments, and
+each operator applies its logic matrix to its operands' rows with
+:func:`~stpsweep.simulate.eval_tt_words`, the evaluator that simulates
+every network.  The parser and the evaluation both use explicit stacks,
+so an expression may nest deeper than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,22 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-import numpy as np
-
-from .stp import (
-    MAX_ARITY,
-    POWER_REDUCE,
-    SWAP22,
-    LogicMatrix,
-    _array_to_row,
-    _reduce_slots,
-    _row_to_array,
-    _swap_slots,
-    identity,
-    kronecker,
-    stp,
-    structural_matrix,
-)
+from .simulate import _var_row, eval_tt_words
+from .stp import MAX_ARITY, LogicMatrix, structural_matrix
 
 BoolExpr = Union["Var", "Not", "BinOp", "Lut"]
 
@@ -78,6 +61,16 @@ class Lut:
             raise ValueError("truth row does not match child count")
 
 
+def _children(expr: BoolExpr) -> tuple[BoolExpr, ...]:
+    if isinstance(expr, Var):
+        return ()
+    if isinstance(expr, Not):
+        return (expr.child,)
+    if isinstance(expr, BinOp):
+        return (expr.left, expr.right)
+    return expr.children
+
+
 def variables(expr: BoolExpr) -> set[int]:
     """Set of variable indices referenced by the expression."""
     out: set[int] = set()
@@ -86,13 +79,8 @@ def variables(expr: BoolExpr) -> set[int]:
         e = stack.pop()
         if isinstance(e, Var):
             out.add(e.index)
-        elif isinstance(e, Not):
-            stack.append(e.child)
-        elif isinstance(e, BinOp):
-            stack.append(e.left)
-            stack.append(e.right)
         else:
-            stack.extend(e.children)
+            stack.extend(_children(e))
     return out
 
 
@@ -129,9 +117,6 @@ class ExprSyntaxError(ValueError):
     pass
 
 
-_TOKEN_OPS = ("<->", "->", "~", "&", "|", "^", "(", ")")
-
-
 def _tokenize(text: str) -> Iterator[tuple[str, str]]:
     i = 0
     while i < len(text):
@@ -163,80 +148,74 @@ def scan_names(text: str) -> set[str]:
     return {tok for kind, tok in _tokenize(text) if kind == "name"}
 
 
-class _Parser:
-    def __init__(self, text: str, var_index: dict[str, int]):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.var_index = var_index
+#: Binary operator token -> (binding strength, operator name).
+_BINARY_TOKENS = {"<->": (1, "iff"), "->": (2, "implies"), "|": (3, "or"),
+                  "^": (4, "xor"), "&": (5, "and")}
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, value: str | None = None) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of expression")
-        if value is not None and tok != ("op", value):
-            raise ExprSyntaxError(f"expected {value!r}, got {tok[1]!r}")
-        self.pos += 1
-        return tok
+def _parse(text: str, var_index: dict[str, int]) -> BoolExpr:
+    """Operator-precedence parse with explicit stacks.
 
-    def parse(self) -> BoolExpr:
-        expr = self.iff()
-        if self.peek() is not None:
-            raise ExprSyntaxError(f"trailing input: {self.peek()[1]!r}")
-        return expr
+    ``operands`` holds finished subexpressions and ``pending`` the
+    ``~``, ``(`` and binary tokens not yet applied.  A finished operand
+    takes the ``~``s in front of it at once, since ``~`` binds tightest.
+    """
+    # Tokenized up front, so a bad character is reported before any
+    # syntax error.
+    tokens = list(_tokenize(text))
+    operands: list[BoolExpr] = []
+    pending: list[str] = []
+    open_parens = 0
 
-    def iff(self) -> BoolExpr:
-        left = self.implies()
-        while self.peek() == ("op", "<->"):
-            self.take()
-            left = BinOp("iff", left, self.implies())
-        return left
+    def finish(expr: BoolExpr) -> None:
+        while pending and pending[-1] == "~":
+            pending.pop()
+            expr = Not(expr)
+        operands.append(expr)
 
-    def implies(self) -> BoolExpr:
-        left = self.or_()
-        if self.peek() == ("op", "->"):
-            self.take()
-            return BinOp("implies", left, self.implies())
-        return left
+    def reduce(strength: int) -> None:
+        """Apply the pending binary operators that bind tighter than
+        ``strength``; an equal one too, unless it is the right-associative
+        ``->``."""
+        while pending and pending[-1] in _BINARY_TOKENS:
+            top = pending[-1]
+            top_strength, op = _BINARY_TOKENS[top]
+            if top_strength < strength or (top_strength == strength and top == "->"):
+                return
+            pending.pop()
+            right = operands.pop()
+            operands.append(BinOp(op, operands.pop(), right))
 
-    def or_(self) -> BoolExpr:
-        left = self.xor()
-        while self.peek() == ("op", "|"):
-            self.take()
-            left = BinOp("or", left, self.xor())
-        return left
-
-    def xor(self) -> BoolExpr:
-        left = self.and_()
-        while self.peek() == ("op", "^"):
-            self.take()
-            left = BinOp("xor", left, self.and_())
-        return left
-
-    def and_(self) -> BoolExpr:
-        left = self.unary()
-        while self.peek() == ("op", "&"):
-            self.take()
-            left = BinOp("and", left, self.unary())
-        return left
-
-    def unary(self) -> BoolExpr:
-        if self.peek() == ("op", "~"):
-            self.take()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> BoolExpr:
-        tok = self.take()
-        if tok == ("op", "("):
-            inner = self.iff()
-            self.take(")")
-            return inner
-        if tok[0] == "name":
-            return Var(self.var_index[tok[1]])
-        raise ExprSyntaxError(f"unexpected token {tok[1]!r}")
+    expect_operand = True
+    for kind, tok in tokens:
+        if expect_operand:
+            if kind == "name":
+                finish(Var(var_index[tok]))
+                expect_operand = False
+            elif tok == "~":
+                pending.append(tok)
+            elif tok == "(":
+                pending.append(tok)
+                open_parens += 1
+            else:
+                raise ExprSyntaxError(f"unexpected token {tok!r}")
+        elif tok in _BINARY_TOKENS:
+            reduce(_BINARY_TOKENS[tok][0])
+            pending.append(tok)
+            expect_operand = True
+        elif tok == ")" and open_parens:
+            reduce(0)
+            pending.pop()
+            open_parens -= 1
+            finish(operands.pop())
+        elif open_parens:
+            raise ExprSyntaxError(f"expected ')', got {tok!r}")
+        else:
+            raise ExprSyntaxError(f"trailing input: {tok!r}")
+    if expect_operand or open_parens:
+        raise ExprSyntaxError("unexpected end of expression")
+    reduce(0)
+    return operands[0]
 
 
 def parse_expr(text: str, var_index: dict[str, int] | None = None) -> tuple[BoolExpr, list[str]]:
@@ -251,7 +230,7 @@ def parse_expr(text: str, var_index: dict[str, int] | None = None) -> tuple[Bool
         var_index = {name: i + 1 for i, name in enumerate(names)}
     else:
         names = sorted(var_index, key=var_index.__getitem__)
-    expr = _Parser(text, var_index).parse()
+    expr = _parse(text, var_index)
     return expr, names
 
 
@@ -259,199 +238,42 @@ def parse_expr(text: str, var_index: dict[str, int] | None = None) -> tuple[Bool
 # Canonical form.
 
 
-def _lift(arr: np.ndarray, word: list[int], target: list[int]) -> np.ndarray:
-    """Re-express a row over ``word`` as a row over ``target``.
-
-    ``word`` must be a subsequence-compatible sorted subset of the sorted
-    ``target``.  Equivalent to adjoining every missing variable as a
-    dummy input and swapping it into place; performed as one broadcast.
-    """
-    if word == target:
-        return arr
-    present = set(word)
-    shape = tuple(2 if v in present else 1 for v in target)
-    view = arr.reshape(shape)
-    return np.broadcast_to(view, tuple(2 for _ in target)).reshape(-1)
-
-
-def _merge_duplicates(arr: np.ndarray, word: list[int]) -> tuple[np.ndarray, list[int]]:
-    """Sort the variable word and fuse repeated variables.
-
-    Applies adjacent swaps until sorted, then adjacent power reductions;
-    both primitives mirror SWAP22 / POWER_REDUCE products on the row.
-    """
-    m = len(word)
-    word = list(word)
-    # Insertion sort with explicit adjacent transpositions.
-    for i in range(1, m):
-        j = i
-        while j > 0 and word[j - 1] > word[j]:
-            arr = _swap_slots(arr, m, j - 1)
-            word[j - 1], word[j] = word[j], word[j - 1]
-            j -= 1
-    i = 0
-    while i < len(word) - 1:
-        if word[i] == word[i + 1]:
-            arr = _reduce_slots(arr, len(word), i)
-            del word[i + 1]
-        else:
-            i += 1
-    return arr, word
-
-
-_ROW_ARRAY_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _cached_row_array(row: int, arity: int) -> np.ndarray:
-    key = (row, arity)
-    arr = _ROW_ARRAY_CACHE.get(key)
-    if arr is None:
-        arr = _row_to_array(row, arity)
-        arr.setflags(write=False)
-        if len(_ROW_ARRAY_CACHE) < 4096:
-            _ROW_ARRAY_CACHE[key] = arr
-    return arr
-
-
-_VAR_ARRAY = np.array([0, 1], dtype=np.uint8)
-_VAR_ARRAY.setflags(write=False)
-
-
-def _compose(expr: BoolExpr) -> tuple[np.ndarray, list[int]]:
-    """Return (row array, sorted distinct variable word) for a subexpression."""
-    if isinstance(expr, Var):
-        return _VAR_ARRAY, [expr.index]
-    if isinstance(expr, Not):
-        arr, word = _compose(expr.child)
-        return arr ^ 1, word
-    if isinstance(expr, BinOp):
-        mat = structural_matrix(expr.op)
-        children = (expr.left, expr.right)
-        op_row, op_arity = mat.row, mat.arity
-    else:
-        children = expr.children
-        op_row, op_arity = expr.row, len(expr.children)
-    parts = [_compose(c) for c in children]
-    union_set: set[int] = set()
-    for _, w in parts:
-        union_set.update(w)
-    union = sorted(union_set)
-    if len(union) > MAX_ARITY:
-        raise ValueError("combined support exceeds the arity cap")
-    # Lift every child onto the union support, then apply the operator's
-    # structural matrix pointwise; sharing one index per variable fuses
-    # the swap / power-reduction chain that aligns repeated variables.
-    idx = None
-    for arr, word in parts:
-        lifted = _lift(arr, word, union)
-        if idx is None:
-            idx = lifted.astype(np.int32)
-        else:
-            np.left_shift(idx, 1, out=idx)
-            np.bitwise_or(idx, lifted, out=idx)
-    if idx is None:
-        idx = np.zeros(1, dtype=np.int32)
-    table = _cached_row_array(op_row, op_arity)
-    return table[idx], union
-
-
-def canonical_form(expr: BoolExpr, n: int, strategy: str = "stp") -> LogicMatrix:
+def canonical_form(expr: BoolExpr, n: int) -> LogicMatrix:
     """Canonical logic matrix of ``expr`` over variables ``x1 .. xn``.
 
-    ``strategy`` selects the computation path: ``"stp"`` composes
-    structural matrices symbolically, ``"enum"`` enumerates all 2**n
-    assignments.  Both yield the same matrix.
+    The expression is simulated over all ``2**n`` assignments at once:
+    ``xi`` is the exhaustive packed row of input ``i - 1`` (``x1`` most
+    significant), ``Not`` complements its operand's row, and a binary
+    operator or :class:`Lut` applies its logic matrix to its operands'
+    rows with :func:`~stpsweep.simulate.eval_tt_words`.  Bit ``v`` of the
+    root's row is the expression's value under assignment ``v``: the top
+    row of the canonical matrix.  The AST is walked in post-order with an
+    explicit stack; a subexpression shared by several parents is
+    evaluated once per parent.
     """
     if n < 0 or n > MAX_ARITY:
         raise ValueError(f"variable count {n} outside [0, {MAX_ARITY}]")
     vs = variables(expr)
     if vs and (min(vs) < 1 or max(vs) > n):
         raise ValueError(f"variable index outside 1..{n}")
-    if strategy == "enum":
-        row = 0
-        for v in range(1 << n):
-            bits = [(v >> (n - 1 - j)) & 1 for j in range(n)]
-            if eval_expr(expr, bits):
-                row |= 1 << v
-        return LogicMatrix(n, row)
-    if strategy != "stp":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    arr, word = _compose(expr)
-    full = list(range(1, n + 1))
-    arr = _lift(arr, word, full)
-    return LogicMatrix(n, _array_to_row(arr))
-
-
-def _flatten_factors(expr: BoolExpr) -> list:
-    """Prefix factor sequence: matrices and variables, operator first."""
-    if isinstance(expr, Var):
-        return [expr.index]
-    if isinstance(expr, Not):
-        return [structural_matrix("not").dense()] + _flatten_factors(expr.child)
-    if isinstance(expr, BinOp):
-        out = [structural_matrix(expr.op).dense()]
-        children = (expr.left, expr.right)
-    else:
-        out = [LogicMatrix(len(expr.children), expr.row).dense()]
-        children = expr.children
-    for c in children:
-        out.extend(_flatten_factors(c))
-    return out
-
-
-def _canonical_chain_dense(expr: BoolExpr, n: int) -> LogicMatrix:
-    """Textbook dense canonicalization, used as an algebraic witness.
-
-    Pushes every matrix factor left through the variables (a column
-    vector x and a matrix A satisfy ``x stp A = (I_2 kron A) stp x``),
-    then normalizes the variable word one dense SWAP22 / POWER_REDUCE
-    product at a time.  Exponential in the number of variable
-    occurrences; only suitable for small expressions.
-    """
-    factors = _flatten_factors(expr)
-    acc = identity(2)
-    word: list[int] = []
-    for f in factors:
-        if isinstance(f, int):
-            word.append(f)
+    mask = (1 << (1 << n)) - 1
+    var_rows = {v: _var_row(v - 1, n) for v in vs}
+    rows: list[int] = []
+    # ``(e, True)`` marks a node whose operands' rows are on top of ``rows``.
+    stack: list[tuple[BoolExpr, bool]] = [(expr, False)]
+    while stack:
+        e, ready = stack.pop()
+        if isinstance(e, Var):
+            rows.append(var_rows[e.index])
+        elif not ready:
+            stack.append((e, True))
+            stack.extend((c, False) for c in reversed(_children(e)))
+        elif isinstance(e, Not):
+            rows.append(rows.pop() ^ mask)
         else:
-            lifted = kronecker(identity(1 << len(word)), f)
-            acc = stp(acc, lifted)
-            assert set(np.unique(acc)) <= {0, 1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                perm = kronecker(
-                    kronecker(identity(1 << i), SWAP22),
-                    identity(1 << (len(word) - i - 2)),
-                )
-                acc = stp(acc, perm)
-                word[i], word[i + 1] = word[i + 1], word[i]
-                changed = True
-                break
-            if word[i] == word[i + 1]:
-                red = kronecker(
-                    kronecker(identity(1 << i), POWER_REDUCE),
-                    identity(1 << (len(word) - i - 2)),
-                )
-                acc = stp(acc, red)
-                del word[i + 1]
-                changed = True
-                break
-    for k in range(1, n + 1):
-        if k in word:
-            continue
-        acc = kronecker(acc, np.ones((1, 2), dtype=np.int64))
-        word.append(k)
-        j = len(word) - 1
-        while j > 0 and word[j - 1] > word[j]:
-            perm = kronecker(
-                kronecker(identity(1 << (j - 1)), SWAP22),
-                identity(1 << (len(word) - j - 1)),
-            )
-            acc = stp(acc, perm)
-            word[j - 1], word[j] = word[j], word[j - 1]
-            j -= 1
-    return LogicMatrix.from_dense(acc)
+            tt = e.row if isinstance(e, Lut) else structural_matrix(e.op).row
+            split = len(rows) - len(_children(e))
+            operands = rows[split:]
+            del rows[split:]
+            rows.append(eval_tt_words(tt, operands, mask))
+    return LogicMatrix(n, rows[0])

@@ -160,28 +160,6 @@ class Network:
             raise CycleError("network contains a combinational cycle")
         return order
 
-    def reverse_topo_order(self) -> list[int]:
-        """Live node ids, every fanout before its fanins; ties by id."""
-        outdeg = {}
-        for nid in self.live_ids():
-            outdeg[nid] = sum(1 for o in self.nodes[nid].fanouts if not self.nodes[o].dead)
-        ready = [nid for nid, d in outdeg.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        seen_edges = {nid: 0 for nid in outdeg}
-        while ready:
-            nid = heapq.heappop(ready)
-            order.append(nid)
-            for f in self.nodes[nid].fanins:
-                if self.nodes[f].dead:
-                    continue
-                seen_edges[f] += 1
-                if seen_edges[f] == outdeg[f]:
-                    heapq.heappush(ready, f)
-        if len(order) != len(outdeg):
-            raise CycleError("network contains a combinational cycle")
-        return order
-
     def transitive_fanin(self, nid: int, bound: int) -> list[int]:
         """Non-PI nodes in the input cone of ``nid``, at most ``bound`` of them.
 
@@ -520,6 +498,17 @@ def write_blif(net: Network) -> str:
 _AND_TT = 0b1000
 
 
+def _aiger_ints(line: str, count: int, kind: str) -> list[int]:
+    """The ``count`` integers of one aag body line."""
+    parts = line.split()
+    try:
+        if len(parts) == count:
+            return [int(x) for x in parts]
+    except ValueError:
+        pass
+    raise NetlistError(f"malformed {kind} line: {line!r}")
+
+
 def parse_aiger_ascii(text: str) -> Network:
     """Parse a combinational ASCII AIGER file into a 2-LUT network.
 
@@ -538,6 +527,8 @@ def parse_aiger_ascii(text: str) -> Network:
         maxvar, n_in, n_latch, n_out, n_and = (int(x) for x in head[1:])
     except ValueError:
         raise NetlistError(f"malformed AIGER header: {lines[0]!r}") from None
+    if min(maxvar, n_in, n_latch, n_out, n_and) < 0:
+        raise NetlistError(f"malformed AIGER header: {lines[0]!r}")
     if n_latch != 0:
         raise NetlistError("sequential AIGER (latch count != 0) is unsupported")
     if len(lines) < 1 + n_in + n_out + n_and:
@@ -555,22 +546,19 @@ def parse_aiger_ascii(text: str) -> Network:
 
     pos = 1
     for i in range(n_in):
-        lit = int(lines[pos])
+        (lit,) = _aiger_ints(lines[pos], 1, "input")
         pos += 1
         if lit < 2 or lit & 1:
             raise NetlistError(f"bad input literal {lit}")
         lit_node[lit] = net.add_pi(f"i{i}")
     out_lits = []
     for _ in range(n_out):
-        out_lits.append(int(lines[pos]))
+        out_lits.extend(_aiger_ints(lines[pos], 1, "output"))
         pos += 1
     and_rows = []
     for _ in range(n_and):
-        parts = lines[pos].split()
+        lhs, rhs0, rhs1 = _aiger_ints(lines[pos], 3, "AND")
         pos += 1
-        if len(parts) != 3:
-            raise NetlistError(f"malformed AND line: {lines[pos - 1]!r}")
-        lhs, rhs0, rhs1 = (int(x) for x in parts)
         if lhs < 2 or lhs & 1 or lhs > 2 * maxvar:
             raise NetlistError(f"bad AND output literal {lhs}")
         and_rows.append((lhs, rhs0, rhs1))

@@ -13,6 +13,9 @@ input cone, :func:`exhaustive_window_sim` over that cone with
 exhaustive patterns on its PI support, and :func:`cut_truth_tables`
 over the members of each cut with exhaustive patterns on the cut's
 leaves, which yields the cut's STP logic matrix.
+:func:`stpsweep.bexpr.canonical_form` walks an expression AST instead
+of a network, but evaluates each operator the same way, with
+:func:`eval_tt_words` over exhaustive rows (:func:`_var_row`).
 
 :func:`eval_tt_words` applies a LUT by reading its logic matrix ``M_f``
 in column blocks: ``M_f ⋉ x`` is the left half of ``M_f`` for a true

@@ -1,9 +1,13 @@
-"""Semi-tensor product (STP) matrix algebra over Boolean vectors.
+"""Logic matrices: the semi-tensor product (STP) view of a Boolean function.
 
 The semi-tensor product generalizes the ordinary matrix product to
 arbitrary dimensions: ``A (m x n) stp B (p x q)`` is computed as
-``(A kron I_{t/n}) @ (B kron I_{t/p})`` with ``t = lcm(n, p)``.  When the
-inner dimensions already match it reduces to the plain product.
+``(A kron I_{t/n}) @ (B kron I_{t/p})`` with ``t = lcm(n, p)``.  The
+package never forms those dense products: a logic matrix is stored as
+its top row, and :func:`stpsweep.simulate.eval_tt_words` applies one to
+packed input rows by reading it in column blocks.  The dense algebra
+lives in ``tests/stp_oracle.py``, as the reference the tests compare
+against.
 
 Boolean values are realized as column vectors, True = (1, 0)^T and
 False = (0, 1)^T.  A *logic matrix* is a 2 x 2**k matrix whose columns
@@ -24,102 +28,8 @@ MSB-first reproduces the row string exactly.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 #: Largest supported logic-matrix arity (a 2**24-bit truth row).
 MAX_ARITY = 24
-
-#: 4x4 matrix exchanging two adjacent Boolean factors: W @ (x stp y) = y stp x.
-SWAP22 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-
-#: 4x2 power-reducing matrix: x stp x = POWER_REDUCE @ x for Boolean x.
-POWER_REDUCE = np.array([[1, 0], [0, 0], [0, 0], [0, 1]])
-
-
-def bool_vec(value: bool) -> np.ndarray:
-    """Column-vector realization of a Boolean value."""
-    return np.array([[1], [0]]) if value else np.array([[0], [1]])
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two dense integer matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kronecker expects 2-D matrices")
-    return np.kron(a, b)
-
-
-def stp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Semi-tensor product of two dense integer matrices.
-
-    Total for any dimensions; equals the ordinary matrix product when
-    ``a.shape[1] == b.shape[0]``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("stp expects 2-D matrices")
-    n = a.shape[1]
-    p = b.shape[0]
-    t = math.lcm(n, p)
-    left = a if t == n else np.kron(a, identity(t // n))
-    right = b if t == p else np.kron(b, identity(t // p))
-    return left @ right
-
-
-def _row_to_array(row: int, arity: int) -> np.ndarray:
-    """Truth-row integer -> uint8 array indexed by input assignment."""
-    size = 1 << arity
-    nbytes = (size + 7) >> 3
-    buf = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(buf, bitorder="little")[:size]
-
-
-def _array_to_row(arr: np.ndarray) -> int:
-    """Inverse of :func:`_row_to_array`."""
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _swap_slots(arr: np.ndarray, arity: int, i: int) -> np.ndarray:
-    """Exchange input slots ``i`` and ``i + 1`` (slot 0 = most significant).
-
-    Realizes the right product with ``I_{2**i} kron SWAP22 kron I_rest``
-    on the compact row; verified against the dense product in the tests.
-    """
-    rest = 1 << (arity - i - 2)
-    view = arr.reshape(1 << i, 2, 2, rest)
-    return np.ascontiguousarray(view.swapaxes(1, 2)).reshape(-1)
-
-
-def _reduce_slots(arr: np.ndarray, arity: int, i: int) -> np.ndarray:
-    """Merge equal adjacent input slots ``i`` and ``i + 1`` into one.
-
-    Realizes the right product with ``I_{2**i} kron POWER_REDUCE kron
-    I_rest``; the result has arity reduced by one.
-    """
-    rest = 1 << (arity - i - 2)
-    view = arr.reshape(1 << i, 2, 2, rest)
-    out = np.empty((1 << i, 2, rest), dtype=arr.dtype)
-    out[:, 0, :] = view[:, 0, 0, :]
-    out[:, 1, :] = view[:, 1, 1, :]
-    return out.reshape(-1)
-
-
-def _append_dummy(arr: np.ndarray) -> np.ndarray:
-    """Append one ignored input slot at the least-significant position.
-
-    Realizes the Kronecker product of the row with the 1x2 all-ones
-    matrix (each column duplicated).
-    """
-    return np.repeat(arr, 2)
 
 
 class LogicMatrix:
@@ -150,53 +60,15 @@ class LogicMatrix:
             raise ValueError(f"truth row length {size} is not a power of two")
         return cls(arity, int(text, 2))
 
-    @classmethod
-    def from_dense(cls, m: np.ndarray) -> "LogicMatrix":
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[0] != 2:
-            raise ValueError("logic matrix must be 2 x 2**k")
-        size = m.shape[1]
-        arity = size.bit_length() - 1
-        if 1 << arity != size:
-            raise ValueError("column count must be a power of two")
-        if not np.array_equal(m[0] + m[1], np.ones(size, dtype=m.dtype)):
-            raise ValueError("columns are not Boolean vectors")
-        assert set(np.unique(m)) <= {0, 1}
-        # Column p corresponds to assignment size - 1 - p.
-        return cls(arity, _array_to_row(m[0][::-1]))
-
     def truth_row(self) -> str:
         """Row string, leftmost bit = all-inputs-true column."""
         return format(self.row, f"0{1 << self.arity}b")
-
-    def dense(self) -> np.ndarray:
-        top = _row_to_array(self.row, self.arity)[::-1].astype(np.int64)
-        return np.vstack([top, 1 - top])
-
-    def column(self, p: int) -> bool:
-        """Top entry of column ``p`` (0 = leftmost = all-true assignment)."""
-        size = 1 << self.arity
-        if not 0 <= p < size:
-            raise IndexError(p)
-        return bool((self.row >> (size - 1 - p)) & 1)
 
     def value(self, assignment: int) -> bool:
         """Output bit under the input assignment with unsigned value ``assignment``."""
         if not 0 <= assignment < (1 << self.arity):
             raise IndexError(assignment)
         return bool((self.row >> assignment) & 1)
-
-    def apply_bool(self, value: bool) -> "LogicMatrix":
-        """STP-multiply by a Boolean vector, consuming the first input.
-
-        True selects the left half of the columns, False the right half;
-        equals ``stp(self.dense(), bool_vec(value))`` densely.
-        """
-        if self.arity == 0:
-            raise ValueError("cannot apply a Boolean to an arity-0 matrix")
-        half = 1 << (self.arity - 1)
-        row = self.row >> half if value else self.row & ((1 << half) - 1)
-        return LogicMatrix(self.arity - 1, row)
 
     def as_bool(self) -> bool:
         """Read an arity-0 matrix (a plain Boolean vector) as a bool."""
@@ -206,27 +78,6 @@ class LogicMatrix:
 
     def complement(self) -> "LogicMatrix":
         return LogicMatrix(self.arity, self.row ^ ((1 << (1 << self.arity)) - 1))
-
-    def swap_adjacent(self, i: int) -> "LogicMatrix":
-        """Exchange input positions ``i`` and ``i + 1`` (0 = first input)."""
-        if not 0 <= i < self.arity - 1:
-            raise IndexError(i)
-        arr = _swap_slots(_row_to_array(self.row, self.arity), self.arity, i)
-        return LogicMatrix(self.arity, _array_to_row(arr))
-
-    def reduce_adjacent(self, i: int) -> "LogicMatrix":
-        """Merge equal adjacent input positions ``i`` and ``i + 1``."""
-        if not 0 <= i < self.arity - 1:
-            raise IndexError(i)
-        arr = _reduce_slots(_row_to_array(self.row, self.arity), self.arity, i)
-        return LogicMatrix(self.arity - 1, _array_to_row(arr))
-
-    def append_dummy(self) -> "LogicMatrix":
-        """Add one ignored trailing input."""
-        if self.arity >= MAX_ARITY:
-            raise ValueError("arity cap exceeded")
-        arr = _append_dummy(_row_to_array(self.row, self.arity))
-        return LogicMatrix(self.arity + 1, _array_to_row(arr))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogicMatrix):

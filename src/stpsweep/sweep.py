@@ -49,6 +49,8 @@ class SweepConfig:
     ce_expansion: int = 64
 
     def __post_init__(self):
+        if self.conflict_limit < 0:
+            raise ValueError("conflict_limit must be >= 0 (0 means no limit)")
         if not 0 <= self.window_cap <= 16:
             raise ValueError("window_cap must be within [0, 16]")
 

@@ -7,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpsweep import LogicMatrix, Var, canonical_form, eval_expr, parse_expr
-from stpsweep.bexpr import (
-    BinOp,
-    ExprSyntaxError,
-    Lut,
-    Not,
+from stp_oracle import (
+    _array_to_row,
     _canonical_chain_dense,
     _merge_duplicates,
-    scan_names,
-    variables,
+    _row_to_array,
+    apply_bool,
+    canonical_form_enum,
 )
-from stpsweep.stp import _array_to_row, _row_to_array
+
+from stpsweep.bexpr import BinOp, ExprSyntaxError, Lut, Not, scan_names, variables
 
 
 def random_expr(rng: random.Random, n_vars: int, depth: int):
@@ -99,7 +98,7 @@ class TestCanonicalForm:
         expr, _ = parse_expr("(a<->~b)&(b<->~c)&(c<->(~a&~b))")
         m = canonical_form(expr, 3)
         assert m.truth_row() == "00000100"
-        folded = m.apply_bool(False).apply_bool(True).apply_bool(False)
+        folded = apply_bool(apply_bool(apply_bool(m, False), True), False)
         assert folded.as_bool() is True
 
     def test_strategies_agree_small_corpus(self):
@@ -107,7 +106,7 @@ class TestCanonicalForm:
         for _ in range(150):
             n = rng.randint(1, 5)
             expr = random_expr(rng, n, rng.randint(1, 4))
-            assert canonical_form(expr, n) == canonical_form(expr, n, strategy="enum")
+            assert canonical_form(expr, n) == canonical_form_enum(expr, n)
 
     def test_enum_matches_truth_table(self):
         rng = random.Random(7)
@@ -124,6 +123,20 @@ class TestCanonicalForm:
             n = rng.randint(1, 3)
             expr = random_expr(rng, n, 2)
             assert _canonical_chain_dense(expr, n) == canonical_form(expr, n)
+
+    def test_wide_lut_matches_oracles(self):
+        # Ten or more operands take eval_tt_words' gather path.
+        rng = random.Random(31)
+        for k in (10, 12):
+            n = rng.randint(3, 6)
+            leaves = tuple(Var(rng.randint(1, n)) for _ in range(k))
+            leaves = tuple(Not(v) if rng.random() < 0.5 else v for v in leaves)
+            expr = Lut(rng.getrandbits(1 << k), leaves)
+            assert canonical_form(expr, n) == canonical_form_enum(expr, n)
+            if k == 10:
+                assert canonical_form(expr, n) == _canonical_chain_dense(expr, n)
+            nested = Lut(rng.getrandbits(1 << k), tuple(random_expr(rng, n, 2) for _ in range(k)))
+            assert canonical_form(nested, n) == canonical_form_enum(nested, n)
 
     def test_identities(self):
         pairs = [
@@ -154,7 +167,7 @@ class TestCanonicalForm:
         rng = random.Random(seed)
         n = rng.randint(1, 5)
         expr = random_expr(rng, n, rng.randint(1, 3))
-        assert canonical_form(expr, n) == canonical_form(expr, n, strategy="enum")
+        assert canonical_form(expr, n) == canonical_form_enum(expr, n)
 
 
 class TestMergeDuplicates:

@@ -116,6 +116,16 @@ class TestSweepCmd:
         gate, result = row.split(",")[:2]
         assert gate == result == "1"
 
+    def test_negative_conflict_limit_is_an_input_error(self, tmp_path, capsys):
+        src = tmp_path / "in.blif"
+        dst = tmp_path / "out.blif"
+        src.write_text(AND_BLIF)
+        assert main(["sweep", str(src), str(dst), "--conflict-limit", "-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not dst.exists()
+
 
 class TestCecCmd:
     def test_equivalent(self, tmp_path, capsys):
@@ -161,12 +171,13 @@ class TestProveCmd:
     @pytest.mark.parametrize("expr", ["&".join(["a"] * 3000), "~" * 3000 + "a",
                                       "(" * 3000 + "a" + ")" * 3000],
                              ids=["and_chain", "negations", "parentheses"])
-    def test_deep_input_is_an_input_error(self, expr, capsys):
-        assert main(["prove", expr, "a"]) == 3
+    def test_deep_input_is_proved(self, expr, capsys):
+        # Each input is a true identity nested 3,000 deep, past the
+        # interpreter's default recursion limit.
+        assert main(["prove", expr, "a"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        assert captured.out == "proved\n"
+        assert captured.err == ""
 
 
 class TestStatsCmd:

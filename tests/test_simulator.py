@@ -362,28 +362,21 @@ class TestExhaustiveWindow:
     def test_window_too_large(self):
         rng = random.Random(1)
         net = random_network(rng, 20, 60, max_k=4)
-        deep = [nid for nid in net.reverse_topo_order() if not net.nodes[nid].is_pi]
-        wide = None
-        from helpers import eval_assignment  # noqa: F401  (oracle import kept close)
-
-        for nid in deep:
-            sup = set()
-            stack = [nid]
-            seen = set()
-            while stack:
-                cur = stack.pop()
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                if net.nodes[cur].is_pi:
-                    sup.add(cur)
-                else:
-                    stack.extend(net.nodes[cur].fanins)
-            if len(sup) > 16:
-                wide = nid
-                break
-        if wide is None:
-            pytest.skip("no wide-support node in this draw")
+        wide = 75
+        sup = set()
+        stack = [wide]
+        seen = set()
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            if net.nodes[cur].is_pi:
+                sup.add(cur)
+            else:
+                stack.extend(net.nodes[cur].fanins)
+        # One PI more than the cap.
+        assert len(sup) == 17
         with pytest.raises(WindowTooLarge):
             exhaustive_window_sim(net, [wide], 16)
 

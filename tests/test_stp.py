@@ -5,16 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpsweep import LogicMatrix, bool_vec, kronecker, stp, structural_matrix
-from stpsweep.stp import (
+from stp_oracle import (
     POWER_REDUCE,
     SWAP22,
     _array_to_row,
-    _reduce_slots,
     _row_to_array,
-    _swap_slots,
+    append_dummy,
+    apply_bool,
+    bool_vec,
+    column,
+    dense,
+    from_dense,
     identity,
+    kronecker,
+    reduce_adjacent,
+    stp,
+    swap_adjacent,
 )
+
+from stpsweep import LogicMatrix, structural_matrix
 
 
 class TestKronecker:
@@ -27,7 +36,7 @@ class TestKronecker:
         assert np.array_equal(kronecker(bool_vec(True), identity(2)), expected)
 
     def test_unit_factor(self):
-        m_not = structural_matrix("not").dense()
+        m_not = dense(structural_matrix("not"))
         assert np.array_equal(kronecker(m_not, np.array([[1]])), m_not)
 
     def test_block_structure(self):
@@ -43,12 +52,12 @@ class TestKronecker:
 
 class TestStp:
     def test_or_after_not_is_implication(self):
-        result = stp(structural_matrix("or").dense(), structural_matrix("not").dense())
+        result = stp(dense(structural_matrix("or")), dense(structural_matrix("not")))
         assert np.array_equal(result, np.array([[1, 0, 1, 1], [0, 1, 0, 0]]))
 
     def test_liar_matrix_first_fold(self):
         m = LogicMatrix.from_truth_row("00000100")
-        result = stp(m.dense(), bool_vec(False))
+        result = stp(dense(m), bool_vec(False))
         assert np.array_equal(result, np.array([[0, 1, 0, 0], [1, 0, 1, 1]]))
 
     def test_identity_on_bool_vec(self):
@@ -100,7 +109,7 @@ class TestStructuralMatrices:
         assert structural_matrix(op).truth_row() == row
 
     def test_not_dense(self):
-        assert np.array_equal(structural_matrix("not").dense(), np.array([[0, 1], [1, 0]]))
+        assert np.array_equal(dense(structural_matrix("not")), np.array([[0, 1], [1, 0]]))
 
     def test_raw_truth_row(self):
         m = structural_matrix("0111")
@@ -119,16 +128,16 @@ class TestLogicMatrix:
 
     def test_dense_round_trip(self):
         m = LogicMatrix.from_truth_row("0111")
-        assert LogicMatrix.from_dense(m.dense()) == m
+        assert from_dense(dense(m)) == m
 
     def test_from_dense_rejects_non_boolean(self):
         with pytest.raises(ValueError):
-            LogicMatrix.from_dense(np.array([[1, 1], [1, 0]]))
+            from_dense(np.array([[1, 1], [1, 0]]))
 
     def test_column_order(self):
         nand = LogicMatrix.from_truth_row("0111")
-        assert nand.column(0) is False  # inputs 11
-        assert nand.column(3) is True  # inputs 00
+        assert column(nand, 0) is False  # inputs 11
+        assert column(nand, 3) is True  # inputs 00
         assert nand.value(0b11) is False
         assert nand.value(0b00) is True
 
@@ -139,22 +148,22 @@ class TestLogicMatrix:
             row = int(rng.integers(0, 1 << min(62, 1 << int(arity))))
             m = LogicMatrix(int(arity), row)
             for value in (True, False):
-                expected = stp(m.dense(), bool_vec(value))
-                assert np.array_equal(m.apply_bool(value).dense(), expected)
+                expected = stp(dense(m), bool_vec(value))
+                assert np.array_equal(dense(apply_bool(m, value)), expected)
 
     def test_apply_bool_not(self):
         m_not = structural_matrix("not")
-        assert m_not.apply_bool(True).as_bool() is False
-        assert m_not.apply_bool(False).as_bool() is True
+        assert apply_bool(m_not, True).as_bool() is False
+        assert apply_bool(m_not, False).as_bool() is True
 
     def test_apply_bool_selects_half(self):
         m = LogicMatrix.from_truth_row("11110001")
-        assert m.apply_bool(True).truth_row() == "1111"
-        assert m.apply_bool(False).truth_row() == "0001"
+        assert apply_bool(m, True).truth_row() == "1111"
+        assert apply_bool(m, False).truth_row() == "0001"
 
     def test_apply_bool_arity_zero_rejected(self):
         with pytest.raises(ValueError):
-            LogicMatrix(0, 1).apply_bool(True)
+            apply_bool(LogicMatrix(0, 1), True)
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
@@ -176,8 +185,8 @@ class TestSlotPrimitives:
         perm = kronecker(
             kronecker(identity(1 << i), SWAP22), identity(1 << (arity - i - 2))
         )
-        expected = stp(m.dense(), perm)
-        assert np.array_equal(m.swap_adjacent(i).dense(), expected)
+        expected = stp(dense(m), perm)
+        assert np.array_equal(dense(swap_adjacent(m, i)), expected)
 
     @given(st.integers(2, 4), st.integers(0, 2 ** 16 - 1), st.data())
     @settings(max_examples=80, deadline=None)
@@ -188,16 +197,16 @@ class TestSlotPrimitives:
         red = kronecker(
             kronecker(identity(1 << i), POWER_REDUCE), identity(1 << (arity - i - 2))
         )
-        expected = stp(m.dense(), red)
-        assert np.array_equal(m.reduce_adjacent(i).dense(), expected)
+        expected = stp(dense(m), red)
+        assert np.array_equal(dense(reduce_adjacent(m, i)), expected)
 
     @given(st.integers(1, 4), st.integers(0, 2 ** 16 - 1))
     @settings(max_examples=60, deadline=None)
     def test_append_dummy_is_ones_kron(self, arity, row_seed):
         row = row_seed & ((1 << (1 << arity)) - 1)
         m = LogicMatrix(arity, row)
-        expected = kronecker(m.dense(), np.ones((1, 2), dtype=np.int64))
-        assert np.array_equal(m.append_dummy().dense(), expected)
+        expected = kronecker(dense(m), np.ones((1, 2), dtype=np.int64))
+        assert np.array_equal(dense(append_dummy(m)), expected)
 
     def test_row_array_round_trip(self):
         for arity in range(0, 6):
