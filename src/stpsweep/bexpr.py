@@ -85,27 +85,46 @@ def variables(expr: BoolExpr) -> set[int]:
 
 
 def eval_expr(expr: BoolExpr, assignment: Sequence[bool]) -> bool:
-    """Evaluate under an assignment; ``assignment[i - 1]`` is ``xi``."""
-    if isinstance(expr, Var):
-        return bool(assignment[expr.index - 1])
-    if isinstance(expr, Not):
-        return not eval_expr(expr.child, assignment)
-    if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, assignment)
-        b = eval_expr(expr.right, assignment)
-        if expr.op == "and":
-            return a and b
-        if expr.op == "or":
-            return a or b
-        if expr.op == "xor":
-            return a != b
-        if expr.op == "implies":
-            return (not a) or b
-        return a == b
-    idx = 0
-    for child in expr.children:
-        idx = (idx << 1) | eval_expr(child, assignment)
-    return bool((expr.row >> idx) & 1)
+    """Evaluate under an assignment; ``assignment[i - 1]`` is ``xi``.
+
+    One assignment at a time, with each operator's own semantics rather
+    than a logic matrix, so the tests use it as an oracle for
+    :func:`canonical_form`.  Like that function it walks the AST in
+    post-order with an explicit stack, so any nesting depth evaluates.
+    """
+    values: list[bool] = []
+    # ``(e, True)`` marks a node whose operands' values are on top of ``values``.
+    stack: list[tuple[BoolExpr, bool]] = [(expr, False)]
+    while stack:
+        e, ready = stack.pop()
+        if isinstance(e, Var):
+            values.append(bool(assignment[e.index - 1]))
+        elif not ready:
+            stack.append((e, True))
+            stack.extend((c, False) for c in reversed(_children(e)))
+        elif isinstance(e, Not):
+            values.append(not values.pop())
+        elif isinstance(e, BinOp):
+            b = values.pop()
+            a = values.pop()
+            if e.op == "and":
+                values.append(a and b)
+            elif e.op == "or":
+                values.append(a or b)
+            elif e.op == "xor":
+                values.append(a != b)
+            elif e.op == "implies":
+                values.append((not a) or b)
+            else:
+                values.append(a == b)
+        else:
+            split = len(values) - len(e.children)
+            idx = 0
+            for value in values[split:]:
+                idx = (idx << 1) | value
+            del values[split:]
+            values.append(bool((e.row >> idx) & 1))
+    return values[0]
 
 
 # ---------------------------------------------------------------------------

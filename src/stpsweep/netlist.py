@@ -548,8 +548,10 @@ def parse_aiger_ascii(text: str) -> Network:
     for i in range(n_in):
         (lit,) = _aiger_ints(lines[pos], 1, "input")
         pos += 1
-        if lit < 2 or lit & 1:
+        if lit < 2 or lit & 1 or lit > 2 * maxvar:
             raise NetlistError(f"bad input literal {lit}")
+        if lit in lit_node:
+            raise NetlistError(f"input literal {lit} listed twice")
         lit_node[lit] = net.add_pi(f"i{i}")
     out_lits = []
     for _ in range(n_out):
@@ -561,6 +563,8 @@ def parse_aiger_ascii(text: str) -> Network:
         pos += 1
         if lhs < 2 or lhs & 1 or lhs > 2 * maxvar:
             raise NetlistError(f"bad AND output literal {lhs}")
+        if lhs in lit_node:
+            raise NetlistError(f"AND output literal {lhs} is an input literal")
         and_rows.append((lhs, rhs0, rhs1))
 
     # The aag body may list gates in any order; resolve by literal.

@@ -1,8 +1,9 @@
 """CDCL SAT solving and LUT-cone CNF encoding.
 
 Equivalence queries are answered over a Tseitin-style encoding of the
-relevant input cones: every LUT contributes one clause per input
-assignment forcing the output variable to agree with its truth row.
+relevant input cones: every LUT contributes the clauses of irredundant
+sum-of-products covers of its on-set and off-set (:func:`lut_clauses`),
+each cube forcing the output variable to its value there.
 The solver is a conventional conflict-driven solver with two watched
 literals per clause, first-UIP clause learning, activity-based
 branching with 0.95 decay, saved polarities, and Luby restarts.  It is
@@ -487,18 +488,61 @@ def solve(problem: Cnf | Solver, assumptions: list[int] | None = None,
 
 
 def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]:
-    """Consistency clauses of one LUT, one clause per input assignment."""
+    """Consistency clauses of one LUT, from irredundant covers of its on-set and off-set.
+
+    Each cube ``c`` of a Minato-Morreale irredundant sum-of-products
+    cover (ISOP) of the on-set gives the clause ``not c or out``, and
+    each cube of an ISOP of the off-set gives ``not c or not out``.
+    The clauses list the cube's inputs in fanin order, then the output.
+    A k-LUT gets at most 2^k clauses: AND-k and OR-k get k + 1 and
+    parity-k gets 2^k.  Arity 0 gives one unit clause.
+
+    The cover works on rows 2^j bits wide at level j, fanin 0 first
+    (the row's high half is its 1-cofactor), so it recurses at most
+    ``len(fanin_vars)`` deep.  A variable that neither bound of the
+    interval depends on is skipped; the cover found over the halves
+    then holds for the whole row.
+    """
     arity = len(fanin_vars)
-    if arity == 0:
-        return [[out_var if tt & 1 else -out_var]]
     # One int object per literal, shared by all the LUT's clauses.
     in_lits = [(fv, -fv) for fv in fanin_vars]  # indexed by the input's bit
-    out_lits = (-out_var, out_var)  # indexed by the truth-row bit
-    clauses = []
-    for v in range(1 << arity):
-        lits = [pair[(v >> (arity - 1 - i)) & 1] for i, pair in enumerate(in_lits)]
-        lits.append(out_lits[(tt >> v) & 1])
-        clauses.append(lits)
+    clauses: list[list[int]] = []
+    cube: list[int] = []  # clause literals of the cube on the current path
+
+    def cover(lower: int, upper: int, j: int, out_lit: int) -> int:
+        """Add clauses for an ISOP of some f with 0 < lower <= f <= upper; return f."""
+        full = (1 << (1 << j)) - 1
+        if upper == full:
+            clauses.append(cube + [out_lit])
+            return full
+        half = 1 << (j - 1)
+        mask = (1 << half) - 1
+        lower0, lower1 = lower & mask, lower >> half
+        upper0, upper1 = upper & mask, upper >> half
+        if lower0 == lower1 and upper0 == upper1:
+            f = cover(lower0, upper0, j - 1, out_lit)
+            return f | f << half
+        # An empty lower bound needs no cube, so it gets no call.
+        lit0, lit1 = in_lits[arity - j]
+        f0 = f1 = fs = 0
+        if part := lower0 & ~upper1:  # cubes with the input at 0
+            cube.append(lit0)
+            f0 = cover(part, upper0, j - 1, out_lit)
+            cube.pop()
+        if part := lower1 & ~upper0:  # cubes with the input at 1
+            cube.append(lit1)
+            f1 = cover(part, upper1, j - 1, out_lit)
+            cube.pop()
+        if part := (lower0 & ~f0) | (lower1 & ~f1):  # cubes free of the input
+            fs = cover(part, upper0 & upper1, j - 1, out_lit)
+        return (f0 | fs) | (f1 | fs) << half
+
+    full = (1 << (1 << arity)) - 1
+    on, off = tt & full, ~tt & full
+    if on:
+        cover(on, on, arity, out_var)
+    if off:
+        cover(off, off, arity, -out_var)
     return clauses
 
 
@@ -507,8 +551,8 @@ def encode_cone(net: Network, roots: list[int]) -> Cnf:
 
     Every cone node, PIs included, gets a variable (``cnf.node_var``) in
     topological order; non-PI nodes additionally get their
-    :func:`lut_clauses`.  :class:`NetSolver` loads the same clauses
-    node by node.
+    :func:`lut_clauses`, the cover clauses of their on-set and off-set.
+    :class:`NetSolver` loads the same clauses node by node.
     """
     cone = set(_cone(net, roots))
     cnf = Cnf()

@@ -89,6 +89,14 @@ class TestEval:
         assert eval_expr(lut, [True, True, True]) is True
         assert eval_expr(lut, [True, True, False]) is False
 
+    def test_deep_nesting(self):
+        # Deeper than the interpreter's recursion limit.
+        assert eval_expr(parse_expr("~" * 3000 + "a")[0], [True]) is True
+        assert eval_expr(parse_expr("~" * 3001 + "a")[0], [True]) is False
+        chain = parse_expr("(" * 3000 + "a" + "&b)" * 3000)[0]
+        assert eval_expr(chain, [True, True]) is True
+        assert eval_expr(chain, [True, False]) is False
+
 
 class TestCanonicalForm:
     def test_projection(self):

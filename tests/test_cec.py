@@ -5,7 +5,7 @@ import random
 import pytest
 
 from stpsweep import InterfaceMismatch, Network, check_equivalence, parse_blif, write_blif
-from helpers import eval_assignment, random_network, sweep_fixture
+from helpers import eval_assignment, po_tables, random_network, sweep_fixture
 
 
 class TestExhaustiveRoute:
@@ -180,3 +180,58 @@ class TestIncrementalMiter:
         assert len(original.pis) >= 15
         assert stats.merges > 0 and swept.n_luts() < original.n_luts()
         assert check_equivalence(original, swept).equivalent
+
+
+class TestMiterAgainstExhaustive:
+    """The miter route against the exhaustive route on the same pairs.
+
+    Sweep and CEC share the CNF encoding of LUTs, so an encoding that
+    excludes real assignments could hide a wrong merge from the miter
+    route.  Simulation does not read that encoding.  The differing
+    pairs are checked against the scalar oracle too.
+    """
+
+    def test_routes_agree_on_random_pairs(self):
+        from stpsweep import SweepConfig, sweep
+        from stpsweep.cec import _correspondence, _exhaustive_cec, _miter_cec
+
+        rng = random.Random(61)
+        verdicts = []
+        while len(verdicts) < 60:
+            net = random_network(rng, rng.randint(3, 12), rng.randint(8, 40), max_k=6,
+                                 po_count=rng.randint(1, 4))
+            want_equal = len(verdicts) % 2 == 0
+            if want_equal:
+                other, _ = sweep(net.clone(), SweepConfig(n_base_patterns=64))
+            else:
+                # One flipped truth-table bit in a live cone, seen at some PO.
+                cone = [n for d, _ in net.pos if not net.nodes[d].is_pi
+                        for n in net.transitive_fanin(d, len(net.nodes))]
+                if not cone:
+                    continue
+                tables = po_tables(net)
+                for _ in range(20):
+                    other = net.clone()
+                    victim = other.nodes[rng.choice(cone)]
+                    victim.tt ^= 1 << rng.randrange(1 << victim.arity)
+                    if po_tables(other) != tables:
+                        break
+                else:
+                    continue
+            pi_map = _correspondence("PI", net.pi_names, other.pi_names)
+            po_map = _correspondence("PO", net.po_names, other.po_names)
+            by_miter = _miter_cec(net, other, pi_map, po_map)
+            by_simulation = _exhaustive_cec(net, other, pi_map, po_map)
+            assert by_miter.equivalent == by_simulation.equivalent == want_equal
+            for result in (by_miter, by_simulation):
+                if result.equivalent:
+                    continue
+                assignment = {net.names[k]: v for k, v in result.counterexample.items()}
+                j = net.po_names.index(result.output)
+                (da, pa), (db, pb) = net.pos[j], other.pos[po_map[j]]
+                va = eval_assignment(net, assignment)
+                vb = eval_assignment(other, {other.pis[pi_map[i]]: assignment[pid]
+                                             for i, pid in enumerate(net.pis)})
+                assert (va[da] ^ pa) != (vb[db] ^ pb)
+            verdicts.append(by_miter.equivalent)
+        assert verdicts.count(True) == verdicts.count(False) == 30

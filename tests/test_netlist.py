@@ -230,6 +230,20 @@ class TestParseAiger:
         with pytest.raises(NetlistError, match="line|header"):
             parse_aiger_ascii(text)
 
+    def test_repeated_input_literal(self):
+        # Two PIs on one literal would leave the first one dangling.
+        with pytest.raises(NetlistError, match="input literal 2 listed twice"):
+            parse_aiger_ascii("aag 1 2 0 1 0\n2\n2\n2\n")
+
+    def test_input_literal_above_maxvar(self):
+        with pytest.raises(NetlistError, match="bad input literal 6"):
+            parse_aiger_ascii("aag 1 1 0 1 0\n6\n6\n")
+
+    def test_and_defining_an_input_literal(self):
+        # The AND would be dropped and its undefined literal 4 never checked.
+        with pytest.raises(NetlistError, match="AND output literal 2 is an input"):
+            parse_aiger_ascii("aag 2 1 0 1 1\n2\n2\n2 4 4\n")
+
 
 #: Valid inputs that the fuzz tests below mutate.
 _FUZZ_SEEDS = [

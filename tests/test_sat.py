@@ -518,8 +518,8 @@ class TestNetSolver:
 class TestSearchPinned:
     """Golden ``(status, conflicts)``: the one-shot instances recorded
     before the solver became incremental, the sweep's queries from the
-    sweep on one net-bound solver.  A kernel edit that changes the search
-    fails here."""
+    sweep on one net-bound solver over the LUTs' cover clauses.  A kernel
+    or encoding edit that changes the search fails here."""
 
     def test_pigeonhole(self):
         out = solve(pigeonhole(4))
@@ -551,9 +551,95 @@ class TestSearchPinned:
         monkeypatch.setattr(Solver, "solve", recording)
         sweep(sweep_fixture(0), SweepConfig())
         unsat = SatStatus.UNSAT
-        assert log == [(unsat, 1), (unsat, 1), (unsat, 2),
-                       (unsat, 1), (unsat, 2), (unsat, 0), (unsat, 0), (unsat, 1),
-                       (unsat, 1), (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0)]
+        assert log == [(unsat, 0), (unsat, 0), (unsat, 1),
+                       (unsat, 0), (unsat, 1), (unsat, 0), (unsat, 0), (unsat, 0),
+                       (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0)]
+
+
+def falsified_rows(arity: int, clauses) -> np.ndarray:
+    """Which ``(inputs, out)`` assignments falsify each clause, by enumeration.
+
+    Row ``i`` is for ``clauses[i]``.  Fanin ``i`` is variable ``i + 1``
+    and the output is ``arity + 1``.  Column ``2 * v + out`` is for the
+    inputs spelling ``v``, fanin 0 most significant, as a truth row's
+    bit ``v``.
+    """
+    assign = np.arange(1 << (arity + 1), dtype=np.uint32)
+    bits = [(assign >> np.uint32(arity - i)) & 1 for i in range(arity)] + [assign & 1]
+    values = {}
+    for var, bit in enumerate(bits, 1):
+        values[var] = bit.astype(bool)
+        values[-var] = ~values[var]
+    rows = np.zeros((len(clauses), assign.size), dtype=bool)
+    for i, clause in enumerate(clauses):
+        rows[i] = ~np.logical_or.reduce([values[lit] for lit in clause])
+    return rows
+
+
+def parity_tt(arity: int) -> int:
+    return sum(1 << v for v in range(1 << arity) if bin(v).count("1") % 2)
+
+
+class TestLutClauses:
+    """``lut_clauses`` against the LUT relation, checked by enumeration."""
+
+    @staticmethod
+    def check_exact(arity: int, tt: int) -> list[list[int]]:
+        fanins = list(range(1, arity + 1))
+        clauses = sat_module.lut_clauses(arity + 1, fanins, tt)
+        expected = np.array([(tt >> (a >> 1) & 1) == (a & 1) for a in range(1 << (arity + 1))])
+        falsified = falsified_rows(arity, clauses)
+        assert np.array_equal(~falsified.any(axis=0), expected), (arity, hex(tt))
+        # Irredundant: each clause alone excludes some assignment.
+        alone = falsified & (falsified.sum(axis=0) == 1)
+        assert alone.any(axis=1).all(), (arity, hex(tt))
+        assert len(clauses) <= 1 << arity
+        for clause in clauses:
+            assert len({abs(lit) for lit in clause}) == len(clause)
+        return clauses
+
+    def test_every_table_up_to_three_inputs(self):
+        for arity in range(4):
+            for tt in range(1 << (1 << arity)):
+                self.check_exact(arity, tt)
+
+    def test_random_tables_of_four_to_ten_inputs(self):
+        rng = random.Random(23)
+        for i in range(500):
+            arity = 4 + i % 7
+            n_rows = 1 << arity
+            full = (1 << n_rows) - 1
+            x = rng.randrange(arity)
+            x_row = sum(1 << v for v in range(n_rows) if v >> (arity - 1 - x) & 1)
+            kind = i % 10
+            if kind == 0:
+                tt = rng.choice([0, full])
+            elif kind == 1:
+                tt = rng.choice([x_row, x_row ^ full])
+            elif kind == 2:
+                tt = 1 << (n_rows - 1)  # AND
+            elif kind == 3:
+                tt = full ^ 1  # OR
+            elif kind == 4:
+                tt = rng.choice([parity_tt(arity), parity_tt(arity) ^ full])
+            elif kind == 5:  # few on-set rows
+                tt = rng.getrandbits(n_rows) & rng.getrandbits(n_rows) & rng.getrandbits(n_rows)
+            else:
+                tt = rng.getrandbits(n_rows)
+            self.check_exact(arity, tt)
+
+    def test_and_or_and_parity_sizes(self):
+        for arity in range(1, 11):
+            full = (1 << (1 << arity)) - 1
+            assert len(self.check_exact(arity, 1 << ((1 << arity) - 1))) == arity + 1
+            assert len(self.check_exact(arity, full ^ 1)) == arity + 1
+            assert len(self.check_exact(arity, parity_tt(arity))) == 1 << arity
+
+    def test_literals_are_shared_objects(self):
+        fanins = [1000 + i for i in range(6)]
+        clauses = sat_module.lut_clauses(2000, fanins, random.Random(4).getrandbits(64))
+        lits = [lit for clause in clauses for lit in clause]
+        assert len({id(lit) for lit in lits}) == len(set(lits)) <= 2 * len(fanins) + 2
 
 
 class TestEncodeCone:
