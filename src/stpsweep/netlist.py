@@ -218,19 +218,29 @@ class Network:
 
     # -- edits --------------------------------------------------------
 
-    def substitute_node(self, old: int, new: int, inverted: bool = False) -> None:
+    def substitute_node(self, old: int, new: int, inverted: bool = False,
+                        rank: dict[int, int] | None = None) -> None:
         """Re-point every reader of ``old`` to ``new`` and kill ``old``.
 
         With ``inverted`` set, consuming LUTs get the corresponding
         truth-row input complemented and PO phases are flipped, so the
         network function is preserved exactly when ``new`` equals the
         complement of ``old``.
+
+        A substitution that would make ``new`` read itself raises
+        :class:`NetlistError`; checking for it walks ``old``'s fanout
+        cone.  ``rank``, if given, must be a topological rank of the
+        live nodes.  When ``new`` ranks before ``old`` there, ``new``
+        cannot lie in ``old``'s fanout cone, so the walk is skipped and
+        the substitution costs time in ``old``'s readers only.  The
+        rank then stays topological, since every reader of ``old`` ranks
+        after ``old`` and so after ``new``.
         """
         if old == new:
             raise NetlistError("cannot substitute a node by itself")
         if self.nodes[old].dead or self.nodes[new].dead:
             raise NetlistError("substitution involving a dead node")
-        if self.is_in_tfo(old, new):
+        if (rank is None or rank[new] >= rank[old]) and self.is_in_tfo(old, new):
             raise NetlistError(f"substituting {old} by {new} would create a cycle")
         old_node = self.nodes[old]
         for reader in list(dict.fromkeys(old_node.fanouts)):

@@ -589,6 +589,14 @@ class NetSolver(Solver):
     A SAT answer stays sound: the scope's clauses mention only scope
     variables, and every variable outside it is a function of the PIs
     that the model extends to.
+
+    :meth:`add_equivalence` records a merge proven without SAT (by an
+    exhaustive window) as the two binary clauses of ``a <-> b'``.  Both
+    nodes equal their functions of the PIs and those functions are
+    proven equal, so the clauses are implied by the LUT clauses: they
+    remove no model, and a scoped model still extends.  They let a
+    query that reaches the merged node's variable through a reader
+    loaded before the merge propagate into its driver's cone.
     """
 
     def __init__(self, net: Network):
@@ -617,6 +625,24 @@ class NetSolver(Solver):
             if not node.is_pi:
                 for clause in lut_clauses(var, fanins, node.tt):
                     self.add_clause(clause)
+
+    def add_equivalence(self, a: int, b: int, inverted: bool = False) -> None:
+        """Add ``a <-> b`` (``a <-> not b`` if ``inverted``), proven elsewhere.
+
+        Only a loaded node can be read by a query, so if neither node is
+        loaded this does nothing.  Otherwise both cones are loaded and
+        the two binary clauses added.  The caller must have proven the
+        equivalence: an unproven one would make later answers unsound.
+        """
+        node_var = self.node_var
+        if a not in node_var and b not in node_var:
+            return
+        self.load([a, b])
+        va, vb = node_var[a], node_var[b]
+        if inverted:
+            vb = -vb
+        self.add_clause([-va, vb])
+        self.add_clause([va, -vb])
 
     def solve(self, assumptions: Sequence[int] = (), conflict_limit: int = 0) -> SatOutcome:
         """Search under ``assumptions``, branching only on their scope.

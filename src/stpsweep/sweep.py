@@ -5,15 +5,17 @@ initial patterns detect true constants and enrich the pattern set,
 signatures group candidate nodes into polarity-normalized equivalence
 classes, and candidates are visited from the inputs to the outputs.
 As in a FRAIG, each candidate is merged into a class member that comes
-earlier in topological order, tried earliest first, once a SAT query
-certifies the equivalence; an earlier member cannot lie in the
-candidate's fanout, so no cycle check is needed to pick one.  One
-incremental :class:`~stpsweep.sat.NetSolver` answers every query of a
-sweep and loads each node's clauses once.  Counter-examples from failed
-queries refine the classes; classes whose combined input support fits
-an exhaustive window are additionally refined with full truth rows,
-which removes false candidates without spending satisfiable SAT calls
-on them.
+earlier in topological order, tried earliest first; an earlier member
+cannot lie in the candidate's fanout, so neither picking it nor the
+substitution needs a cycle check.  Every merge is certified, in one of
+two ways.  Classes whose combined input support fits an exhaustive
+window are refined with full truth rows over that support; their
+surviving members are proven equal, and they merge without a SAT call
+(``SweepStats.window_merges``).  Every other pair is certified by an
+UNSAT answer from one incremental :class:`~stpsweep.sat.NetSolver`,
+which answers every query of a sweep, loads each node's clauses once
+and is told of each window merge.  Counter-examples from satisfiable
+queries refine the classes, and the window refines them again.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class SweepStats:
     sat_calls_unsat: int = 0
     sat_calls_undet: int = 0
     merges: int = 0
+    #: Merges of window-proven classes, made without a SAT call; a part
+    #: of ``merges`` that the kv and CSV lines do not print.
+    window_merges: int = 0
     constants: int = 0
     ce_refinements: int = 0
     sim_time: float = 0.0
@@ -142,22 +147,18 @@ class ClassManager:
         self.class_of.pop(nid, None)
         self.phase_of.pop(nid, None)
 
-    def remove_dead(self, net: Network) -> None:
-        for cid in list(self.members):
-            nodes = self.members[cid]
-            alive = [n for n in nodes if not net.nodes[n].dead]
-            if len(alive) == len(nodes):
-                continue
+    def drop_merged(self, nid: int) -> None:
+        """Remove a merged node from its class, and the class if that
+        leaves fewer than two members."""
+        cid = self.class_of[nid]
+        nodes = self.members[cid]
+        nodes.remove(nid)
+        self._drop_node(nid)
+        if len(nodes) < 2:
             for n in nodes:
-                if net.nodes[n].dead:
-                    self._drop_node(n)
-            if len(alive) < 2:
-                for n in alive:
-                    self._drop_node(n)
-                del self.members[cid]
-                self.window_refined.discard(cid)
-            else:
-                self.members[cid] = alive
+                self._drop_node(n)
+            del self.members[cid]
+            self.window_refined.discard(cid)
 
     def split_class(self, cid: int, key_of) -> list[int]:
         """Split one class by a grouping key.
@@ -450,7 +451,10 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
 
     # ``rank`` holds the live nodes in topological order.  A merge
     # replaces a node by one of lower rank, so the rank stays a
-    # topological order of the network throughout the loop.
+    # topological order of the network throughout the loop, and
+    # ``substitute_node`` needs no cycle walk.  A merge kills only its
+    # candidate, so the classes keep only live members when that one
+    # node leaves them.
     rank = mgr.topo_rank
     gate_list = [nid for nid in rank if not net.nodes[nid].is_pi]
     for candidate in gate_list:
@@ -462,32 +466,37 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
             if cid is None or cid not in mgr.members:
                 break
             # Member lists are in topological order: the driver is the
-            # earliest untried live member, and only one that ranks
-            # before the candidate will do.  A PI is a driver like any
-            # other member; only candidates are never PIs.
-            driver = next((d for d in mgr.members[cid]
-                           if d not in tried and not net.nodes[d].dead), None)
+            # earliest untried member, and only one that ranks before
+            # the candidate will do.  A PI is a driver like any other
+            # member; only candidates are never PIs.
+            driver = next((d for d in mgr.members[cid] if d not in tried), None)
             if driver is None or rank[driver] >= rank[candidate]:
                 break
             tried.add(driver)
-            phase = mgr.phase_of.get(candidate, 0) ^ mgr.phase_of.get(driver, 0)
-            outcome = prove_equiv(
-                solver, candidate, driver,
-                inverted=bool(phase), conflict_limit=cfg.conflict_limit,
-            )
-            stats.record(outcome.status)
-            if outcome.is_undet:
-                net.nodes[candidate].dont_touch = True
-                break
-            if outcome.is_unsat:
-                net.substitute_node(candidate, driver, inverted=bool(phase))
-                stats.merges += 1
-                mgr.remove_dead(net)
-                break
-            stats.ce_refinements += 1
-            t0 = time.perf_counter()
-            refine_classes(mgr, net, outcome.model, cfg, rng)
-            stats.sim_time += time.perf_counter() - t0
+            inverted = bool(mgr.phase_of.get(candidate, 0) ^ mgr.phase_of.get(driver, 0))
+            if cid in mgr.window_refined:
+                # Equal rows over the class's whole support prove the pair.
+                solver.add_equivalence(candidate, driver, inverted=inverted)
+                stats.window_merges += 1
+            else:
+                outcome = prove_equiv(
+                    solver, candidate, driver,
+                    inverted=inverted, conflict_limit=cfg.conflict_limit,
+                )
+                stats.record(outcome.status)
+                if outcome.is_undet:
+                    net.nodes[candidate].dont_touch = True
+                    break
+                if outcome.is_sat:
+                    stats.ce_refinements += 1
+                    t0 = time.perf_counter()
+                    refine_classes(mgr, net, outcome.model, cfg, rng)
+                    stats.sim_time += time.perf_counter() - t0
+                    continue
+            net.substitute_node(candidate, driver, inverted=inverted, rank=rank)
+            stats.merges += 1
+            mgr.drop_merged(candidate)
+            break
 
     net.remove_dead()
     stats.final_luts = net.n_luts()

@@ -72,6 +72,32 @@ def exhaustive_tables(net: Network) -> dict[int, int]:
     return rows
 
 
+def lookup_tables(net: Network) -> dict[int, np.ndarray]:
+    """Value of every live node under every PI assignment, as bool arrays.
+
+    Entry ``v`` of a node's array is its value when the PIs spell ``v``,
+    as bit ``v`` of an :func:`exhaustive_tables` row.  Each LUT looks
+    its value up in its truth table at the index its fanins spell, one
+    lookup per assignment, with numpy doing the lookups side by side;
+    it is the scalar walk's semantics at a size it cannot reach.
+    """
+    n = len(net.pis)
+    spell = np.arange(1 << n, dtype=np.int64)
+    values: dict[int, np.ndarray] = {}
+    for i, pid in enumerate(net.pis):
+        values[pid] = ((spell >> (n - 1 - i)) & 1).astype(bool)
+    for nid in net.topo_order():
+        node = net.nodes[nid]
+        if node.is_pi:
+            continue
+        index = np.zeros(1 << n, dtype=np.int64)
+        for f in node.fanins:
+            index = (index << 1) | values[f]
+        table = np.array([(node.tt >> j) & 1 for j in range(1 << node.arity)], dtype=bool)
+        values[nid] = table[index]
+    return values
+
+
 def po_tables(net: Network) -> list[int]:
     n = len(net.pis)
     full = (1 << (1 << n)) - 1

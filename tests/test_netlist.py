@@ -464,6 +464,31 @@ class TestEdits:
         with pytest.raises(NetlistError, match="cycle"):
             net.substitute_node(g, h)
 
+    def test_rank_skips_the_cycle_walk_only_when_new_ranks_first(self, monkeypatch):
+        net = Network()
+        a = net.add_pi()
+        g = net.add_lut([a], 0b01)
+        h = net.add_lut([g], 0b01)
+        g2 = net.add_lut([a], 0b01)
+        top = net.add_lut([h, g2], 0b1000)
+        net.add_po(top)
+        rank = {nid: i for i, nid in enumerate(net.topo_order())}
+        walks = []
+        is_in_tfo = Network.is_in_tfo
+
+        def counting(self, x, y):
+            walks.append((x, y))
+            return is_in_tfo(self, x, y)
+
+        monkeypatch.setattr(Network, "is_in_tfo", counting)
+        # h ranks after g and reads it: the walk runs and finds the cycle.
+        with pytest.raises(NetlistError, match="cycle"):
+            net.substitute_node(g, h, rank=rank)
+        assert walks == [(g, h)]
+        net.substitute_node(g2, g, rank=rank)
+        assert walks == [(g, h)]
+        assert net.nodes[g2].dead and net.nodes[top].fanins == [h, g]
+
     def test_self_substitution_rejected(self):
         net = Network()
         a = net.add_pi()

@@ -515,6 +515,57 @@ class TestNetSolver:
         assert merges >= 5
 
 
+    @pytest.mark.parametrize("make", [lambda: adder_miter(4), lambda: sweep_fixture(5)])
+    def test_queries_across_window_merges(self, make):
+        # Merges proven outside the solver reach it only through
+        # add_equivalence, so readers loaded before a merge keep clauses
+        # over the merged node.  Every later answer must still be right.
+        # sweep_fixture(5) has complemented twins, merged inverted.
+        rng = random.Random(43)
+        net = make()
+        tables = exhaustive_tables(net)
+        mask = (1 << (1 << len(net.pis))) - 1
+        solver = NetSolver(net)
+        told = 0
+        for _ in range(300):
+            alive = net.topo_order()
+            x = rng.choice(alive)
+            twins = [n for n in alive if n != x and tables[n] in (tables[x], tables[x] ^ mask)]
+            y = rng.choice(twins) if twins and rng.random() < 0.5 else rng.choice(alive)
+            if x == y:
+                continue
+            x, y = sorted((x, y), key=alive.index)
+            if y in twins and not net.nodes[y].is_pi and rng.random() < 0.5:
+                inverted = tables[y] != tables[x]
+                loaded = x in solver.node_var or y in solver.node_var
+                solver.add_equivalence(y, x, inverted)
+                assert (x in solver.node_var and y in solver.node_var) == loaded
+                net.substitute_node(y, x, inverted)
+                told += loaded
+                continue
+            inverted = rng.random() < 0.5
+            got = prove_equiv(solver, y, x, inverted=inverted)
+            assert got.is_unsat == (tables[y] == tables[x] ^ (mask if inverted else 0))
+            if got.is_sat:
+                assignment = {pid: got.model.get(pid, False) for pid in net.pis}
+                values = eval_assignment(net, assignment)
+                assert values[y] != (values[x] ^ inverted)
+        assert told >= 5
+
+    def test_equivalence_needs_a_loaded_node(self):
+        # Proving the parity pair takes conflicts (see above); told of
+        # the equivalence, the solver refutes both halves by propagation.
+        net, g, h = parity_pair()
+        solver = NetSolver(net)
+        solver.add_equivalence(h, g)
+        assert solver.node_var == {} and solver.n_vars == 0
+        solver.load([g])
+        solver.add_equivalence(h, g)
+        assert h in solver.node_var
+        out = prove_equiv(solver, g, h)
+        assert out.is_unsat and out.conflicts == 0
+
+
 class TestSearchPinned:
     """Golden ``(status, conflicts)``: the one-shot instances recorded
     before the solver became incremental, the sweep's queries from the
@@ -537,9 +588,8 @@ class TestSearchPinned:
         monkeypatch.setattr(Solver, "_RESCALE", 2.0)
         assert [solve(random_3sat(seed)).conflicts for seed in range(6)] == self.GOLDEN_3SAT_RESCALE_2
 
-    def test_every_query_of_a_sweep(self, monkeypatch):
-        # Recorded from the sweep on one NetSolver: three constant
-        # queries, then five merges asked as two halves each.
+    @staticmethod
+    def sweep_log(monkeypatch, cfg: SweepConfig):
         log = []
         original = Solver.solve
 
@@ -549,11 +599,25 @@ class TestSearchPinned:
             return out
 
         monkeypatch.setattr(Solver, "solve", recording)
-        sweep(sweep_fixture(0), SweepConfig())
+        _, stats = sweep(sweep_fixture(0), cfg)
+        return log, stats
+
+    def test_every_query_of_a_sweep(self, monkeypatch):
+        # Recorded from the sweep on one NetSolver with the window off:
+        # three constant queries, then five merges asked as two halves each.
+        log, _ = self.sweep_log(monkeypatch, SweepConfig(window_cap=0))
         unsat = SatStatus.UNSAT
         assert log == [(unsat, 0), (unsat, 0), (unsat, 1),
                        (unsat, 0), (unsat, 1), (unsat, 0), (unsat, 0), (unsat, 0),
                        (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0)]
+
+    def test_window_proves_every_merge_of_a_sweep(self, monkeypatch):
+        # The same sweep with the window on: the three constant queries
+        # are left, and the window proves all five merges.
+        log, stats = self.sweep_log(monkeypatch, SweepConfig())
+        unsat = SatStatus.UNSAT
+        assert log == [(unsat, 0), (unsat, 0), (unsat, 1)]
+        assert stats.merges == stats.window_merges == 5
 
 
 def falsified_rows(arity: int, clauses) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Pattern guidance, equivalence classes, refinement, and full sweeps."""
 
+import importlib
 import random
 
+import numpy as np
 import pytest
 
 from stpsweep import (
@@ -21,7 +23,12 @@ from stpsweep import (
     write_blif,
 )
 from stpsweep.sat import SatStatus
-from helpers import adder_miter, po_tables, random_network, sweep_fixture
+from helpers import (
+    adder_miter, exhaustive_tables, lookup_tables, po_tables, random_network, sweep_fixture,
+)
+
+# The package exports the ``sweep`` function under the module's name.
+sweep_module = importlib.import_module("stpsweep.sweep")
 
 
 def tiny_cfg(**kw) -> SweepConfig:
@@ -211,20 +218,59 @@ class TestRefine:
         assert mgr.class_of[g_and] == mgr.class_of[g_or]
 
 
+def duplicate_cones() -> Network:
+    net = Network()
+    pis = [net.add_pi() for _ in range(3)]
+    g1 = net.add_lut([pis[0], pis[1]], 0b0110)
+    h1 = net.add_lut([g1, pis[2]], 0b1000)
+    g2 = net.add_lut([pis[0], pis[1]], 0b0110)
+    h2 = net.add_lut([g2, pis[2]], 0b1000)
+    net.add_po(h1)
+    net.add_po(h2)
+    return net
+
+
+def parity_trees() -> Network:
+    """Two equivalent parity trees: proving them by SAT needs some conflicts."""
+    net = Network()
+    pis = [net.add_pi() for _ in range(6)]
+
+    def xor_tree(order):
+        acc = order[0]
+        for p in order[1:]:
+            acc = net.add_lut([acc, p], 0b0110)
+        return acc
+
+    net.add_po(xor_tree(pis))
+    net.add_po(xor_tree(pis[::-1]))
+    return net
+
+
+def lut_equal_to_a_pi() -> tuple[Network, int]:
+    net = Network()
+    a, b = net.add_pi("a"), net.add_pi("b")
+    g = net.add_lut([a, b], 0b1100)  # = a
+    net.add_po(g, name="o")
+    return net, a
+
+
 class TestSweep:
+    # The SAT path: with the window off, every merge is proven by SAT.
     def test_duplicate_cones_merged(self):
-        net = Network()
-        pis = [net.add_pi() for _ in range(3)]
-        g1 = net.add_lut([pis[0], pis[1]], 0b0110)
-        h1 = net.add_lut([g1, pis[2]], 0b1000)
-        g2 = net.add_lut([pis[0], pis[1]], 0b0110)
-        h2 = net.add_lut([g2, pis[2]], 0b1000)
-        net.add_po(h1)
-        net.add_po(h2)
+        net = duplicate_cones()
         original = net.clone()
-        net, stats = sweep(net, tiny_cfg())
+        net, stats = sweep(net, tiny_cfg(window_cap=0))
         assert stats.merges >= 1
         assert stats.sat_calls_unsat >= 1
+        assert net.n_luts() < stats.initial_luts
+        assert check_equivalence(original, net).equivalent
+
+    def test_duplicate_cones_merged_by_the_window(self):
+        net = duplicate_cones()
+        original = net.clone()
+        net, stats = sweep(net, tiny_cfg())
+        assert stats.sat_calls_total == 0
+        assert stats.window_merges == stats.merges >= 1
         assert net.n_luts() < stats.initial_luts
         assert check_equivalence(original, net).equivalent
 
@@ -269,24 +315,23 @@ class TestSweep:
             assert result.equivalent, f"seed {seed}"
 
     def test_conflict_limit_marks_dont_touch(self):
-        # Two equivalent parity trees: proving them needs some conflicts.
-        net = Network()
-        pis = [net.add_pi() for _ in range(6)]
-
-        def xor_tree(order):
-            acc = order[0]
-            for p in order[1:]:
-                acc = net.add_lut([acc, p], 0b0110)
-            return acc
-
-        t1 = xor_tree(pis)
-        t2 = xor_tree(pis[::-1])
-        net.add_po(t1)
-        net.add_po(t2)
+        net = parity_trees()
         original = net.clone()
-        swept, stats = sweep(net, tiny_cfg(conflict_limit=1))
+        swept, stats = sweep(net, tiny_cfg(conflict_limit=1, window_cap=0))
         assert stats.sat_calls_undet >= 1
         assert any(n.dont_touch for n in swept.nodes)
+        assert check_equivalence(original, swept).equivalent
+
+    def test_window_merges_need_no_conflicts(self):
+        # The window proves both trees' classes, so the conflict limit
+        # never comes into play.
+        net = parity_trees()
+        original = net.clone()
+        swept, stats = sweep(net, tiny_cfg(conflict_limit=1))
+        assert stats.sat_calls_total == 0
+        assert stats.window_merges == stats.merges >= 1
+        assert not any(n.dont_touch for n in swept.nodes)
+        assert swept.n_luts() < stats.initial_luts
         assert check_equivalence(original, swept).equivalent
 
     @pytest.mark.parametrize("conflict_limit", [0, 1])
@@ -338,14 +383,21 @@ class TestSweep:
 
 class TestPiDriver:
     def test_lut_equal_to_a_pi_merges_onto_it(self):
-        net = Network()
-        a, b = net.add_pi("a"), net.add_pi("b")
-        g = net.add_lut([a, b], 0b1100)  # = a
-        net.add_po(g, name="o")
+        net, a = lut_equal_to_a_pi()
+        original = net.clone()
+        swept, stats = sweep(net, SweepConfig(window_cap=0))
+        assert swept.n_luts() == 0
+        assert stats.sat_calls_total == 1 and stats.merges == 1
+        assert swept.pos == [(a, False)]
+        assert check_equivalence(original, swept).equivalent
+
+    def test_window_merges_a_lut_onto_a_pi(self):
+        net, a = lut_equal_to_a_pi()
         original = net.clone()
         swept, stats = sweep(net, SweepConfig())
         assert swept.n_luts() == 0
-        assert stats.sat_calls_total == 1 and stats.merges == 1
+        assert stats.sat_calls_total == 0
+        assert stats.merges == stats.window_merges == 1
         assert swept.pos == [(a, False)]
         assert check_equivalence(original, swept).equivalent
 
@@ -362,9 +414,9 @@ class TestAdderMiterQoR:
         merges = []
         substitute = Network.substitute_node
 
-        def recording(self, old, new, inverted=False):
+        def recording(self, old, new, inverted=False, **kwargs):
             merges.append((old, new))
-            substitute(self, old, new, inverted)
+            substitute(self, old, new, inverted, **kwargs)
 
         monkeypatch.setattr(Network, "substitute_node", recording)
         swept, stats = sweep(net, SweepConfig())
@@ -373,6 +425,112 @@ class TestAdderMiterQoR:
         assert len(merges) == stats.merges > 0
         # Every driver ranks before its candidate in the input's order.
         assert all(rank[new] < rank[old] for old, new in merges)
+
+
+def oracle_corpus() -> list[Network]:
+    """Every ``sweep_fixture``, adder miters of 3 to 8 bits, and random
+    nets of at most 14 PIs."""
+    nets = [sweep_fixture(seed) for seed in range(20)]
+    nets += [adder_miter(width) for width in range(3, 9)]
+    rng = random.Random(61)
+    for _ in range(12):
+        nets.append(random_network(rng, rng.randint(6, 14), rng.randint(40, 160),
+                                   max_k=4, po_count=6))
+    return nets
+
+
+def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
+    """Sweep ``net`` and check every merge against the input's exhaustive
+    tables.  Returns the stats."""
+    tables = lookup_tables(net)
+    n_input = len(net.nodes)
+    # Pairs proven by SAT: UNSAT equivalences, and the constants that
+    # constant_prop merges onto its constant-0 LUT.
+    proven: set[tuple[int, int]] = set()
+    merges: list[tuple[int, int, bool]] = []
+    prove, propagate = sweep_module.prove_equiv, sweep_module.constant_prop
+    substitute = Network.substitute_node
+
+    def proving(solver, a, b, **kwargs):
+        out = prove(solver, a, b, **kwargs)
+        if out.is_unsat:
+            proven.add((a, b))
+        return out
+
+    def propagating(net, constants):
+        first = len(merges)
+        count = propagate(net, constants)
+        proven.update((old, new) for old, new, _ in merges[first:])
+        return count
+
+    def recording(self, old, new, inverted=False, **kwargs):
+        merges.append((old, new, inverted))
+        substitute(self, old, new, inverted, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "prove_equiv", proving)
+    monkeypatch.setattr(sweep_module, "constant_prop", propagating)
+    monkeypatch.setattr(Network, "substitute_node", recording)
+    swept, stats = sweep(net, cfg)
+    monkeypatch.undo()
+    zero = np.zeros(1 << len(net.pis), dtype=bool)
+    for old, new, inverted in merges:
+        # A node the input lacks is the constant-0 LUT of constant_prop.
+        target = tables[new] if new < n_input else zero
+        assert np.array_equal(tables[old], target ^ inverted), (old, new, inverted)
+    without_sat = [(old, new) for old, new, _ in merges if (old, new) not in proven]
+    assert len(without_sat) == stats.window_merges
+    return stats
+
+
+class TestWindowMergeOracle:
+    """A merge made without SAT must join nodes that exhaustive tables of
+    the input call equal.  Few base patterns leave false candidates for
+    counter-examples to split, and a window of 6 leaves some classes to
+    SAT; with 16, every class of these nets fits the window."""
+
+    @pytest.mark.parametrize("conflict_limit", [0, 1, 2, 3])
+    def test_every_merge_without_sat_is_right(self, conflict_limit, monkeypatch):
+        totals = dict(window_merges=0, sat_calls_total=0, ce_refinements=0)
+        for i, net in enumerate(oracle_corpus()):
+            for window_cap in (16, 6):
+                cfg = SweepConfig(conflict_limit=conflict_limit, n_base_patterns=16,
+                                  seed=i, window_cap=window_cap)
+                stats = checked_sweep(net.clone(), cfg, monkeypatch)
+                for key in totals:
+                    totals[key] += getattr(stats, key)
+        assert all(totals.values()), totals
+
+    def test_lookup_tables_match_the_scalar_walk(self):
+        for net in (sweep_fixture(3), adder_miter(3), random_network(random.Random(2), 7, 40)):
+            scalar, looked_up = exhaustive_tables(net), lookup_tables(net)
+            assert set(scalar) == set(looked_up)
+            for nid, row in scalar.items():
+                assert row == sum(1 << int(v) for v in np.flatnonzero(looked_up[nid]))
+
+
+class TestInverterChain:
+    def test_ten_thousand_inverters(self, monkeypatch):
+        # Counted, not timed: no SAT call and no cycle walk per merge.
+        net = Network()
+        x, y = net.add_pi(), net.add_pi()
+        s = net.add_lut([x, y], 0b1000)
+        for _ in range(10_000):
+            s = net.add_lut([s], 0b01)
+        net.add_po(s)
+        original = net.clone()
+        walks = []
+        is_in_tfo = Network.is_in_tfo
+
+        def counting(self, a, b):
+            walks.append((a, b))
+            return is_in_tfo(self, a, b)
+
+        monkeypatch.setattr(Network, "is_in_tfo", counting)
+        swept, stats = sweep(net, SweepConfig())
+        assert swept.n_luts() == stats.final_luts == 1
+        assert stats.sat_calls_total == 0 and walks == []
+        assert stats.merges == stats.window_merges == 10_000
+        assert check_equivalence(original, swept).equivalent
 
 
 class TestLimitedBudgetQoR:
