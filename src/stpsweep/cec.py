@@ -2,9 +2,12 @@
 
 Small interfaces (at most 14 PIs) are compared by exhaustive
 simulation; larger ones on a miter network that holds both sides over
-shared PIs.  The miter's union cone is encoded once, into one
-incremental solver, which is asked one query per output pair in output
-order, so what one query learns speeds up the next.  PI and PO
+shared PIs.  The miter is structurally hashed: a LUT of the second
+network with the same fanins and truth table as a miter LUT is that
+LUT, so an output pair whose drivers hash together needs no SAT query.
+The other pairs are asked in output order on one cone-scoped
+:class:`~stpsweep.sat.NetSolver`, so each query branches only on its
+own cones and what one query learns speeds up the next.  PI and PO
 correspondence is by name when both sides carry the same name sets,
 otherwise positional.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import Network
-from .sat import Solver, add_xor, encode_cone, pi_assignment, solve
+from .sat import NetSolver, pi_assignment, solve
 from .simulate import PatternSet, _var_row, simulate_all
 
 EXHAUSTIVE_PI_LIMIT = 14
@@ -67,35 +70,42 @@ def _exhaustive_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]
 
 
 def _miter_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> CecResult:
-    # The miter: a clone of ``a`` with ``b``'s live LUTs added over ``a``'s PIs.
+    # The miter: a clone of ``a`` with ``b``'s live LUTs hashed in over
+    # ``a``'s PIs by their exact fanins and table (none sorted or
+    # permuted, so nothing the sweep did is trusted).  Of ``a``'s equal
+    # LUTs the lowest id is kept, as a sweep keeps the earliest.
     miter = a.clone()
+    table = {(tuple(n.fanins), n.tt): n.id
+             for n in reversed(miter.nodes) if not (n.dead or n.is_pi)}
     to_m = {b.pis[pi_map[i]]: pid for i, pid in enumerate(a.pis)}
     for nid in b.topo_order():
         node = b.nodes[nid]
         if not node.is_pi:
-            to_m[nid] = miter.add_lut([to_m[f] for f in node.fanins], node.tt)
-    # (PO index, a's driver, b's driver in the miter, phases differ)
-    pairs = []
+            fanins = [to_m[f] for f in node.fanins]
+            key = (tuple(fanins), node.tt)
+            if key not in table:
+                table[key] = miter.add_lut(fanins, node.tt)
+            to_m[nid] = table[key]
+    solver = NetSolver(miter)
     for j, (da, pa) in enumerate(a.pos):
         db, pb = b.pos[po_map[j]]
-        pairs.append((j, da, to_m[db], pa != pb))
-    # One solver over the union cone of every PO driver, with one XOR per
-    # PO pair of distinct drivers; the pairs are asked in PO order and
-    # share what the solver learns.
-    cnf = encode_cone(miter, [d for _, da, dm, _ in pairs for d in (da, dm)])
-    xors = [add_xor(cnf, cnf.node_var[da], cnf.node_var[dm]) if da != dm else 0
-            for _, da, dm, _ in pairs]
-    solver = Solver(cnf.n_vars, cnf.clauses)  # cnf is read only for node_var from here on
-    for (j, da, dm, flipped), t in zip(pairs, xors):
-        if da == dm:  # one shared driver, a PI: only the phases can differ
-            differ, assignment = flipped, {}
+        dm = to_m[db]
+        if da == dm:
+            # One shared driver: the outputs differ, for every input
+            # alike, exactly when the phases do.
+            differ, assignment = pa != pb, {}
         else:
-            # Outputs must differ after accounting for the two PO phases.
-            outcome = solve(solver, assumptions=[-t if flipped else t])
+            # a != b' for the phase-adjusted b', as two assumption sets
+            # in one call, as ``prove_equiv`` asks it.
+            solver.load([da, dm])
+            va, vb = solver.node_var[da], solver.node_var[dm]
+            if pa != pb:
+                vb = -vb
+            outcome = solve(solver, assumptions=[va, -vb], alternatives=[[-va, vb]])
             differ = outcome.is_sat
-            assignment = pi_assignment(miter, cnf, outcome.model) if differ else {}
+            assignment = pi_assignment(miter, solver, outcome.model) if differ else {}
         if differ:
-            # PIs outside the union cone do not matter; they read 0.
+            # PIs outside the query's scope do not matter; they read 0.
             ce = {name: assignment.get(pid, False) for name, pid in zip(a.pi_names, a.pis)}
             return CecResult(False, ce, a.po_names[j])
     return CecResult(True)

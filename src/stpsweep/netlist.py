@@ -49,6 +49,7 @@ class LutNode:
     is_pi: bool = False
     dont_touch: bool = False
     dead: bool = False
+    #: Live readers, one entry per fanin slot that reads this node.
     fanouts: list[int] = field(default_factory=list)
 
     @property
@@ -232,9 +233,9 @@ class Network:
         cone.  ``rank``, if given, must be a topological rank of the
         live nodes.  When ``new`` ranks before ``old`` there, ``new``
         cannot lie in ``old``'s fanout cone, so the walk is skipped and
-        the substitution costs time in ``old``'s readers only.  The
-        rank then stays topological, since every reader of ``old`` ranks
-        after ``old`` and so after ``new``.
+        the substitution costs time in ``old``'s readers and fanins
+        only.  The rank then stays topological, since every reader of
+        ``old`` ranks after ``old`` and so after ``new``.
         """
         if old == new:
             raise NetlistError("cannot substitute a node by itself")
@@ -243,7 +244,7 @@ class Network:
         if (rank is None or rank[new] >= rank[old]) and self.is_in_tfo(old, new):
             raise NetlistError(f"substituting {old} by {new} would create a cycle")
         old_node = self.nodes[old]
-        for reader in list(dict.fromkeys(old_node.fanouts)):
+        for reader in dict.fromkeys(old_node.fanouts):
             rnode = self.nodes[reader]
             for pos, f in enumerate(rnode.fanins):
                 if f != old:
@@ -256,8 +257,10 @@ class Network:
         for j, (driver, phase) in enumerate(self.pos):
             if driver == old:
                 self.pos[j] = (new, phase ^ inverted)
-        if old_node.fanout_count == 0:
-            old_node.dead = True
+        # Nothing reads ``old`` now: it dies and leaves its fanins' lists.
+        old_node.dead = True
+        for f in old_node.fanins:
+            self.nodes[f].fanouts.remove(old)
 
     def remove_dead(self) -> int:
         """Mark nodes unreachable from the POs dead; PIs always survive."""
@@ -436,28 +439,56 @@ def parse_blif(text: str, max_arity: int = 16) -> Network:
                         raise NetlistError(f"line {no}: cyclic definition through {f!r}")
                     stack.append(f)
 
+    # A PO's buffer in off-set form (``0 0``), as ``write_blif`` writes
+    # for a PO whose driver a PI or another PO names, is an alias of its
+    # input, not a LUT, unless another signal reads it.
+    alias = {name: defs[name][1][0] for name in outputs if name in defs
+             and len(defs[name][1]) == 1 and [c[1:] for c in defs[name][2]] == [("0", "0")]}
+    if alias:
+        read = {f for _, fanin_names, _ in defs.values() for f in fanin_names}
+        alias = {name: source for name, source in alias.items() if name not in read}
+        for name in alias:
+            del defs[name]
     for name in defs:
         build(name)
     for name in outputs:
-        if name not in net.names:
+        source = alias.get(name, name)
+        if source not in net.names:
             raise NetlistError(f"output {name!r} is never defined")
-        net.add_po(net.names[name], name=name)
+        net.names.setdefault(name, net.names[source])
+        net.add_po(net.names[source], name=name)
     return net
 
 
 def write_blif(net: Network) -> str:
     """Emit the network in the same BLIF subset, one cover row per minterm.
 
-    Inverted POs are materialized as explicit inverter nodes since BLIF
-    has no output-phase notion; everything else round-trips structurally.
+    Each PO is written under its name in ``po_names``; a LUT takes the
+    name of the first PO it drives in true phase.  An inverted PO gets
+    an inverter.  A PO whose driver is a PI or carries another PO's
+    name gets a buffer in off-set form (``0 0``), which no LUT is
+    written in and :func:`parse_blif` reads back as an alias.
+    Everything else round-trips structurally.
     """
     taken = set(net.pi_names)
-    sig: dict[int, str] = {}
-    for i, pid in enumerate(net.pis):
-        sig[pid] = net.pi_names[i]
+    sig = dict(zip(net.pis, net.pi_names))
+    out_tokens: list[str] = []
+    extra: list[tuple[int, str, bool]] = []  # (driver, PO signal, inverted)
+    for (driver, phase), name in zip(net.pos, net.po_names):
+        if not phase and sig.get(driver) == name:
+            out_tokens.append(name)  # a PI, or a driver named by an earlier PO
+            continue
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        out_tokens.append(name)
+        if phase or driver in sig:
+            extra.append((driver, name, phase))
+        else:
+            sig[driver] = name
     stored = {nid: name for name, nid in reversed(net.names.items())}
     for node in net.nodes:
-        if node.dead or node.is_pi:
+        if node.dead or node.id in sig:
             continue
         name = stored.get(node.id, f"n{node.id}")
         while name in taken:
@@ -468,19 +499,6 @@ def write_blif(net: Network) -> str:
     lines = [f".model {net.name}"]
     if net.pis:
         lines.append(".inputs " + " ".join(net.pi_names))
-    out_tokens: list[str] = []
-    inverter_lines: list[str] = []
-    for j, (driver, phase) in enumerate(net.pos):
-        if not phase:
-            out_tokens.append(sig[driver])
-            continue
-        name = f"po{j}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        inverter_lines.append(f".names {sig[driver]} {name}")
-        inverter_lines.append("0 1")
-        out_tokens.append(name)
     if out_tokens:
         lines.append(".outputs " + " ".join(out_tokens))
     for nid in net.topo_order():
@@ -497,7 +515,8 @@ def write_blif(net: Network) -> str:
             if (node.tt >> v) & 1:
                 bits = format(v, f"0{k}b")
                 lines.append(f"{bits} 1")
-    lines.extend(inverter_lines)
+    for driver, name, phase in extra:
+        lines += [f".names {sig[driver]} {name}", "0 1" if phase else "0 0"]
     lines.append(".end")
     return "\n".join(lines) + "\n"
 

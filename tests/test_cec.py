@@ -5,7 +5,7 @@ import random
 import pytest
 
 from stpsweep import InterfaceMismatch, Network, check_equivalence, parse_blif, write_blif
-from helpers import eval_assignment, po_tables, random_network, sweep_fixture
+from helpers import adder_miter, eval_assignment, po_tables, random_network, sweep_fixture
 
 
 class TestExhaustiveRoute:
@@ -235,3 +235,98 @@ class TestMiterAgainstExhaustive:
                 assert (va[da] ^ pa) != (vb[db] ^ pb)
             verdicts.append(by_miter.equivalent)
         assert verdicts.count(True) == verdicts.count(False) == 30
+
+
+class TestHashedMiter:
+    """The miter route hashes ``b``'s LUTs onto ``a``'s by exact fanins and table."""
+
+    @staticmethod
+    def assert_sound(a: Network, b: Network, result) -> None:
+        """The counter-example makes the named output differ (positional POs)."""
+        assignment = {a.names[k]: v for k, v in result.counterexample.items()}
+        va = eval_assignment(a, assignment)
+        vb = eval_assignment(b, {b.pis[i]: assignment[pid] for i, pid in enumerate(a.pis)})
+        j = a.po_names.index(result.output)
+        (da, pa), (db, pb) = a.pos[j], b.pos[j]
+        assert (va[da] ^ pa) != (vb[db] ^ pb)
+
+    def test_flipped_bit_below_a_reader_is_found(self):
+        from stpsweep.cec import _exhaustive_cec
+
+        rng = random.Random(71)
+        found = 0
+        while found < 10:
+            a = random_network(rng, 16, 60, po_count=4)
+            # A LUT in a PO's cone that is not itself a PO driver: its
+            # readers keep their tables, so only their fanins tell them
+            # apart from ``a``'s.
+            drivers = {d for d, _ in a.pos}
+            cone = [n for d in drivers if not a.nodes[d].is_pi
+                    for n in a.transitive_fanin(d, len(a.nodes)) if n not in drivers]
+            if not cone:
+                continue
+            b = a.clone()
+            victim = b.nodes[rng.choice(cone)]
+            victim.tt ^= 1 << rng.randrange(1 << victim.arity)
+            identity = list(range(len(a.pis)))
+            expected = _exhaustive_cec(a, b, identity, list(range(len(a.pos))))
+            if expected.equivalent:
+                continue
+            found += 1
+            result = check_equivalence(a, b)
+            assert not result.equivalent
+            assert result.output == expected.output
+            self.assert_sound(a, b, result)
+
+    def test_fanin_order_is_part_of_the_key(self):
+        rng = random.Random(73)
+        a = random_network(rng, 16, 40, po_count=3)
+        p, q = a.pis[0], a.pis[1]
+        g = a.add_lut([p, q], 0b0010)  # p & ~q
+        a.add_po(g, name="g")
+        # The same fanins swapped under the same table: q & ~p.
+        swapped = a.clone()
+        swapped.pos[-1] = (swapped.add_lut([q, p], 0b0010), False)
+        result = check_equivalence(a, swapped)
+        assert not result.equivalent and result.output == "g"
+        self.assert_sound(a, swapped, result)
+        # Swapped fanins with the table permuted to match: equal, by SAT.
+        permuted = a.clone()
+        permuted.pos[-1] = (permuted.add_lut([q, p], 0b0100), False)
+        assert check_equivalence(a, permuted).equivalent
+
+    def test_shared_driver_in_opposite_phases_differs(self):
+        rng = random.Random(75)
+        a = random_network(rng, 18, 50, po_count=3)
+        j = next(j for j, (d, _) in enumerate(a.pos) if not a.nodes[d].is_pi)
+        b = a.clone()
+        d, phase = b.pos[j]
+        b.pos[j] = (d, not phase)
+        result = check_equivalence(a, b)
+        assert not result.equivalent
+        assert result.output == a.po_names[j]
+        self.assert_sound(a, b, result)
+
+    def test_one_query_per_pair_that_hashing_leaves(self, monkeypatch):
+        import stpsweep.cec as cec
+        from stpsweep import SweepConfig, sweep
+
+        width = 8
+        a = adder_miter(width)
+        swept, _ = sweep(a.clone(), SweepConfig(n_base_patterns=64))
+        assert len(a.pis) > cec.EXHAUSTIVE_PI_LIMIT
+        # The sweep keeps node ids and the whole ripple-carry half, so its
+        # outputs hash onto ``a``'s own drivers, and each Kogge-Stone output
+        # now reads a ripple-carry driver: that pair is left to SAT.
+        left = [j for j, ((da, _), (db, _)) in enumerate(zip(a.pos, swept.pos)) if da != db]
+        assert len(left) == width + 1
+        calls = []
+        solve = cec.solve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cec, "solve", counting)
+        assert check_equivalence(a, swept).equivalent
+        assert len(calls) == len(left) < len(a.pos)

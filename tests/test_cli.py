@@ -6,7 +6,7 @@ import pytest
 
 from stpsweep import parse_blif, write_blif
 from stpsweep.cli import main
-from helpers import random_network, sweep_fixture
+from helpers import adder_miter, random_network, sweep_fixture
 from test_simulator import PATTERN_BLOCK, two_target_example
 
 AND_BLIF = ".model a\n.inputs x y\n.outputs o\n.names x y o\n11 1\n.end\n"
@@ -104,6 +104,22 @@ class TestSweepCmd:
         assert result < gate
         assert main(["cec", str(src), str(dst)]) == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "equivalent"
+
+    @pytest.mark.parametrize("make", [lambda: sweep_fixture(42), lambda: adder_miter(4)],
+                             ids=["fixture", "adder_miter"])
+    def test_outputs_keep_their_names(self, make, tmp_path, capsys):
+        # Merges move PO drivers, and in the adder miter every sum of one
+        # adder ends up on the other's driver.
+        src = tmp_path / "in.blif"
+        dst = tmp_path / "out.blif"
+        src.write_text(write_blif(make()))
+        assert main(["sweep", str(src), str(dst), "--base-patterns", "64"]) == 0
+
+        def outputs(path):
+            return next(ln for ln in path.read_text().splitlines() if ln.startswith(".outputs"))
+
+        assert outputs(dst) == outputs(src)
+        assert parse_blif(dst.read_text()).po_names == parse_blif(src.read_text()).po_names
 
     def test_irredundant_net(self, tmp_path, capsys):
         src = tmp_path / "in.blif"

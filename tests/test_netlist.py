@@ -165,6 +165,62 @@ class TestWriteBlif:
         assert back.n_luts() == net.n_luts() + 1
         assert po_tables(back) == po_tables(net)
 
+    @staticmethod
+    def xor_net() -> tuple[Network, int, int]:
+        net = Network("named")
+        a, b = net.add_pi("a"), net.add_pi("b")
+        return net, a, net.add_lut([a, b], 0b0110)
+
+    @pytest.mark.parametrize("case", ["pi_driver", "shared_lut", "inverted"])
+    def test_po_names_round_trip(self, case):
+        net, a, g = self.xor_net()
+        if case == "pi_driver":
+            net.add_po(g, name="y")
+            net.add_po(a, name="copy_of_a")
+        elif case == "shared_lut":
+            net.add_po(g, name="p")
+            net.add_po(g, name="q")
+        else:
+            net.add_po(g, inverted=True, name="nx")
+            net.add_po(g, name="x")
+        back = parse_blif(write_blif(net))
+        assert back.po_names == net.po_names
+        assert po_tables(back) == po_tables(net)
+        # Only the inverter is a new LUT; the buffers read back as aliases.
+        assert back.n_luts() == net.n_luts() + (case == "inverted")
+
+    def test_own_lut_drivers_round_trip_with_same_lut_count(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 10:
+            net = random_network(rng, 5, 15, po_count=3)
+            drivers = [d for d, _ in net.pos]
+            if len(set(drivers)) < len(drivers) or any(net.nodes[d].is_pi for d in drivers):
+                continue
+            net.pos = [(d, False) for d in drivers]
+            net.po_names = ["s", "t", "u"]
+            back = parse_blif(write_blif(net))
+            assert back.po_names == net.po_names
+            assert back.n_luts() == net.n_luts()
+            assert po_tables(back) == po_tables(net)
+            checked += 1
+
+    def test_po_name_wins_over_a_stored_signal_name(self):
+        net = parse_blif(AND_BLIF)
+        (g, _), = net.pos
+        h = net.add_lut([g], 0b01)
+        net.pos = [(h, False)]
+        text = write_blif(net)
+        assert ".outputs y" in text.splitlines()
+        back = parse_blif(text)
+        assert back.po_names == ["y"] and back.n_luts() == 2
+        assert po_tables(back) == po_tables(net)
+
+    def test_on_set_buffer_stays_a_lut(self):
+        text = ".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
+        net = parse_blif(text)
+        assert net.n_luts() == 1 and net.pos == [(net.names["y"], False)]
+
 
 class TestParseAiger:
     def test_single_and(self):
@@ -488,6 +544,41 @@ class TestEdits:
         net.substitute_node(g2, g, rank=rank)
         assert walks == [(g, h)]
         assert net.nodes[g2].dead and net.nodes[top].fanins == [h, g]
+
+    def test_merged_buffer_chain_leaves_only_live_fanouts(self):
+        net = Network()
+        top = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
+        chain = [net.add_lut([top], 0b10)]
+        for _ in range(999):
+            chain.append(net.add_lut([chain[-1]], 0b10))
+        net.add_po(chain[-1])
+        for i, buf in enumerate(chain):
+            net.substitute_node(buf, top)
+            assert net.nodes[buf].dead
+            assert net.nodes[top].fanouts == chain[i + 1:i + 2]
+        assert net.pos == [(top, False)]
+
+    def test_fanouts_track_live_readers_without_remove_dead(self):
+        rng = random.Random(33)
+        done = 0
+        for _ in range(40):
+            net = random_network(rng, 4, 20, po_count=2)
+            gates = [n.id for n in net.nodes if not n.is_pi]
+            old, new = rng.sample(gates, 2)
+            try:
+                net.substitute_node(old, new, inverted=rng.random() < 0.5)
+            except NetlistError:
+                continue
+            done += 1
+            # ``old`` is dead at once, and no fanout list names it.
+            assert net.nodes[old].dead
+            readers = {nid: [] for nid in range(len(net.nodes))}
+            for nid in net.live_ids():
+                for f in net.nodes[nid].fanins:
+                    readers[f].append(nid)
+            for nid in net.live_ids():
+                assert sorted(net.nodes[nid].fanouts) == readers[nid]
+        assert done > 20
 
     def test_self_substitution_rejected(self):
         net = Network()
