@@ -21,7 +21,7 @@ from .netlist import (
     parse_blif,
     write_blif,
 )
-from .sat import Cnf, NetSolver, SatOutcome, SatStatus, Solver, encode_cone, prove_equiv, solve
+from .sat import NetSolver, SatOutcome, SatStatus, Solver, prove_equiv, solve
 from .simulate import (
     Cut,
     CutSet,
@@ -54,13 +54,13 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinOp", "CecResult", "ClassManager", "Cnf", "Cut", "CutSet", "CycleError",
+    "BinOp", "CecResult", "ClassManager", "Cut", "CutSet", "CycleError",
     "ExprSyntaxError", "InterfaceMismatch", "LogicMatrix", "Lut", "LutNode",
     "MAX_ARITY", "NetSolver", "NetlistError", "Network", "Not", "PatternSet", "SatOutcome",
     "SatStatus", "Signature", "Solver", "SweepConfig", "SweepStats", "Var",
     "WindowTooLarge", "WindowTruths", "canonical_form",
     "check_equivalence", "circuit_cut", "constant_prop", "cut_truth_tables",
-    "encode_cone", "eval_expr", "eval_tt_words",
+    "eval_expr", "eval_tt_words",
     "exhaustive_window_sim", "flip_tt_input", "gen_random_patterns",
     "init_equiv_classes", "parse_aiger_ascii", "parse_blif",
     "parse_expr", "parse_patterns", "prove_equiv", "refine_classes",

@@ -2,8 +2,8 @@
 
 Small interfaces (at most 14 PIs) are compared by exhaustive
 simulation; larger ones on a miter network that holds both sides over
-shared PIs.  The miter is structurally hashed: a LUT of the second
-network with the same fanins and truth table as a miter LUT is that
+shared PIs.  The miter is structurally hashed: a LUT of either network
+with the same fanins and truth table as an earlier miter LUT is that
 LUT, so an output pair whose drivers hash together needs no SAT query.
 The other pairs are asked in output order on one cone-scoped
 :class:`~stpsweep.sat.NetSolver`, so each query branches only on its
@@ -70,35 +70,40 @@ def _exhaustive_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]
 
 
 def _miter_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> CecResult:
-    # The miter: a clone of ``a`` with ``b``'s live LUTs hashed in over
-    # ``a``'s PIs by their exact fanins and table (none sorted or
-    # permuted, so nothing the sweep did is trusted).  Of ``a``'s equal
-    # LUTs the lowest id is kept, as a sweep keeps the earliest.
-    miter = a.clone()
-    table = {(tuple(n.fanins), n.tt): n.id
-             for n in reversed(miter.nodes) if not (n.dead or n.is_pi)}
-    to_m = {b.pis[pi_map[i]]: pid for i, pid in enumerate(a.pis)}
-    for nid in b.topo_order():
-        node = b.nodes[nid]
-        if not node.is_pi:
-            fanins = [to_m[f] for f in node.fanins]
-            key = (tuple(fanins), node.tt)
-            if key not in table:
-                table[key] = miter.add_lut(fanins, node.tt)
-            to_m[nid] = table[key]
+    # The miter: both networks over shared PIs, structurally hashed
+    # through one table.  Each LUT is keyed by its table and its fanins
+    # as mapped into the miter (none sorted or permuted, so nothing the
+    # sweep did is trusted); a LUT whose key is taken is that miter node.
+    # ``a`` goes first, each side in topological order, so equal LUTs
+    # keep the earliest, as a sweep does.
+    miter = Network()
+    to_a: dict[int, int] = {}
+    to_b: dict[int, int] = {}
+    for i, pid in enumerate(a.pis):
+        to_a[pid] = to_b[b.pis[pi_map[i]]] = miter.add_pi()
+    table: dict[tuple[tuple[int, ...], int], int] = {}
+    for net, to_m in ((a, to_a), (b, to_b)):
+        for nid in net.topo_order():
+            node = net.nodes[nid]
+            if not node.is_pi:
+                fanins = [to_m[f] for f in node.fanins]
+                key = (tuple(fanins), node.tt)
+                if key not in table:
+                    table[key] = miter.add_lut(fanins, node.tt)
+                to_m[nid] = table[key]
     solver = NetSolver(miter)
     for j, (da, pa) in enumerate(a.pos):
         db, pb = b.pos[po_map[j]]
-        dm = to_m[db]
-        if da == dm:
+        da, db = to_a[da], to_b[db]
+        if da == db:
             # One shared driver: the outputs differ, for every input
             # alike, exactly when the phases do.
             differ, assignment = pa != pb, {}
         else:
             # a != b' for the phase-adjusted b', as two assumption sets
             # in one call, as ``prove_equiv`` asks it.
-            solver.load([da, dm])
-            va, vb = solver.node_var[da], solver.node_var[dm]
+            solver.load([da, db])
+            va, vb = solver.node_var[da], solver.node_var[db]
             if pa != pb:
                 vb = -vb
             outcome = solve(solver, assumptions=[va, -vb], alternatives=[[-va, vb]])
@@ -106,7 +111,7 @@ def _miter_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> 
             assignment = pi_assignment(miter, solver, outcome.model) if differ else {}
         if differ:
             # PIs outside the query's scope do not matter; they read 0.
-            ce = {name: assignment.get(pid, False) for name, pid in zip(a.pi_names, a.pis)}
+            ce = {name: assignment.get(pid, False) for name, pid in zip(a.pi_names, miter.pis)}
             return CecResult(False, ce, a.po_names[j])
     return CecResult(True)
 

@@ -1,4 +1,4 @@
-"""CDCL SAT solving and LUT-cone CNF encoding.
+"""CDCL SAT solving over LUT clauses, every query on a live solver.
 
 Equivalence queries are answered over a Tseitin-style encoding of the
 relevant input cones: every LUT contributes the clauses of irredundant
@@ -10,16 +10,16 @@ branching with 0.95 decay, saved polarities, and Luby restarts.  It is
 fully deterministic.  A positive conflict limit turns exhausted queries
 into an undetermined outcome; 0 disables the limit.
 
-:func:`solve` on a :class:`Cnf` is one-shot: a fresh solver takes the
-assumptions as unit clauses.  A live :class:`Solver` is incremental:
-each query decides its assumptions at levels 1..k, as in MiniSat, and
-the clauses learnt, the activities and the saved phases carry over to
-the next query; variables and clauses may be added between queries.
-A :class:`NetSolver` is such a solver bound to one network: it loads a
-node's LUT clauses the first time the node enters a query cone and
-branches only on each query's cone, and :func:`prove_equiv` on it asks
-an equivalence as two assumption-only queries in one :func:`solve`
-call, as ABC's fraig does.
+There is one way to ask: a live :class:`Solver`, with MiniSat's
+assumption interface.  Every clause enters through
+:meth:`Solver.add_clause`; each query decides its assumptions at levels
+1..k, and the clauses learnt, the activities and the saved phases carry
+over to the next query; variables and clauses may be added between
+queries.  A :class:`NetSolver` is such a solver bound to one network:
+it loads a node's LUT clauses the first time the node enters a query
+cone and branches only on each query's cone, and :func:`prove_equiv` on
+it asks an equivalence as two assumption-only queries in one
+:func:`solve` call, as ABC's fraig does.
 """
 
 from __future__ import annotations
@@ -59,35 +59,6 @@ class SatOutcome:
         return self.status is SatStatus.UNDET
 
 
-class Cnf:
-    """Clause database with an optional node-to-variable map."""
-
-    def __init__(self):
-        self.n_vars = 0
-        self.clauses: list[list[int]] = []
-        self.node_var: dict[int, int] = {}
-
-    def new_var(self, node: int | None = None) -> int:
-        self.n_vars += 1
-        if node is not None:
-            self.node_var[node] = self.n_vars
-        return self.n_vars
-
-    def add_clause(self, lits: list[int]) -> None:
-        if not lits:
-            raise ValueError("empty clause at construction")
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.n_vars:
-                raise ValueError(f"literal {lit} references an undeclared variable")
-        self.clauses.append(list(lits))
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.n_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-
 def _luby(i: int) -> int:
     """Luby restart sequence (1, 1, 2, 1, 1, 2, 4, ...), 1-based."""
     x = i - 1
@@ -105,8 +76,9 @@ def _luby(i: int) -> int:
 class Solver:
     """CDCL search over a clause list, reusable across queries.
 
-    The solver keeps the clause lists it is given and reorders their
-    literals in place.  Values, watch lists and their kin are
+    The initial clauses go through :meth:`add_clause` one by one, as
+    clauses added later do; the solver keeps copies, so the caller's
+    lists are left as they are.  Values, watch lists and their kin are
     literal-indexed lists of ``2 * n_vars + 1`` slots: literal ``l``
     sits at index ``l``, so ``-v`` lands at ``2 * n_vars + 1 - v``, past
     every positive literal.  Each :meth:`solve` decides its assumptions
@@ -121,7 +93,7 @@ class Solver:
     _RESCALE = 1e100
     _RESTART_BASE = 100
 
-    def __init__(self, n_vars: int, clauses: Iterable[list[int]]):
+    def __init__(self, n_vars: int, clauses: Iterable[list[int]] = ()):
         n = self.n_vars = n_vars
         self.value: list[int] = [-1] * (2 * n + 1)  # -1 unassigned, 0/1 value
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
@@ -137,25 +109,11 @@ class Solver:
         # Lazy max-activity heap; every activity is 0, so sorted is a heap.
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
         self.ok = True
-        #: Unit clauses not yet on the trail.
-        self.units: list[int] = []
         self.learnts: list[list[int]] = []
         #: Length of the level-0 trail when learnt clauses were last pruned.
         self.pruned_at = 0
         for clause in clauses:
-            self._add_clause(clause)
-
-    def _add_clause(self, lits: list[int]) -> None:
-        present = set(lits)
-        if len(present) != len(lits):
-            lits = list(dict.fromkeys(lits))
-        if any(-l in present for l in lits):
-            return  # tautology
-        if len(lits) == 1:
-            self.units.append(lits[0])
-            return
-        self.watches[lits[0]].append(lits)
-        self.watches[lits[1]].append(lits)
+            self.add_clause(clause)
 
     def add_vars(self, count: int) -> int:
         """Add ``count`` fresh variables between calls; returns the first."""
@@ -175,24 +133,32 @@ class Solver:
         return first
 
     def add_clause(self, lits: list[int]) -> None:
-        """Add a clause between calls, simplified by the level-0 assignment.
+        """Add a clause, simplified by the level-0 assignment.
 
-        A clause with a true literal is dropped and false literals are
+        This is the one way in, at construction and between calls.
+        Literal 0 and literals of undeclared variables raise
+        ``ValueError``.  A clause with a true literal, or with a
+        literal and its complement, is dropped and false literals are
         removed; a unit left over is enqueued at level 0 (the next call
         propagates it), and an empty one makes the solver UNSAT for good.
         """
+        n = self.n_vars
+        if lits and (max(lits) > n or min(lits) < -n or 0 in lits):
+            raise ValueError(f"clause {lits} has literal 0 or a variable above {n}")
         if not self.ok:
             return
         value = self.value
         if any(value[lit] == 1 for lit in lits):
             return
-        lits = list(dict.fromkeys(lit for lit in lits if value[lit] < 0))
-        if not lits:
+        kept = dict.fromkeys(lit for lit in lits if value[lit] < 0)
+        if not kept:
             self.ok = False
-        elif len(lits) == 1:
-            self._enqueue(lits[0], None)
-        else:
-            self._add_clause(lits)
+        elif len(kept) == 1:
+            self._enqueue(next(iter(kept)), None)
+        elif not any(-lit in kept for lit in kept):
+            lits = list(kept)
+            self.watches[lits[0]].append(lits)
+            self.watches[lits[1]].append(lits)
 
     # -- assignment machinery ------------------------------------------
 
@@ -384,12 +350,6 @@ class Solver:
 
     def solve(self, assumptions: Sequence[int] = (), conflict_limit: int = 0) -> SatOutcome:
         """Search under ``assumptions``; ``conflict_limit`` counts this call only."""
-        if self.ok:
-            for unit in self.units:
-                if not self._enqueue(unit, None):
-                    self.ok = False
-                    break
-            self.units.clear()
         if self.ok and self._propagate() is not None:
             self.ok = False
         if not self.ok:
@@ -441,50 +401,42 @@ class Solver:
             self._enqueue(branch, None)
 
 
-def solve(problem: Cnf | Solver, assumptions: list[int] | None = None,
+def solve(solver: Solver, assumptions: Sequence[int] | None = None,
           conflict_limit: int = 0,
           alternatives: Sequence[Sequence[int]] = ()) -> SatOutcome:
-    """Solve a CNF or query a live :class:`Solver`, under assumption literals.
+    """Query a live :class:`Solver` under assumption literals.
 
-    On a :class:`Cnf` this is one-shot: the assumptions become unit
-    clauses of a fresh solver.  On a :class:`Solver` they are decided
-    at levels 1..k, and what the solver learns stays for later queries.
-    Either way UNSAT means unsatisfiable under the assumptions.  A
-    positive ``conflict_limit`` yields UNDET once this call exceeds it;
-    0 means no limit.
+    The assumptions are decided at levels 1..k, and what the solver
+    learns stays for later queries.  UNSAT means unsatisfiable under the
+    assumptions.  A positive ``conflict_limit`` yields UNDET once this
+    call exceeds it; 0 means no limit.
 
-    ``alternatives`` (live solver only) are further assumption sets,
-    each asked in turn while every set before it is UNSAT: the outcome
-    is SAT under the first satisfiable set, UNSAT if none is.  The sets
-    share ``conflict_limit``; once a set has spent all of it, the
-    outcome is UNDET.
+    ``alternatives`` are further assumption sets, each asked in turn
+    while every set before it is UNSAT: the outcome is SAT under the
+    first satisfiable set, UNSAT if none is.  The sets share
+    ``conflict_limit``; once a set has spent all of it, the outcome is
+    UNDET.
     """
     cubes = [list(assumptions or ())] + [list(cube) for cube in alternatives]
     for cube in cubes:
         for lit in cube:
-            if lit == 0 or abs(lit) > problem.n_vars:
+            if lit == 0 or abs(lit) > solver.n_vars:
                 raise ValueError(f"assumption literal {lit} out of range")
-    if isinstance(problem, Solver):
-        spent = 0
-        for cube in cubes:
-            left = conflict_limit - spent
-            if conflict_limit and left <= 0:
-                return SatOutcome(SatStatus.UNDET, None, spent)
-            outcome = problem.solve(cube, left if conflict_limit else 0)
-            spent += outcome.conflicts
-            if not outcome.is_unsat:
-                break
-        outcome.conflicts = spent
-        return outcome
-    if alternatives:
-        raise ValueError("alternative assumption sets need a live Solver")
-    clauses = [list(clause) for clause in problem.clauses]
-    clauses += [[lit] for lit in cubes[0]]
-    return Solver(problem.n_vars, clauses).solve((), conflict_limit)
+    spent = 0
+    for cube in cubes:
+        left = conflict_limit - spent
+        if conflict_limit and left <= 0:
+            return SatOutcome(SatStatus.UNDET, None, spent)
+        outcome = solver.solve(cube, left if conflict_limit else 0)
+        spent += outcome.conflicts
+        if not outcome.is_unsat:
+            break
+    outcome.conflicts = spent
+    return outcome
 
 
 # ---------------------------------------------------------------------------
-# Cone encoding.
+# LUT clauses and the net-bound solver.
 
 
 def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]:
@@ -546,30 +498,6 @@ def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]
     return clauses
 
 
-def encode_cone(net: Network, roots: list[int]) -> Cnf:
-    """CNF of the union of the roots' input cones.
-
-    Every cone node, PIs included, gets a variable (``cnf.node_var``) in
-    topological order; non-PI nodes additionally get their
-    :func:`lut_clauses`, the cover clauses of their on-set and off-set.
-    :class:`NetSolver` loads the same clauses node by node.
-    """
-    cone = set(_cone(net, roots))
-    cnf = Cnf()
-    order = [nid for nid in net.topo_order() if nid in cone]
-    for nid in order:
-        cnf.new_var(nid)
-    for nid in order:
-        node = net.nodes[nid]
-        if node.is_pi:
-            continue
-        out_var = cnf.node_var[nid]
-        fanin_vars = [cnf.node_var[f] for f in node.fanins]
-        for clause in lut_clauses(out_var, fanin_vars, node.tt):
-            cnf.add_clause(clause)
-    return cnf
-
-
 class NetSolver(Solver):
     """One incremental :class:`Solver` over a network's LUT clauses.
 
@@ -600,7 +528,7 @@ class NetSolver(Solver):
     """
 
     def __init__(self, net: Network):
-        super().__init__(0, ())
+        super().__init__(0)
         self.net = net
         self.node_var: dict[int, int] = {}
         #: Fanin variables of each variable when it was loaded (PIs: none).
@@ -685,29 +613,32 @@ class NetSolver(Solver):
         return {v: value[v] == 1 for v in self.scope_vars}
 
 
-def add_xor(cnf: Cnf, va: int, vb: int) -> int:
-    """A fresh variable ``t`` constrained to ``t <-> (va xor vb)``."""
-    t = cnf.new_var()
-    cnf.add_clause([-t, va, vb])
-    cnf.add_clause([-t, -va, -vb])
-    cnf.add_clause([t, -va, vb])
-    cnf.add_clause([t, va, -vb])
-    return t
+def encode_cone(net: Network, roots: list[int]) -> NetSolver:
+    """A :class:`NetSolver` over ``net`` with the roots' input cones loaded.
 
-
-def pi_assignment(net: Network, cnf: Cnf | NetSolver,
-                  model: dict[int, bool]) -> dict[int, bool]:
-    """The model's values of the PIs encoded in ``cnf``, keyed by PI node id.
-
-    PIs that ``cnf`` does not encode, or that the model leaves out, are
-    left out.
+    No runtime path calls this.  It is kept only because the benchmark's
+    tracer (perfbench/tracer.py) wraps ``sat.encode_cone`` and
+    ``sweep.encode_cone`` by name, and it goes when the tracer stops
+    wrapping them (ROADMAP item 1).
     """
-    node_var = cnf.node_var
+    solver = NetSolver(net)
+    solver.load(roots)
+    return solver
+
+
+def pi_assignment(net: Network, solver: NetSolver,
+                  model: dict[int, bool]) -> dict[int, bool]:
+    """The model's values of the PIs loaded in ``solver``, keyed by PI node id.
+
+    PIs that ``solver`` has not loaded, or that the model leaves out,
+    are left out.
+    """
+    node_var = solver.node_var
     return {nid: model[node_var[nid]] for nid in net.pis if node_var.get(nid) in model}
 
 
 def prove_equiv(
-    problem: Network | NetSolver,
+    solver: NetSolver,
     a: int,
     b: int,
     inverted: bool = False,
@@ -715,35 +646,25 @@ def prove_equiv(
 ) -> SatOutcome:
     """Decide whether node ``a`` equals node ``b`` (or its complement).
 
-    UNSAT certifies the equivalence under the stated phase.  A SAT
+    Both are nodes of ``solver.net``.  UNSAT certifies the equivalence under the stated phase.  A SAT
     outcome carries a counter-example assignment keyed by PI node id.
 
-    On a :class:`Network` this is one-shot: the two cones and an XOR of
-    their roots go to a fresh solver, and the counter-example covers the
-    cones' support PIs.  On a :class:`NetSolver` the cones are loaded
-    if need be and the equivalence is asked as two assumption-only
-    queries, ``(a, not b')`` then ``(not a, b')`` with ``b'`` the
-    phase-adjusted ``b``, in one :func:`solve` call whose assumption
-    sets share ``conflict_limit``.  The counter-example then covers the
-    PIs of the query's scope (see :class:`NetSolver`).
+    The cones are loaded if need be, and the equivalence is asked as
+    two assumption-only queries, ``(a, not b')`` then ``(not a, b')``
+    with ``b'`` the phase-adjusted ``b``, in one :func:`solve` call
+    whose assumption sets share ``conflict_limit``.  The counter-example
+    covers the PIs of the query's scope (see :class:`NetSolver`); the
+    other PIs do not matter.
     """
     if a == b:
         raise ValueError("prove_equiv needs two distinct nodes")
-    if isinstance(problem, Network):
-        net, encoding = problem, encode_cone(problem, [a, b])
-        t = add_xor(encoding, encoding.node_var[a], encoding.node_var[b])
-        # Normal phase: look for a != b; inverted: look for a != not b.
-        outcome = solve(encoding, assumptions=[-t if inverted else t],
-                        conflict_limit=conflict_limit)
-    else:
-        net, encoding = problem.net, problem
-        problem.load([a, b])
-        va, vb = problem.node_var[a], problem.node_var[b]
-        if inverted:
-            vb = -vb
-        outcome = solve(problem, assumptions=[va, -vb], conflict_limit=conflict_limit,
-                        alternatives=[[-va, vb]])
+    solver.load([a, b])
+    va, vb = solver.node_var[a], solver.node_var[b]
+    if inverted:
+        vb = -vb
+    outcome = solve(solver, assumptions=[va, -vb], conflict_limit=conflict_limit,
+                    alternatives=[[-va, vb]])
     if not outcome.is_sat:
         return outcome
-    return SatOutcome(SatStatus.SAT, pi_assignment(net, encoding, outcome.model),
+    return SatOutcome(SatStatus.SAT, pi_assignment(solver.net, solver, outcome.model),
                       outcome.conflicts)

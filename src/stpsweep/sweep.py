@@ -38,17 +38,20 @@ from .simulate import (
     simulate_specified,
 )
 
+#: A gate whose signature toggles at a rate below this, or above one
+#: minus this, gets a SAT query for its minority value.
+TOGGLE_THRESHOLD = 1.0 / 64.0
+#: Patterns generated from each counter-example during refinement.
+CE_EXPANSION = 64
+
 
 @dataclass
 class SweepConfig:
     conflict_limit: int = 0
     n_base_patterns: int = 2048
-    toggle_threshold: float = 1.0 / 64.0
     seed: int = 1
     #: Exhaustive-window refinement cap; 0 disables window refinement.
     window_cap: int = 16
-    #: Patterns generated from each counter-example during refinement.
-    ce_expansion: int = 64
 
     def __post_init__(self):
         if self.conflict_limit < 0:
@@ -304,14 +307,13 @@ def sat_guided_patterns(
     stats.sim_time += time.perf_counter() - t0
 
     extra2: list[list[bool]] = []
-    tau = cfg.toggle_threshold
     for nid in net.topo_order():
         node = net.nodes[nid]
         if node.is_pi or node.dead or node.arity == 0 or nid in const_nodes:
             continue
         bits = sigs[nid].bits
         rate = toggle_rate(bits, patterns.n_patterns)
-        if not (rate < tau or rate > 1.0 - tau):
+        if TOGGLE_THRESHOLD <= rate <= 1.0 - TOGGLE_THRESHOLD:
             continue
         ones = bin(bits).count("1")
         minority = ones * 2 <= patterns.n_patterns
@@ -384,7 +386,7 @@ def refine_classes(
 ) -> int:
     """Refine candidate classes with a counter-example.
 
-    The counter-example is expanded to ``cfg.ce_expansion`` patterns
+    The counter-example is expanded to ``CE_EXPANSION`` patterns
     (assigned PIs pinned, the rest random), and only the input cones of
     the current class members are simulated.  Classes whose support fits
     the exhaustive window are afterwards split by full truth rows.
@@ -396,15 +398,14 @@ def refine_classes(
     nodes = [n for n in mgr.class_nodes() if not net.nodes[n].dead]
     if not nodes:
         return 0
-    n_pat = max(1, cfg.ce_expansion)
-    full = (1 << n_pat) - 1
+    full = (1 << CE_EXPANSION) - 1
     rows = []
     for pid in net.pis:
         if pid in ce:
             rows.append(full if ce[pid] else 0)
         else:
-            rows.append(rng.getrandbits(n_pat))
-    pats = PatternSet(rows, n_pat)
+            rows.append(rng.getrandbits(CE_EXPANSION))
+    pats = PatternSet(rows, CE_EXPANSION)
     sigs = simulate_specified(net, pats, nodes)
     splits = 0
     for cid in list(mgr.members):

@@ -307,19 +307,31 @@ class TestHashedMiter:
         assert result.output == a.po_names[j]
         self.assert_sound(a, b, result)
 
-    def test_one_query_per_pair_that_hashing_leaves(self, monkeypatch):
-        import stpsweep.cec as cec
-        from stpsweep import SweepConfig, sweep
+    @staticmethod
+    def hashed_classes(*nets: Network) -> list[dict[int, int]]:
+        """Each net's nodes -> structural class, by exact fanins and table.
 
-        width = 8
-        a = adder_miter(width)
-        swept, _ = sweep(a.clone(), SweepConfig(n_base_patterns=64))
+        The nets share PIs by position; two nodes, of one net or of two,
+        are in one class exactly when they are the same LUT over the
+        same classes.
+        """
+        table: dict[object, int] = {}
+        out = []
+        for net in nets:
+            cls = {pid: table.setdefault(("pi", i), len(table)) for i, pid in enumerate(net.pis)}
+            for nid in net.topo_order():
+                node = net.nodes[nid]
+                if not node.is_pi:
+                    key = (tuple(cls[f] for f in node.fanins), node.tt)
+                    cls[nid] = table.setdefault(key, len(table))
+            out.append(cls)
+        return out
+
+    def count_queries(self, monkeypatch, a: Network, b: Network) -> tuple[int, bool]:
+        """The ``cec.solve`` calls and the verdict of checking ``a`` against ``b``."""
+        import stpsweep.cec as cec
+
         assert len(a.pis) > cec.EXHAUSTIVE_PI_LIMIT
-        # The sweep keeps node ids and the whole ripple-carry half, so its
-        # outputs hash onto ``a``'s own drivers, and each Kogge-Stone output
-        # now reads a ripple-carry driver: that pair is left to SAT.
-        left = [j for j, ((da, _), (db, _)) in enumerate(zip(a.pos, swept.pos)) if da != db]
-        assert len(left) == width + 1
         calls = []
         solve = cec.solve
 
@@ -327,6 +339,48 @@ class TestHashedMiter:
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(cec, "solve", counting)
-        assert check_equivalence(a, swept).equivalent
-        assert len(calls) == len(left) < len(a.pos)
+        with monkeypatch.context() as patched:
+            patched.setattr(cec, "solve", counting)
+            equivalent = check_equivalence(a, b).equivalent
+        return len(calls), equivalent
+
+    def test_one_query_per_pair_that_hashing_leaves(self, monkeypatch):
+        from stpsweep import SweepConfig, sweep
+
+        width = 8
+        a = adder_miter(width)
+        swept, _ = sweep(a.clone(), SweepConfig(n_base_patterns=64))
+        ca, cs = self.hashed_classes(a, swept)
+        left = [j for j, ((da, _), (ds, _)) in enumerate(zip(a.pos, swept.pos))
+                if ca[da] != cs[ds]]
+        # The sweep keeps the whole ripple-carry half, so its outputs hash
+        # onto ``a``'s.  Each of the width + 1 Kogge-Stone outputs of ``a``
+        # now reads a ripple-carry driver in ``swept``; three of the
+        # Kogge-Stone drivers hash onto theirs, because ``a`` is hashed
+        # onto itself, which leaves six pairs to SAT.
+        assert len(left) == 6 < width + 1
+        assert self.count_queries(monkeypatch, a, swept) == (len(left), True)
+
+    def test_duplicate_driver_of_a_hashes_onto_the_earlier_lut(self, monkeypatch):
+        rng = random.Random(77)
+        a = random_network(rng, 16, 40, po_count=3)
+        p, q, r = a.pis[:3]
+        g = a.add_lut([p, q], 0b0110)
+        reader = a.add_lut([g, r], 0b1000)
+        # Later duplicates of g and of its reader drive a's two new POs,
+        # and b's read the earlier LUTs: every pair hashes together.
+        g_dup = a.add_lut([p, q], 0b0110)
+        reader_dup = a.add_lut([g_dup, r], 0b1000)
+        a.add_po(g_dup, name="g")
+        a.add_po(reader_dup, name="reader")
+        b = a.clone()
+        b.pos[-2:] = [(g, False), (reader, False)]
+        ca, cb = self.hashed_classes(a, b)
+        assert all(ca[da] == cb[db] for (da, _), (db, _) in zip(a.pos, b.pos))
+        assert self.count_queries(monkeypatch, a, b) == (0, True)
+        # In opposite phases the pair differs on every input, still with no query.
+        b.pos[-1] = (reader, True)
+        assert self.count_queries(monkeypatch, a, b) == (0, False)
+        result = check_equivalence(a, b)
+        assert result.output == "reader"
+        self.assert_sound(a, b, result)

@@ -1,4 +1,4 @@
-"""CDCL solver, cone encoding, and equivalence queries."""
+"""CDCL solver, net-bound cone loading, and equivalence queries."""
 
 import random
 
@@ -6,29 +6,18 @@ import numpy as np
 import pytest
 
 from stpsweep import (
-    Cnf,
     NetSolver,
     Network,
     SatStatus,
     Solver,
     SweepConfig,
-    encode_cone,
     prove_equiv,
     solve,
     sweep,
 )
 import stpsweep.sat as sat_module
-from stpsweep.sat import add_xor, pi_assignment
+from stpsweep.sat import pi_assignment
 from helpers import adder_miter, eval_assignment, exhaustive_tables, random_network, sweep_fixture
-
-
-def cnf_from_clauses(n_vars: int, clauses) -> Cnf:
-    cnf = Cnf()
-    for _ in range(n_vars):
-        cnf.new_var()
-    for cl in clauses:
-        cnf.add_clause(list(cl))
-    return cnf
 
 
 def enumerate_satisfiable(n_vars: int, clauses) -> bool:
@@ -56,37 +45,32 @@ def check_model(clauses, model: dict[int, bool]) -> bool:
     return all(any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses)
 
 
-def pigeonhole(holes: int) -> Cnf:
-    """``holes + 1`` pigeons into ``holes`` holes: unsatisfiable."""
-    cnf = Cnf()
+def pigeonhole(holes: int) -> tuple[int, list[list[int]]]:
+    """``holes + 1`` pigeons into ``holes`` holes, unsatisfiable: ``(n_vars, clauses)``.
+
+    Pigeon ``p`` in hole ``h`` is variable ``p * holes + h + 1``.
+    """
     pigeons = holes + 1
-    var = {}
-    for p in range(pigeons):
-        for h in range(holes):
-            var[p, h] = cnf.new_var()
-    for p in range(pigeons):
-        cnf.add_clause([var[p, h] for h in range(holes)])
+
+    def var(p: int, h: int) -> int:
+        return p * holes + h + 1
+
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
     for h in range(holes):
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
-                cnf.add_clause([-var[p1, h], -var[p2, h]])
-    return cnf
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return pigeons * holes, clauses
 
 
-def live(cnf: Cnf) -> Solver:
-    return Solver(cnf.n_vars, cnf.clauses)
-
-
-def random_3sat(seed: int, n_vars: int = 80) -> Cnf:
+def random_3sat(seed: int, n_vars: int = 80) -> tuple[int, list[list[int]]]:
     """Random 3-SAT at clause ratio 4.3, near the satisfiability threshold."""
     rng = random.Random(seed)
-    cnf = Cnf()
-    for _ in range(n_vars):
-        cnf.new_var()
+    clauses = []
     for _ in range(int(4.3 * n_vars)):
         vs = rng.sample(range(1, n_vars + 1), 3)
-        cnf.add_clause([v if rng.random() < 0.5 else -v for v in vs])
-    return cnf
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return n_vars, clauses
 
 
 def parity_pair() -> tuple[Network, int, int]:
@@ -114,19 +98,16 @@ def random_cnf(rng: random.Random, n_vars: int):
 
 class TestSolver:
     def test_contradiction(self):
-        cnf = cnf_from_clauses(1, [[1], [-1]])
-        assert solve(cnf).status is SatStatus.UNSAT
+        assert solve(Solver(1, [[1], [-1]])).status is SatStatus.UNSAT
 
     def test_simple_sat(self):
-        cnf = cnf_from_clauses(2, [[1, 2]])
-        out = solve(cnf)
+        out = solve(Solver(2, [[1, 2]]))
         assert out.status is SatStatus.SAT
         assert out.model[1] or out.model[2]
 
     def test_assumptions(self):
-        cnf = cnf_from_clauses(2, [[1, 2]])
-        assert solve(cnf, assumptions=[-1, -2]).status is SatStatus.UNSAT
-        out = solve(cnf, assumptions=[-1])
+        assert solve(Solver(2, [[1, 2]]), assumptions=[-1, -2]).status is SatStatus.UNSAT
+        out = solve(Solver(2, [[1, 2]]), assumptions=[-1])
         assert out.status is SatStatus.SAT and out.model[2]
 
     def test_agrees_with_enumeration(self):
@@ -134,8 +115,7 @@ class TestSolver:
         for _ in range(300):
             n_vars = rng.randint(2, 20)
             clauses = random_cnf(rng, n_vars)
-            cnf = cnf_from_clauses(n_vars, clauses)
-            got = solve(cnf)
+            got = solve(Solver(n_vars, clauses))
             expected = enumerate_satisfiable(n_vars, clauses)
             assert (got.status is SatStatus.SAT) == expected
             if got.status is SatStatus.SAT:
@@ -144,29 +124,41 @@ class TestSolver:
     def test_deterministic(self):
         rng = random.Random(5)
         clauses = random_cnf(rng, 30)
-        cnf = cnf_from_clauses(30, clauses)
-        first = solve(cnf)
-        second = solve(cnf)
+        first = solve(Solver(30, clauses))
+        second = solve(Solver(30, clauses))
         assert first.status == second.status
         assert first.model == second.model
 
     def test_conflict_limit_yields_undet(self):
         # Pigeonhole 5 into 4: hard enough to exceed one conflict.
-        cnf = pigeonhole(4)
-        assert solve(cnf).status is SatStatus.UNSAT
-        assert solve(cnf, conflict_limit=1).status is SatStatus.UNDET
+        assert solve(Solver(*pigeonhole(4))).status is SatStatus.UNSAT
+        assert solve(Solver(*pigeonhole(4)), conflict_limit=1).status is SatStatus.UNDET
 
-    def test_empty_clause_rejected(self):
-        cnf = Cnf()
-        cnf.new_var()
+    def test_empty_clause_is_unsat(self):
+        assert solve(Solver(1, [[]])).is_unsat
+        assert solve(Solver(2, [[1, 2], [], [-1]]), assumptions=[2]).is_unsat
+        solver = Solver(1, [[1]])
+        assert solve(solver).is_sat
+        solver.add_clause([])
+        assert solve(solver).is_unsat
+
+    @pytest.mark.parametrize("clause", [[0, 1], [3, 1], [1, -3], [0], [-5]])
+    def test_literal_outside_the_variables_rejected(self, clause):
         with pytest.raises(ValueError):
-            cnf.add_clause([])
+            Solver(2, [clause, [-1]])
+        # Between calls too, and the rejected clause leaves no trace.
+        solver = Solver(2, [[1, 2]])
+        with pytest.raises(ValueError):
+            solver.add_clause(clause)
+        out = solve(solver, assumptions=[-1])
+        assert out.is_sat and out.model == {1: False, 2: True}
 
-    def test_dimacs_export(self):
-        cnf = cnf_from_clauses(2, [[1, -2]])
-        text = cnf.to_dimacs()
-        assert text.splitlines()[0] == "p cnf 2 1"
-        assert "1 -2 0" in text
+    def test_caller_clause_lists_left_alone(self):
+        n_vars, clauses = pigeonhole(3)
+        before = [list(clause) for clause in clauses]
+        solver = Solver(n_vars, clauses)
+        assert solve(solver).is_unsat
+        assert clauses == before
 
 
 class TestIncremental:
@@ -177,8 +169,7 @@ class TestIncremental:
         for _ in range(60):
             n_vars = rng.randint(2, 14)
             clauses = random_cnf(rng, n_vars)
-            cnf = cnf_from_clauses(n_vars, clauses)
-            solver = Solver(cnf.n_vars, cnf.clauses)
+            solver = Solver(n_vars, clauses)
             for _ in range(rng.randint(5, 10)):
                 vs = rng.sample(range(1, n_vars + 1), rng.randint(0, min(4, n_vars)))
                 assumptions = [v if rng.random() < 0.5 else -v for v in vs]
@@ -199,7 +190,7 @@ class TestIncremental:
         assert solve(solver).is_sat
 
     def test_conflict_limit_then_no_limit(self):
-        solver = live(pigeonhole(4))
+        solver = Solver(*pigeonhole(4))
         assert solve(solver, conflict_limit=1).is_undet
         out = solve(solver)
         assert out.is_unsat and out.conflicts > 0
@@ -208,8 +199,8 @@ class TestIncremental:
         solver = Solver(2, [[1], [-1], [1, 2]])
         for assumptions in ([], [2], [-2], [1, 2]):
             assert solve(solver, assumptions=assumptions).is_unsat
-        # Found by search, not by the units alone.
-        solver = live(pigeonhole(4))
+        # Found by search, not by the unit clauses alone.
+        solver = Solver(*pigeonhole(4))
         assert solve(solver).is_unsat
         for assumptions in ([], [1], [-1, 2], [1, 2, 3]):
             out = solve(solver, assumptions=assumptions)
@@ -217,7 +208,7 @@ class TestIncremental:
 
     def test_learnt_clauses_carry_over(self):
         # The second identical query reuses what the first one learnt.
-        solver = live(pigeonhole(5))
+        solver = Solver(*pigeonhole(5))
         first = solve(solver, assumptions=[1])
         second = solve(solver, assumptions=[1])
         assert first.is_unsat and second.is_unsat
@@ -227,6 +218,8 @@ class TestIncremental:
         solver = Solver(2, [[1, 2]])
         with pytest.raises(ValueError):
             solve(solver, assumptions=[3])
+        with pytest.raises(ValueError):
+            solve(solver, assumptions=[1], alternatives=[[99]])
 
 
 class TestAlternatives:
@@ -237,7 +230,7 @@ class TestAlternatives:
         for _ in range(60):
             n_vars = rng.randint(2, 12)
             clauses = random_cnf(rng, n_vars)
-            solver = live(cnf_from_clauses(n_vars, clauses))
+            solver = Solver(n_vars, clauses)
             for _ in range(rng.randint(3, 6)):
                 cubes = []
                 for _ in range(rng.randint(1, 3)):
@@ -254,11 +247,11 @@ class TestAlternatives:
 
     def test_sets_share_the_conflict_limit(self):
         # Pigeonhole 5->4 unless x: each set below needs search.
-        cnf = pigeonhole(4)
-        x = cnf.n_vars + 1
+        n_vars, clauses = pigeonhole(4)
+        x = n_vars + 1
 
         def fresh() -> Solver:
-            return Solver(x, [clause + [x] for clause in cnf.clauses])
+            return Solver(x, [clause + [x] for clause in clauses])
 
         first = solve(fresh(), assumptions=[-x, 1])
         free = solve(fresh(), assumptions=[-x, 1], alternatives=[[-x, -1]])
@@ -270,12 +263,6 @@ class TestAlternatives:
         out = solve(fresh(), assumptions=[-x, 1], alternatives=[[-x, -1]],
                     conflict_limit=free.conflicts + 1)
         assert out.is_unsat and out.conflicts == free.conflicts
-
-    def test_need_a_live_solver(self):
-        with pytest.raises(ValueError):
-            solve(pigeonhole(2), assumptions=[1], alternatives=[[-1]])
-        with pytest.raises(ValueError):
-            solve(live(pigeonhole(2)), assumptions=[1], alternatives=[[99]])
 
 
 class TestGrowBetweenCalls:
@@ -374,23 +361,27 @@ class TestNetSolver:
         solver.load(gates[:10])
         assert solver.n_vars == n_vars
         solver.load(gates)
-        assert set(solver.node_var) == set(encode_cone(net, gates).node_var)
+        # Every gate, and the PIs the gates read.
+        cone = set(gates) | {f for g in gates for f in net.nodes[g].fanins}
+        assert set(solver.node_var) == cone
         # Every fanin has its variable before its reader.
         for nid, var in solver.node_var.items():
             assert all(solver.node_var[f] < var for f in net.nodes[nid].fanins)
 
-    def test_agrees_with_one_shot_queries(self):
+    def test_shared_solver_agrees_with_truth_tables(self):
+        # Every pair of a net, in both phases, asked on one solver.
         rng = random.Random(31)
         for _ in range(12):
             net = random_network(rng, rng.randint(2, 8), rng.randint(3, 14), max_k=3)
+            tables = exhaustive_tables(net)
+            full = (1 << (1 << len(net.pis))) - 1
             solver = NetSolver(net)
             ids = [n.id for n in net.nodes if not n.dead]
             for i, x in enumerate(ids):
                 for y in ids[i + 1:]:
                     for inverted in (False, True):
-                        fresh = prove_equiv(net, x, y, inverted=inverted)
                         got = prove_equiv(solver, x, y, inverted=inverted)
-                        assert got.status is fresh.status
+                        assert got.is_unsat == (tables[x] == tables[y] ^ (full if inverted else 0))
                         if got.is_sat:
                             assignment = {pid: got.model.get(pid, False) for pid in net.pis}
                             values = eval_assignment(net, assignment)
@@ -473,7 +464,7 @@ class TestNetSolver:
         net.add_po(r)
         solver = NetSolver(net)
         solver.load([r])
-        assert prove_equiv(net, y, a).is_unsat
+        assert prove_equiv(NetSolver(net), y, a).is_unsat
         net.substitute_node(y, a)
         var = solver.node_var
         assert solve(solver, assumptions=[var[r], var[a], var[c]]).is_unsat
@@ -567,13 +558,16 @@ class TestNetSolver:
 
 
 class TestSearchPinned:
-    """Golden ``(status, conflicts)``: the one-shot instances recorded
-    before the solver became incremental, the sweep's queries from the
-    sweep on one net-bound solver over the LUTs' cover clauses.  A kernel
-    or encoding edit that changes the search fails here."""
+    """Golden ``(status, conflicts)``.  The first two tests ask a fresh
+    ``Solver(n_vars, clauses)`` once, with no assumptions; their numbers
+    were recorded before the solver became incremental and still hold
+    now that every clause enters through ``add_clause``.  The sweep's
+    queries are recorded from the sweep on one net-bound solver over the
+    LUTs' cover clauses.  A kernel or encoding edit that changes the
+    search fails here."""
 
     def test_pigeonhole(self):
-        out = solve(pigeonhole(4))
+        out = solve(Solver(*pigeonhole(4)))
         assert (out.status, out.conflicts) == (SatStatus.UNSAT, 28)
 
     GOLDEN_3SAT = [152, 102, 230, 293, 201, 142]
@@ -582,11 +576,12 @@ class TestSearchPinned:
     GOLDEN_3SAT_RESCALE_2 = [182, 99, 258, 293, 213, 136]
 
     def test_random_3sat(self, monkeypatch):
-        got = [solve(random_3sat(seed)) for seed in range(6)]
+        got = [solve(Solver(*random_3sat(seed))) for seed in range(6)]
         assert all(o.is_unsat for o in got)
         assert [o.conflicts for o in got] == self.GOLDEN_3SAT
         monkeypatch.setattr(Solver, "_RESCALE", 2.0)
-        assert [solve(random_3sat(seed)).conflicts for seed in range(6)] == self.GOLDEN_3SAT_RESCALE_2
+        got = [solve(Solver(*random_3sat(seed))).conflicts for seed in range(6)]
+        assert got == self.GOLDEN_3SAT_RESCALE_2
 
     @staticmethod
     def sweep_log(monkeypatch, cfg: SweepConfig):
@@ -707,45 +702,54 @@ class TestLutClauses:
 
 
 class TestEncodeCone:
+    """``NetSolver.load`` encodes the union of the roots' input cones."""
+
     def test_and_gate_assignments(self):
         net = Network()
         a, b = net.add_pi(), net.add_pi()
         g = net.add_lut([a, b], 0b1000)
-        cnf = encode_cone(net, [g])
-        va, vb, vg = cnf.node_var[a], cnf.node_var[b], cnf.node_var[g]
+        solver = NetSolver(net)
+        solver.load([g])
+        va, vb, vg = solver.node_var[a], solver.node_var[b], solver.node_var[g]
         # All eight (a, b, y) combinations: only consistent ones satisfiable.
         for v in range(8):
             bits = {va: bool(v >> 2 & 1), vb: bool(v >> 1 & 1), vg: bool(v & 1)}
             assumptions = [var if val else -var for var, val in bits.items()]
             expected = bits[vg] == (bits[va] and bits[vb])
-            got = solve(cnf, assumptions=assumptions)
+            got = solve(solver, assumptions=assumptions)
             assert (got.status is SatStatus.SAT) == expected
 
     def test_inverter_two_clauses(self):
         net = Network()
         a = net.add_pi()
         g = net.add_lut([a], 0b01)
-        cnf = encode_cone(net, [g])
-        assert len(cnf.clauses) == 2
+        solver = NetSolver(net)
+        solver.load([g])
+        assert len({id(clause) for watch in solver.watches for clause in watch}) == 2
 
     def test_projected_model_count(self):
-        # The satisfying assignments projected to the PIs are exactly 2^|PI|.
+        # Under each assignment of the cone's PIs exactly one root value
+        # is satisfiable, the one the scalar oracle gives.
         rng = random.Random(3)
         for _ in range(10):
             net = random_network(rng, rng.randint(2, 6), rng.randint(2, 12), max_k=3)
             roots = [n.id for n in net.nodes if not n.is_pi][-1:]
             if not roots:
                 continue
-            cnf = encode_cone(net, roots)
-            pis = [nid for nid in cnf.node_var if net.nodes[nid].is_pi]
+            solver = NetSolver(net)
+            solver.load(roots)
+            var = solver.node_var
+            pis = [nid for nid in var if net.nodes[nid].is_pi]
             count = 0
             for v in range(1 << len(pis)):
-                assumptions = []
-                for i, pid in enumerate(pis):
-                    val = bool(v >> i & 1)
-                    assumptions.append(cnf.node_var[pid] if val else -cnf.node_var[pid])
-                if solve(cnf, assumptions=assumptions).status is SatStatus.SAT:
-                    count += 1
+                assignment = {pid: bool(v >> i & 1) for i, pid in enumerate(pis)}
+                pi_lits = [var[pid] if val else -var[pid] for pid, val in assignment.items()]
+                values = eval_assignment(net, {pid: assignment.get(pid, False) for pid in net.pis})
+                for root_value in (False, True):
+                    lit = var[roots[0]] if root_value else -var[roots[0]]
+                    if solve(solver, assumptions=pi_lits + [lit]).is_sat:
+                        count += 1
+                        assert values[roots[0]] == root_value
             assert count == 1 << len(pis)
 
     def test_cone_restricted(self):
@@ -753,9 +757,10 @@ class TestEncodeCone:
         a, b = net.add_pi(), net.add_pi()
         g = net.add_lut([a], 0b01)
         other = net.add_lut([b], 0b01)
-        cnf = encode_cone(net, [g])
-        assert other not in cnf.node_var
-        assert b not in cnf.node_var
+        solver = NetSolver(net)
+        solver.load([g])
+        assert other not in solver.node_var
+        assert b not in solver.node_var
 
 
 class TestProveEquiv:
@@ -764,22 +769,22 @@ class TestProveEquiv:
         a, b = net.add_pi(), net.add_pi()
         g1 = net.add_lut([a, b], 0b1000)
         g2 = net.add_lut([a, b], 0b1000)
-        assert prove_equiv(net, g1, g2).status is SatStatus.UNSAT
+        assert prove_equiv(NetSolver(net), g1, g2).status is SatStatus.UNSAT
 
     def test_node_vs_its_inverter(self):
         net = Network()
         a, b = net.add_pi(), net.add_pi()
         g = net.add_lut([a, b], 0b0110)
         inv = net.add_lut([g], 0b01)
-        assert prove_equiv(net, g, inv, inverted=True).status is SatStatus.UNSAT
-        assert prove_equiv(net, g, inv, inverted=False).status is SatStatus.SAT
+        assert prove_equiv(NetSolver(net), g, inv, inverted=True).status is SatStatus.UNSAT
+        assert prove_equiv(NetSolver(net), g, inv, inverted=False).status is SatStatus.SAT
 
     def test_and_vs_or_counterexample(self):
         net = Network()
         a, b = net.add_pi(), net.add_pi()
         g_and = net.add_lut([a, b], 0b1000)
         g_or = net.add_lut([a, b], 0b1110)
-        out = prove_equiv(net, g_and, g_or)
+        out = prove_equiv(NetSolver(net), g_and, g_or)
         assert out.status is SatStatus.SAT
         assert set(out.model) == {a, b}
         assert out.model[a] != out.model[b]  # exactly one input true
@@ -794,7 +799,7 @@ class TestProveEquiv:
                 continue
             x, y = rng.sample(gates, 2)
             inverted = bool(rng.getrandbits(1))
-            out = prove_equiv(net, x, y, inverted=inverted)
+            out = prove_equiv(NetSolver(net), x, y, inverted=inverted)
             if out.status is not SatStatus.SAT:
                 continue
             checked += 1
@@ -805,6 +810,7 @@ class TestProveEquiv:
             assert values[x] != (values[y] ^ inverted)
 
     def test_agrees_with_truth_tables(self):
+        # Each query on a fresh solver.
         rng = random.Random(19)
         for _ in range(12):
             net = random_network(rng, rng.randint(2, 8), rng.randint(3, 14), max_k=3)
@@ -815,28 +821,12 @@ class TestProveEquiv:
                 for y in ids[i + 1:]:
                     same = tables[x] == tables[y]
                     compl = tables[x] == tables[y] ^ full
-                    assert (prove_equiv(net, x, y).status is SatStatus.UNSAT) == same
-                    assert (
-                        prove_equiv(net, x, y, inverted=True).status is SatStatus.UNSAT
-                    ) == compl
-
-    def test_conflicts_passed_through(self):
-        net, g, h = parity_pair()
-        out = prove_equiv(net, g, h)
-        cnf = encode_cone(net, [g, h])
-        t = add_xor(cnf, cnf.node_var[g], cnf.node_var[h])
-        by_hand = solve(cnf, assumptions=[t])
-        assert out.is_unsat and by_hand.is_unsat
-        assert out.conflicts == by_hand.conflicts > 0
-        # A counter-example keeps the count too.
-        out = prove_equiv(net, g, h, inverted=True)
-        by_hand = solve(cnf, assumptions=[-t])
-        assert out.is_sat and by_hand.is_sat
-        assert out.conflicts == by_hand.conflicts
+                    assert prove_equiv(NetSolver(net), x, y).is_unsat == same
+                    assert prove_equiv(NetSolver(net), x, y, inverted=True).is_unsat == compl
 
     def test_same_node_rejected(self):
         net = Network()
         a = net.add_pi()
         g = net.add_lut([a], 0b01)
         with pytest.raises(ValueError):
-            prove_equiv(net, g, g)
+            prove_equiv(NetSolver(net), g, g)

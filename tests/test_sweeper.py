@@ -29,6 +29,7 @@ from helpers import (
 
 # The package exports the ``sweep`` function under the module's name.
 sweep_module = importlib.import_module("stpsweep.sweep")
+sat_module = importlib.import_module("stpsweep.sat")
 
 
 def tiny_cfg(**kw) -> SweepConfig:
@@ -374,7 +375,7 @@ class TestSweep:
                 if other == d or reference.nodes[other].is_pi:
                     continue
                 if tables[other] == tables[d]:
-                    assert prove_equiv(reference, d, other).status is SatStatus.UNSAT
+                    assert prove_equiv(NetSolver(reference), d, other).status is SatStatus.UNSAT
                     checked += 1
                     break
             if checked >= 3:
@@ -425,6 +426,23 @@ class TestAdderMiterQoR:
         assert len(merges) == stats.merges > 0
         # Every driver ranks before its candidate in the input's order.
         assert all(rank[new] < rank[old] for old, new in merges)
+
+
+class TestOneSatRoute:
+    def test_sweep_and_cec_never_encode_a_cone(self, monkeypatch):
+        # ``encode_cone`` is left only as a name for the benchmark's
+        # tracer: the sweep and the miter CEC load cones into a NetSolver.
+        def refuse(*args, **kwargs):
+            raise AssertionError("encode_cone called")
+
+        monkeypatch.setattr(sat_module, "encode_cone", refuse)
+        monkeypatch.setattr(sweep_module, "encode_cone", refuse)
+        net = adder_miter(8)
+        original = net.clone()
+        swept, stats = sweep(net, SweepConfig(window_cap=0))
+        assert stats.sat_calls_unsat > 0 and stats.merges > 0
+        assert len(original.pis) > 14  # so CEC takes the miter route
+        assert check_equivalence(original, swept).equivalent
 
 
 def oracle_corpus() -> list[Network]:
