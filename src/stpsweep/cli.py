@@ -17,6 +17,8 @@ from .bexpr import ExprSyntaxError, canonical_form, parse_expr, scan_names
 from .cec import InterfaceMismatch, check_equivalence
 from .netlist import Network, NetlistError, parse_aiger_ascii, parse_blif, write_blif
 from .simulate import (
+    WINDOW_CAP,
+    Signature,
     WindowTooLarge,
     exhaustive_window_sim,
     gen_random_patterns,
@@ -58,26 +60,24 @@ def cmd_sim(args: argparse.Namespace) -> int:
             print(f"{label(nid)}\t{sig.to_string()}")
         return EXIT_OK
 
-    if not args.targets:
+    targets = [net.resolve(tok) for tok in (args.targets or "").split(",") if tok]
+    if not targets:
         print("sim: --mode targets requires --targets", file=sys.stderr)
         return EXIT_USAGE
-    targets = [net.resolve(tok) for tok in args.targets.split(",") if tok]
-    # Prefer support-exhaustive rows when they are cheaper than the
-    # requested pattern count; fall back to pattern signatures.
+    # A target prints its truth row over its own support (its one-target
+    # window) when that row is shorter than the pattern signature, unless
+    # the targets' supports together exceed the window cap.
     try:
-        window = exhaustive_window_sim(net, targets)
+        windows = {t: exhaustive_window_sim(net, [t]) for t in targets}
     except WindowTooLarge:
-        window = None
-    pattern_targets = [
-        t for t in targets
-        if window is None or (1 << len(window.supports[t])) >= patterns.n_patterns
-    ]
-    sigs = simulate_specified(net, patterns, pattern_targets) if pattern_targets else {}
+        windows = {}
+    if len({leaf for w in windows.values() for leaf in w.leaves}) > WINDOW_CAP:
+        windows = {}
+    sigs = {t: Signature(t, w.window_rows[t], 1 << len(w.leaves))
+            for t, w in windows.items() if 1 << len(w.leaves) < patterns.n_patterns}
+    sigs.update(simulate_specified(net, patterns, [t for t in targets if t not in sigs]))
     for t in targets:
-        if window is not None and t not in sigs:
-            print(f"{label(t)}\t{window.signature_string(t)}")
-        else:
-            print(f"{label(t)}\t{sigs[t].to_string()}")
+        print(f"{label(t)}\t{sigs[t].to_string()}")
     return EXIT_OK
 
 

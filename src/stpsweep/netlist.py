@@ -110,9 +110,6 @@ class Network:
 
     # -- queries ------------------------------------------------------
 
-    def node(self, nid: int) -> LutNode:
-        return self.nodes[nid]
-
     def live_ids(self) -> list[int]:
         return [n.id for n in self.nodes if not n.dead]
 
@@ -305,6 +302,9 @@ class Network:
 # ---------------------------------------------------------------------------
 # BLIF subset: .model .inputs .outputs .names .end, cover rows [01-]+ [01].
 
+#: Most fanins a ``.names`` block may list.
+MAX_BLIF_FANINS = 16
+
 
 def _blif_logical_lines(text: str):
     """Yield (line_number, tokens) with comments and continuations handled."""
@@ -355,7 +355,7 @@ def _cover_to_tt(covers: list[tuple[int, str, str]], arity: int) -> int:
     return acc if out_vals == {"1"} else acc ^ full
 
 
-def parse_blif(text: str, max_arity: int = 16) -> Network:
+def parse_blif(text: str) -> Network:
     """Parse the supported BLIF subset into a network."""
     model = "net"
     inputs: list[str] = []
@@ -377,10 +377,10 @@ def parse_blif(text: str, max_arity: int = 16) -> Network:
             if len(tokens) < 2:
                 raise NetlistError(f"line {no}: .names needs an output")
             fanin_names, out_name = tokens[1:-1], tokens[-1]
-            if len(fanin_names) > max_arity:
+            if len(fanin_names) > MAX_BLIF_FANINS:
                 raise NetlistError(
                     f"line {no}: node {out_name!r} has {len(fanin_names)} fanins, "
-                    f"limit is {max_arity}")
+                    f"limit is {MAX_BLIF_FANINS}")
             if out_name in defs:
                 raise NetlistError(f"line {no}: {out_name!r} defined twice")
             defs[out_name] = (no, fanin_names, [])

@@ -9,10 +9,10 @@ i.e. the reverse of the :mod:`stpsweep.stp` row string.
 One routine, :func:`_simulate`, evaluates LUTs over packed rows in
 topological order, and every entry point runs it: :func:`simulate_all`
 over the whole network, :func:`simulate_specified` over the targets'
-input cone, :func:`exhaustive_window_sim` over that cone with
-exhaustive patterns on its PI support, and :func:`cut_truth_tables`
-over the members of each cut with exhaustive patterns on the cut's
-leaves, which yields the cut's STP logic matrix.
+input cone, :func:`exhaustive_window_sim` over that cone with exhaustive
+patterns on its PI support (for one target, its own truth row), and
+:func:`cut_truth_tables` over the members of each cut with exhaustive
+patterns on the cut's leaves, which yields the cut's STP logic matrix.
 :func:`stpsweep.bexpr.canonical_form` walks an expression AST instead
 of a network, but evaluates each operator the same way, with
 :func:`eval_tt_words` over exhaustive rows (:func:`_var_row`).
@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from collections.abc import Container
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -345,6 +344,10 @@ def cut_truth_tables(net: Network, cutset: CutSet) -> dict[int, LogicMatrix]:
 # Exhaustive window simulation.
 
 
+#: Most PIs an exhaustive window may hold (``2**16`` patterns).
+WINDOW_CAP = 16
+
+
 class WindowTooLarge(Exception):
     """The targets' combined structural support exceeds the window cap."""
 
@@ -363,70 +366,29 @@ def _var_row(position: int, m: int) -> int:
 
 @dataclass
 class WindowTruths:
-    """Exhaustive signatures of a target set over its structural support."""
+    """Exhaustive truth rows of a target set over its structural support."""
 
-    leaves: list[int]  # shared window leaves (PIs), ascending id = MSB first
-    supports: dict[int, list[int]]  # per-target own support
-    window_rows: dict[int, int]  # truth row over the shared leaves
-
-    @cached_property
-    def rows(self) -> dict[int, int]:
-        """Truth row of each target over its own support, projected on first use."""
-        m = len(self.leaves)
-        position = {leaf: j for j, leaf in enumerate(self.leaves)}
-        own_rows: dict[int, int] = {}
-        for t, sup in self.supports.items():
-            window_row = self.window_rows[t]
-            mt = len(sup)
-            own = 0
-            sup_positions = [position[p] for p in sup]
-            for u in range(1 << mt):
-                v = 0
-                for j, pos in enumerate(sup_positions):
-                    if (u >> (mt - 1 - j)) & 1:
-                        v |= 1 << (m - 1 - pos)
-                if (window_row >> v) & 1:
-                    own |= 1 << u
-            own_rows[t] = own
-        return own_rows
-
-    def signature_string(self, target: int) -> str:
-        """Exhaustive signature, first pattern (all leaves 0) leftmost."""
-        return _bits_to_string(self.rows[target], 1 << len(self.supports[target]))
-
-    def truth_row_string(self, target: int) -> str:
-        """Row in the logic-matrix convention (all-true column leftmost)."""
-        width = 1 << len(self.supports[target])
-        return format(self.rows[target], f"0{width}b")
+    leaves: list[int]  # window leaves (PIs), ascending id = MSB first
+    window_rows: dict[int, int]  # truth row over the leaves
 
 
-def exhaustive_window_sim(net: Network, targets: list[int], window_cap: int = 16) -> WindowTruths:
+def exhaustive_window_sim(net: Network, targets: list[int],
+                          window_cap: int = WINDOW_CAP) -> WindowTruths:
     """Exhaustive truth rows of the targets over their structural support.
 
-    The shared window is the union of the targets' PI supports; if it
+    The window's leaves are the union of the targets' PI supports; if it
     holds more than ``window_cap`` leaves a :class:`WindowTooLarge` is
     raised and the caller falls back to pattern simulation.  Otherwise
     the union cone is walked once and simulated over the ``2**m``
-    exhaustive patterns of its ``m`` leaves.
+    exhaustive patterns of its ``m`` leaves.  A single target's leaves
+    are exactly its own support, so its window row is its truth row.
     """
     targets = list(dict.fromkeys(targets))
     if not targets:
         raise ValueError("no targets")
-    nodes = net.nodes
     cone = _cone(net, targets, window_cap)
-    leaves = sorted(nid for nid in cone if nodes[nid].is_pi)
+    leaves = sorted(nid for nid in cone if net.nodes[nid].is_pi)
     m = len(leaves)
     bits = {leaf: _var_row(j, m) for j, leaf in enumerate(leaves)}
     _simulate(net, cone, bits, (1 << (1 << m)) - 1)
-    # Each node's own support as a mask over the leaves (bit j = leaf j),
-    # in the same topological pass for every target.
-    support = {leaf: 1 << j for j, leaf in enumerate(leaves)}
-    for nid in cone:
-        if not nodes[nid].is_pi:
-            acc = 0
-            for f in nodes[nid].fanins:
-                acc |= support[f]
-            support[nid] = acc
-    supports = {t: [leaf for j, leaf in enumerate(leaves) if support[t] >> j & 1]
-                for t in targets}
-    return WindowTruths(leaves, supports, {t: bits[t] for t in targets})
+    return WindowTruths(leaves, {t: bits[t] for t in targets})

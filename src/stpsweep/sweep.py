@@ -30,6 +30,7 @@ from .netlist import Network
 # module by name.
 from .sat import NetSolver, SatOutcome, SatStatus, encode_cone, pi_assignment, prove_equiv, solve
 from .simulate import (
+    WINDOW_CAP,
     PatternSet,
     WindowTooLarge,
     exhaustive_window_sim,
@@ -51,13 +52,13 @@ class SweepConfig:
     n_base_patterns: int = 2048
     seed: int = 1
     #: Exhaustive-window refinement cap; 0 disables window refinement.
-    window_cap: int = 16
+    window_cap: int = WINDOW_CAP
 
     def __post_init__(self):
         if self.conflict_limit < 0:
             raise ValueError("conflict_limit must be >= 0 (0 means no limit)")
-        if not 0 <= self.window_cap <= 16:
-            raise ValueError("window_cap must be within [0, 16]")
+        if not 0 <= self.window_cap <= WINDOW_CAP:
+            raise ValueError(f"window_cap must be within [0, {WINDOW_CAP}]")
 
 
 @dataclass
@@ -128,9 +129,6 @@ class ClassManager:
         #: Classes already split by an exhaustive window (nothing left to split).
         self.window_refined: set[int] = set()
         self._next_id = 0
-
-    def n_classes(self) -> int:
-        return len(self.members)
 
     def class_nodes(self) -> list[int]:
         out: list[int] = []
@@ -259,72 +257,61 @@ def _find_value(solver: NetSolver, nid: int, value: bool, cfg: SweepConfig,
     return outcome
 
 
+def _never_shown_value(bits: int, n_patterns: int) -> bool | None:
+    """The value a stuck signature never shows; None if it toggles."""
+    if bits == 0:
+        return True
+    return False if bits == (1 << n_patterns) - 1 else None
+
+
+def _minority_value(bits: int, n_patterns: int) -> bool | None:
+    """The rarer value of a signature that barely toggles; None otherwise."""
+    if TOGGLE_THRESHOLD <= toggle_rate(bits, n_patterns) <= 1.0 - TOGGLE_THRESHOLD:
+        return None
+    return bin(bits).count("1") * 2 <= n_patterns
+
+
 def sat_guided_patterns(
     solver: NetSolver, cfg: SweepConfig, stats: SweepStats | None = None
 ) -> tuple[PatternSet, list[tuple[int, bool]]]:
     """Two-round SAT-guided pattern generation.
 
-    Round one simulates random base patterns and SAT-checks every gate
-    whose signature is all zeros or all ones: an UNSAT answer proves a
-    true constant, a SAT answer contributes its counter-example as a
-    new pattern.  Round two targets gates whose signatures barely
-    toggle and asks the solver for one pattern forcing the minority
-    value.  Returns the enriched pattern set and the proven
-    ``(node, constant_value)`` pairs.  The gates are those of
-    ``solver.net``, and every query goes to ``solver``.
+    Round one simulates random base patterns and selects every gate whose
+    signature is all zeros or all ones; round two adds round one's
+    counter-examples and selects gates whose signatures barely toggle.
+    Each selected gate asks the solver for the value it rarely or never
+    shows: a SAT answer adds its counter-example as a pattern, an UNSAT
+    answer proves the gate constant.  Returns the enriched pattern set
+    and the proven ``(node, constant_value)`` pairs.  The gates are those
+    of ``solver.net``, and every query goes to ``solver``.
     """
     if stats is None:
         stats = SweepStats()
     net = solver.net
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
-    base = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
-    t0 = time.perf_counter()
-    sigs = simulate_all(net, base)
-    stats.sim_time += time.perf_counter() - t0
-    mask = base.mask
-
+    patterns = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
     constants: list[tuple[int, bool]] = []
     const_nodes: set[int] = set()
-    extra: list[list[bool]] = []
-    for nid in net.topo_order():
-        node = net.nodes[nid]
-        if node.is_pi or node.dead or node.arity == 0:
-            continue
-        sig = sigs[nid].bits
-        if sig != 0 and sig != mask:
-            continue
-        stuck_value = sig == mask
-        outcome = _find_value(solver, nid, not stuck_value, cfg, stats)
-        if outcome.is_unsat:
-            constants.append((nid, stuck_value))
-            const_nodes.add(nid)
-        elif outcome.is_sat:
-            extra.append(_ce_to_pattern(net, outcome.model, rng))
-
-    patterns = _append_patterns(base, extra)
-    t0 = time.perf_counter()
-    sigs = simulate_all(net, patterns)
-    stats.sim_time += time.perf_counter() - t0
-
-    extra2: list[list[bool]] = []
-    for nid in net.topo_order():
-        node = net.nodes[nid]
-        if node.is_pi or node.dead or node.arity == 0 or nid in const_nodes:
-            continue
-        bits = sigs[nid].bits
-        rate = toggle_rate(bits, patterns.n_patterns)
-        if TOGGLE_THRESHOLD <= rate <= 1.0 - TOGGLE_THRESHOLD:
-            continue
-        ones = bin(bits).count("1")
-        minority = ones * 2 <= patterns.n_patterns
-        outcome = _find_value(solver, nid, minority, cfg, stats)
-        if outcome.is_sat:
-            extra2.append(_ce_to_pattern(net, outcome.model, rng))
-        elif outcome.is_unsat:
-            constants.append((nid, not minority))
-            const_nodes.add(nid)
-
-    return _append_patterns(patterns, extra2), constants
+    for select in (_never_shown_value, _minority_value):
+        t0 = time.perf_counter()
+        sigs = simulate_all(net, patterns)
+        stats.sim_time += time.perf_counter() - t0
+        extra: list[list[bool]] = []
+        for nid in net.topo_order():
+            node = net.nodes[nid]
+            if node.is_pi or node.dead or node.arity == 0 or nid in const_nodes:
+                continue
+            value = select(sigs[nid].bits, patterns.n_patterns)
+            if value is None:
+                continue
+            outcome = _find_value(solver, nid, value, cfg, stats)
+            if outcome.is_sat:
+                extra.append(_ce_to_pattern(net, outcome.model, rng))
+            elif outcome.is_unsat:
+                constants.append((nid, not value))
+                const_nodes.add(nid)
+        patterns = _append_patterns(patterns, extra)
+    return patterns, constants
 
 
 def constant_prop(net: Network, constants: list[tuple[int, bool]]) -> int:

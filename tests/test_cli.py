@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stpsweep import parse_blif, write_blif
+from stpsweep import Network, parse_blif, write_blif
 from stpsweep.cli import main
 from helpers import adder_miter, random_network, sweep_fixture
 from test_simulator import PATTERN_BLOCK, two_target_example
@@ -61,6 +61,34 @@ class TestSim:
         rc = main(["sim", str(p), "--mode", "targets", "--targets", "y"])
         assert rc == 0
         assert capsys.readouterr().out == "y\t0001\n"
+
+    def test_targets_over_the_window_cap_print_pattern_signatures(self, tmp_path, capsys):
+        # ``small`` reads 2 PIs and ``wide`` 16; together they read 17.
+        net = Network("wide")
+        pis = [net.add_pi(f"x{i}") for i in range(17)]
+        net.add_po(net.add_lut(pis[:2], 0b1000), name="small")
+        acc = pis[1]
+        for pi in pis[2:]:
+            acc = net.add_lut([acc, pi], 0b0110)
+        net.add_po(acc, name="wide")
+        p = tmp_path / "wide.blif"
+        p.write_text(write_blif(net))
+        assert main(["sim", str(p), "--patterns", "64", "--seed", "3"]) == 0
+        every = dict(ln.split("\t") for ln in capsys.readouterr().out.splitlines())
+        assert main(["sim", str(p), "--patterns", "64", "--seed", "3",
+                     "--mode", "targets", "--targets", "small,wide"]) == 0
+        assert capsys.readouterr().out == f"small\t{every['small']}\nwide\t{every['wide']}\n"
+        # Alone, ``small`` fits the window and prints its 4-row truth table.
+        assert main(["sim", str(p), "--patterns", "64", "--mode", "targets",
+                     "--targets", "small"]) == 0
+        assert capsys.readouterr().out == "small\t0001\n"
+
+    @pytest.mark.parametrize("targets", [None, ",", ",,"])
+    def test_targets_mode_without_targets_is_a_usage_error(self, example_files, targets, capsys):
+        net_path, _ = example_files
+        argv = ["sim", str(net_path), "--mode", "targets"]
+        assert main(argv + (["--targets", targets] if targets else [])) == 2
+        assert capsys.readouterr().err == "sim: --mode targets requires --targets\n"
 
     def test_same_seed_same_output(self, example_files, capsys):
         net_path, _ = example_files

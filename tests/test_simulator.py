@@ -7,6 +7,7 @@ import pytest
 from stpsweep import (
     Network,
     PatternSet,
+    Signature,
     WindowTooLarge,
     circuit_cut,
     cut_truth_tables,
@@ -51,6 +52,27 @@ def two_target_example() -> tuple[Network, dict[str, int]]:
     net.add_po(label["10"], name="po1")
     net.add_po(label["11"], name="po2")
     return net, label
+
+
+def structural_support(net: Network, target: int) -> list[int]:
+    """The PIs that ``target`` reads, directly or through other nodes, in ascending id."""
+    sup, seen, stack = set(), set(), [target]
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        if net.nodes[cur].is_pi:
+            sup.add(cur)
+        else:
+            stack.extend(net.nodes[cur].fanins)
+    return sorted(sup)
+
+
+def own_signature(net: Network, target: int) -> str:
+    """A target's exhaustive signature over its own support, all-zeros pattern first."""
+    wt = exhaustive_window_sim(net, [target])
+    return Signature(target, wt.window_rows[target], 1 << len(wt.leaves)).to_string()
 
 
 class TestPatterns:
@@ -339,8 +361,9 @@ class TestSimulateSpecified:
         net, label = two_target_example()
         wt = exhaustive_window_sim(net, [label["7"], label["8"]])
         assert wt.leaves == [label["2"], label["3"], label["4"]]
-        assert wt.signature_string(label["7"]) == "1110"
-        assert wt.signature_string(label["8"]) == "11110001"
+        assert exhaustive_window_sim(net, [label["7"]]).leaves == [label["3"], label["4"]]
+        assert own_signature(net, label["7"]) == "1110"
+        assert own_signature(net, label["8"]) == "11110001"
 
 
 class TestExhaustiveWindow:
@@ -356,27 +379,15 @@ class TestExhaustiveWindow:
     def test_nand_row(self):
         net, label = two_target_example()
         wt = exhaustive_window_sim(net, [label["6"]])
-        assert wt.truth_row_string(label["6"]) == "0111"
-        assert wt.supports[label["6"]] == [label["1"], label["3"]]
+        assert wt.leaves == [label["1"], label["3"]]
+        assert format(wt.window_rows[label["6"]], "04b") == "0111"
 
     def test_window_too_large(self):
         rng = random.Random(1)
         net = random_network(rng, 20, 60, max_k=4)
         wide = 75
-        sup = set()
-        stack = [wide]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if net.nodes[cur].is_pi:
-                sup.add(cur)
-            else:
-                stack.extend(net.nodes[cur].fanins)
         # One PI more than the cap.
-        assert len(sup) == 17
+        assert len(structural_support(net, wide)) == 17
         with pytest.raises(WindowTooLarge):
             exhaustive_window_sim(net, [wide], 16)
 
@@ -387,19 +398,23 @@ class TestExhaustiveWindow:
             tables = exhaustive_tables(net)
             live_gates = [n.id for n in net.nodes if not n.is_pi and not n.dead]
             targets = rng.sample(live_gates, min(len(live_gates), 3))
-            wt = exhaustive_window_sim(net, targets, window_cap=16)
+            shared = exhaustive_window_sim(net, targets, window_cap=16)
             n = len(net.pis)
+            pi_pos = {pid: i for i, pid in enumerate(net.pis)}
+            assert shared.leaves == sorted({p for t in targets for p in structural_support(net, t)})
             for t in targets:
-                sup = wt.supports[t]
-                mt = len(sup)
-                pi_pos = {pid: i for i, pid in enumerate(net.pis)}
-                for u in range(1 << mt):
-                    # Build the full-PI assignment with non-support PIs 0.
-                    v = 0
-                    for j, pid in enumerate(sup):
-                        if (u >> (mt - 1 - j)) & 1:
-                            v |= 1 << (n - 1 - pi_pos[pid])
-                    assert bool(wt.rows[t] >> u & 1) == bool(tables[t] >> v & 1)
+                own = exhaustive_window_sim(net, [t])
+                assert own.leaves == structural_support(net, t)
+                # The target's row over its own support, and over the shared leaves.
+                for wt in (own, shared):
+                    m = len(wt.leaves)
+                    for u in range(1 << m):
+                        # Build the full-PI assignment with non-leaf PIs 0.
+                        v = 0
+                        for j, pid in enumerate(wt.leaves):
+                            if (u >> (m - 1 - j)) & 1:
+                                v |= 1 << (n - 1 - pi_pos[pid])
+                        assert bool(wt.window_rows[t] >> u & 1) == bool(tables[t] >> v & 1)
 
     def test_equal_rows_iff_equivalent(self):
         rng = random.Random(33)
@@ -417,7 +432,8 @@ class TestExhaustiveWindow:
     def test_pi_target(self):
         net, label = two_target_example()
         wt = exhaustive_window_sim(net, [label["2"]])
-        assert wt.rows[label["2"]] == 0b10
+        assert wt.leaves == [label["2"]]
+        assert wt.window_rows[label["2"]] == 0b10
 
 
 def and_under_inverters(depth: int) -> tuple[Network, int]:
@@ -444,8 +460,8 @@ class TestDeepChain:
     def test_exhaustive_window_sim(self):
         net, y = and_under_inverters(self.DEPTH)
         wt = exhaustive_window_sim(net, [y])
+        assert wt.leaves == [0, 1]
         assert wt.window_rows[y] == 0b1000
-        assert wt.signature_string(y) == "0001"
 
     def test_network_cut_truth_table(self):
         net, y = and_under_inverters(self.DEPTH)
