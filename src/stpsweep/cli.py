@@ -43,7 +43,8 @@ def load_network(path: str) -> Network:
 
 
 def _labeler(net: Network):
-    by_id = {nid: name for name, nid in net.names.items()}
+    """A node's label: the first name it was defined under, else its id."""
+    by_id = {nid: name for name, nid in reversed(net.names.items())}
     return lambda nid: by_id.get(nid, str(nid))
 
 

@@ -47,7 +47,6 @@ class LutNode:
     fanins: list[int] = field(default_factory=list)
     tt: int = 0
     is_pi: bool = False
-    dont_touch: bool = False
     dead: bool = False
     #: Live readers, one entry per fanin slot that reads this node.
     fanouts: list[int] = field(default_factory=list)
@@ -293,7 +292,7 @@ class Network:
         out.po_names = list(self.po_names)
         out.names = dict(self.names)
         for n in self.nodes:
-            m = LutNode(n.id, list(n.fanins), n.tt, n.is_pi, n.dont_touch, n.dead,
+            m = LutNode(n.id, list(n.fanins), n.tt, n.is_pi, n.dead,
                         list(n.fanouts))
             out.nodes.append(m)
         return out

@@ -71,6 +71,8 @@ def _bits_to_string(bits: int, n: int) -> str:
 
 def gen_random_patterns(n_pi: int, n_patterns: int, seed: int) -> PatternSet:
     """Uniform random patterns, reproducible for a fixed seed."""
+    if n_patterns < 1:
+        raise ValueError("need at least one pattern")
     rng = random.Random(seed)
     return PatternSet([rng.getrandbits(n_patterns) for _ in range(n_pi)], n_patterns)
 

@@ -57,6 +57,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.conflict_limit < 0:
             raise ValueError("conflict_limit must be >= 0 (0 means no limit)")
+        if self.n_base_patterns < 1:
+            raise ValueError("n_base_patterns must be >= 1")
         if not 0 <= self.window_cap <= WINDOW_CAP:
             raise ValueError(f"window_cap must be within [0, {WINDOW_CAP}]")
 
@@ -126,15 +128,10 @@ class ClassManager:
         self.class_of: dict[int, int] = {}
         self.phase_of: dict[int, int] = {}
         self.members: dict[int, list[int]] = {}
-        #: Classes already split by an exhaustive window (nothing left to split).
+        #: Classes already split by an exhaustive window (nothing left to
+        #: split).  Class ids are never reused, so deleted ones may stay.
         self.window_refined: set[int] = set()
         self._next_id = 0
-
-    def class_nodes(self) -> list[int]:
-        out: list[int] = []
-        for nodes in self.members.values():
-            out.extend(nodes)
-        return out
 
     def new_class(self, nodes: list[int]) -> int:
         cid = self._next_id
@@ -144,42 +141,34 @@ class ClassManager:
             self.class_of[nid] = cid
         return cid
 
-    def _drop_node(self, nid: int) -> None:
-        self.class_of.pop(nid, None)
-        self.phase_of.pop(nid, None)
-
     def drop_merged(self, nid: int) -> None:
         """Remove a merged node from its class, and the class if that
         leaves fewer than two members."""
-        cid = self.class_of[nid]
-        nodes = self.members[cid]
+        nodes = self.members[self.class_of.pop(nid)]
         nodes.remove(nid)
-        self._drop_node(nid)
         if len(nodes) < 2:
-            for n in nodes:
-                self._drop_node(n)
-            del self.members[cid]
-            self.window_refined.discard(cid)
+            del self.members[self.class_of.pop(nodes[0])]
 
-    def split_class(self, cid: int, key_of) -> list[int]:
-        """Split one class by a grouping key.
+    def split_class(self, cid: int, rows: dict[int, int], mask: int) -> list[int]:
+        """Split one class by its members' polarity-normalized rows.
 
-        Returns the surviving class ids (the original id if nothing
-        split).  Groups shrinking to one node leave the manager.
+        A member's row is complemented within ``mask`` if its phase bit
+        is set.  Returns the surviving class ids (the original id if
+        nothing split).  Groups shrinking to one node leave the manager.
         """
-        groups: dict[object, list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for nid in self.members[cid]:
-            groups.setdefault(key_of(nid), []).append(nid)
+            key = rows[nid] ^ mask if self.phase_of[nid] else rows[nid]
+            groups.setdefault(key, []).append(nid)
         if len(groups) == 1:
             return [cid]
-        self.window_refined.discard(cid)
         del self.members[cid]
         out = []
         for nodes in groups.values():
             if len(nodes) >= 2:
                 out.append(self.new_class(nodes))
             else:
-                self._drop_node(nodes[0])
+                del self.class_of[nodes[0]]
         return out
 
 
@@ -193,21 +182,15 @@ def init_equiv_classes(net: Network, signatures) -> ClassManager:
     rank = {nid: i for i, nid in enumerate(net.topo_order())}
     mgr = ClassManager(rank)
     buckets: dict[int, list[int]] = {}
-    phases: dict[int, int] = {}
     for nid in sorted(signatures, key=rank.__getitem__):
-        if net.nodes[nid].dead:
-            continue
         sig = signatures[nid].bits
         n = signatures[nid].n_patterns
-        phase = sig & 1
+        phase = mgr.phase_of[nid] = sig & 1
         norm = sig ^ ((1 << n) - 1) if phase else sig
-        phases[nid] = phase
         buckets.setdefault(norm, []).append(nid)
     for nodes in buckets.values():
         if len(nodes) >= 2:
             mgr.new_class(nodes)
-            for nid in nodes:
-                mgr.phase_of[nid] = phases[nid]
     return mgr
 
 
@@ -228,8 +211,6 @@ def _ce_to_pattern(net: Network, ce: dict[int, bool], rng: random.Random) -> lis
 
 
 def _append_patterns(base: PatternSet, extra: list[list[bool]]) -> PatternSet:
-    if not extra:
-        return base
     n = base.n_patterns
     rows = list(base.rows)
     for t, assignment in enumerate(extra):
@@ -290,8 +271,7 @@ def sat_guided_patterns(
     net = solver.net
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
     patterns = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
-    constants: list[tuple[int, bool]] = []
-    const_nodes: set[int] = set()
+    constants: dict[int, bool] = {}
     for select in (_never_shown_value, _minority_value):
         t0 = time.perf_counter()
         sigs = simulate_all(net, patterns)
@@ -299,7 +279,7 @@ def sat_guided_patterns(
         extra: list[list[bool]] = []
         for nid in net.topo_order():
             node = net.nodes[nid]
-            if node.is_pi or node.dead or node.arity == 0 or nid in const_nodes:
+            if node.arity == 0 or nid in constants:
                 continue
             value = select(sigs[nid].bits, patterns.n_patterns)
             if value is None:
@@ -308,10 +288,9 @@ def sat_guided_patterns(
             if outcome.is_sat:
                 extra.append(_ce_to_pattern(net, outcome.model, rng))
             elif outcome.is_unsat:
-                constants.append((nid, not value))
-                const_nodes.add(nid)
+                constants[nid] = not value
         patterns = _append_patterns(patterns, extra)
-    return patterns, constants
+    return patterns, list(constants.items())
 
 
 def constant_prop(net: Network, constants: list[tuple[int, bool]]) -> int:
@@ -322,7 +301,7 @@ def constant_prop(net: Network, constants: list[tuple[int, bool]]) -> int:
     const0 = net.add_lut([], 0)
     count = 0
     for nid, value in todo:
-        if net.nodes[nid].dead or nid == const0:
+        if net.nodes[nid].dead:
             continue
         net.substitute_node(nid, const0, inverted=bool(value))
         count += 1
@@ -342,22 +321,13 @@ def _window_refine_classes(mgr: ClassManager, net: Network, cfg: SweepConfig) ->
         return 0
     splits = 0
     for cid in list(mgr.members):
-        if cid not in mgr.members or cid in mgr.window_refined:
-            continue
-        nodes = [n for n in mgr.members[cid] if not net.nodes[n].dead]
-        if len(nodes) < 2:
+        if cid in mgr.window_refined:
             continue
         try:
-            wt = exhaustive_window_sim(net, nodes, cfg.window_cap)
+            wt = exhaustive_window_sim(net, mgr.members[cid], cfg.window_cap)
         except WindowTooLarge:
             continue
-        wmask = (1 << (1 << len(wt.leaves))) - 1
-
-        def key_of(nid: int) -> int:
-            row = wt.window_rows[nid]
-            return row ^ wmask if mgr.phase_of.get(nid, 0) else row
-
-        survivors = mgr.split_class(cid, key_of)
+        survivors = mgr.split_class(cid, wt.window_rows, (1 << (1 << len(wt.leaves))) - 1)
         if survivors != [cid]:
             splits += 1
         mgr.window_refined.update(survivors)
@@ -382,9 +352,6 @@ def refine_classes(
     if rng is None:
         seed_key = (cfg.seed,) + tuple(sorted(ce.items()))
         rng = random.Random(hash(seed_key) & 0xFFFFFFFF)
-    nodes = [n for n in mgr.class_nodes() if not net.nodes[n].dead]
-    if not nodes:
-        return 0
     full = (1 << CE_EXPANSION) - 1
     rows = []
     for pid in net.pis:
@@ -393,23 +360,10 @@ def refine_classes(
         else:
             rows.append(rng.getrandbits(CE_EXPANSION))
     pats = PatternSet(rows, CE_EXPANSION)
-    sigs = simulate_specified(net, pats, nodes)
-    splits = 0
-    for cid in list(mgr.members):
-        if cid not in mgr.members:
-            continue
-        live = [n for n in mgr.members[cid] if not net.nodes[n].dead]
-        if len(live) < 2:
-            continue
-
-        def key_of(nid: int) -> int:
-            bits = sigs[nid].bits
-            return bits ^ full if mgr.phase_of.get(nid, 0) else bits
-
-        if mgr.split_class(cid, key_of) != [cid]:
-            splits += 1
-    splits += _window_refine_classes(mgr, net, cfg)
-    return splits
+    sigs = simulate_specified(net, pats, list(mgr.class_of))
+    bits = {nid: sig.bits for nid, sig in sigs.items()}
+    splits = sum(mgr.split_class(cid, bits, full) != [cid] for cid in list(mgr.members))
+    return splits + _window_refine_classes(mgr, net, cfg)
 
 
 def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepStats]:
@@ -441,27 +395,22 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     # replaces a node by one of lower rank, so the rank stays a
     # topological order of the network throughout the loop, and
     # ``substitute_node`` needs no cycle walk.  A merge kills only its
-    # candidate, so the classes keep only live members when that one
-    # node leaves them.
+    # candidate, which leaves its class at once, so every class member
+    # is live.  Each candidate is visited once.
     rank = mgr.topo_rank
-    gate_list = [nid for nid in rank if not net.nodes[nid].is_pi]
-    for candidate in gate_list:
+    for candidate in [nid for nid in rank if not net.nodes[nid].is_pi]:
         tried: set[int] = set()
-        while True:
-            if net.nodes[candidate].dead or net.nodes[candidate].dont_touch:
-                break
-            cid = mgr.class_of.get(candidate)
-            if cid is None or cid not in mgr.members:
-                break
-            # Member lists are in topological order: the driver is the
-            # earliest untried member, and only one that ranks before
-            # the candidate will do.  A PI is a driver like any other
-            # member; only candidates are never PIs.
-            driver = next((d for d in mgr.members[cid] if d not in tried), None)
-            if driver is None or rank[driver] >= rank[candidate]:
+        while candidate in mgr.class_of:
+            cid = mgr.class_of[candidate]
+            # Members are in topological order and the candidate is never
+            # tried: the driver, the earliest untried member, ranks before
+            # the candidate until it is the candidate itself.  A PI is a
+            # driver like any other member; only candidates are never PIs.
+            driver = next(d for d in mgr.members[cid] if d not in tried)
+            if driver == candidate:
                 break
             tried.add(driver)
-            inverted = bool(mgr.phase_of.get(candidate, 0) ^ mgr.phase_of.get(driver, 0))
+            inverted = bool(mgr.phase_of[candidate] ^ mgr.phase_of[driver])
             if cid in mgr.window_refined:
                 # Equal rows over the class's whole support prove the pair.
                 solver.add_equivalence(candidate, driver, inverted=inverted)
@@ -473,7 +422,6 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
                 )
                 stats.record(outcome.status)
                 if outcome.is_undet:
-                    net.nodes[candidate].dont_touch = True
                     break
                 if outcome.is_sat:
                     stats.ce_refinements += 1

@@ -156,6 +156,15 @@ def random_network(
     return net
 
 
+def undet_network() -> Network:
+    """24 PIs and 275 LUTs.  Swept with 16 base patterns, its one
+    equivalence query that is not a constant's is SAT at no conflict
+    limit and UNDET at a limit of 1."""
+    rng = random.Random(27)
+    return random_network(rng, rng.randint(4, 24), rng.randint(30, 300),
+                          max_k=rng.choice([3, 4, 6]), po_count=rng.randint(1, 8))
+
+
 def blif_roundtrip(net: Network) -> Network:
     from stpsweep import parse_blif, write_blif
 

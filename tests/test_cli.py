@@ -116,6 +116,26 @@ class TestSim:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_negative_pattern_count_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "and.blif"
+        p.write_text(AND_BLIF)
+        assert main(["sim", str(p), "--patterns", "-3"]) == 3
+        assert capsys.readouterr().err == "error: need at least one pattern\n"
+
+    def test_nodes_are_labelled_by_their_own_names(self, tmp_path, capsys):
+        # Outputs z and w only rename x and g: parse_blif registers them
+        # as aliases of the nodes they copy.
+        p = tmp_path / "alias.blif"
+        p.write_text(".model alias\n.inputs x y\n.outputs z w\n.names x y g\n11 1\n"
+                     ".names x z\n0 0\n.names g w\n0 0\n.end\n")
+        assert main(["sim", str(p), "--patterns", "8"]) == 0
+        labels = [ln.split("\t")[0] for ln in capsys.readouterr().out.splitlines()]
+        assert labels == ["x", "y", "g"]
+        assert main(["sim", str(p), "--patterns", "8", "--mode", "targets",
+                     "--targets", "x,z"]) == 0
+        labels = [ln.split("\t")[0] for ln in capsys.readouterr().out.splitlines()]
+        assert labels == ["x", "x"]
+
 
 class TestSweepCmd:
     def test_fixture_reduces_and_verifies(self, tmp_path, capsys):
@@ -168,6 +188,17 @@ class TestSweepCmd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_base_pattern_count_below_one_is_an_input_error(self, count, tmp_path, capsys):
+        src = tmp_path / "in.blif"
+        dst = tmp_path / "out.blif"
+        src.write_text(AND_BLIF)
+        assert main(["sweep", str(src), str(dst), "--base-patterns", count]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_base_patterns must be >= 1\n"
         assert not dst.exists()
 
 

@@ -1,5 +1,6 @@
 """Pattern guidance, equivalence classes, refinement, and full sweeps."""
 
+import hashlib
 import importlib
 import random
 
@@ -25,6 +26,7 @@ from stpsweep import (
 from stpsweep.sat import SatStatus
 from helpers import (
     adder_miter, exhaustive_tables, lookup_tables, po_tables, random_network, sweep_fixture,
+    undet_network,
 )
 
 # The package exports the ``sweep`` function under the module's name.
@@ -315,12 +317,22 @@ class TestSweep:
             result = check_equivalence(original, swept)
             assert result.equivalent, f"seed {seed}"
 
-    def test_conflict_limit_marks_dont_touch(self):
+    def test_conflict_limit_leaves_undet_candidate_live(self, monkeypatch):
         net = parity_trees()
         original = net.clone()
+        prove = sweep_module.prove_equiv
+        undet: list[int] = []
+
+        def proving(solver, a, b, **kwargs):
+            out = prove(solver, a, b, **kwargs)
+            if out.is_undet:
+                undet.append(a)
+            return out
+
+        monkeypatch.setattr(sweep_module, "prove_equiv", proving)
         swept, stats = sweep(net, tiny_cfg(conflict_limit=1, window_cap=0))
         assert stats.sat_calls_undet >= 1
-        assert any(n.dont_touch for n in swept.nodes)
+        assert undet and not any(swept.nodes[nid].dead for nid in undet)
         assert check_equivalence(original, swept).equivalent
 
     def test_window_merges_need_no_conflicts(self):
@@ -331,7 +343,6 @@ class TestSweep:
         swept, stats = sweep(net, tiny_cfg(conflict_limit=1))
         assert stats.sat_calls_total == 0
         assert stats.window_merges == stats.merges >= 1
-        assert not any(n.dont_touch for n in swept.nodes)
         assert swept.n_luts() < stats.initial_luts
         assert check_equivalence(original, swept).equivalent
 
@@ -552,12 +563,12 @@ class TestInverterChain:
 
 
 class TestLimitedBudgetQoR:
-    """An UNDET answer marks its candidate ``dont_touch``, so under a
-    conflict limit the result depends on how hard each query is.  This
-    net sweeps to 13 LUTs unlimited.  Over the LUTs' cover clauses it
-    reaches 13 at limits 2 and 3 too; over one clause per minterm it
-    left 15, the one-shot sweep left 16, and a sweep that branched on
-    every loaded variable hit an early UNDET and left 30."""
+    """An UNDET answer ends its candidate's search, so under a conflict
+    limit the result depends on how hard each query is.  This net sweeps
+    to 13 LUTs unlimited.  Over the LUTs' cover clauses it reaches 13 at
+    limits 2 and 3 too; over one clause per minterm it left 15, the
+    one-shot sweep left 16, and a sweep that branched on every loaded
+    variable hit an early UNDET and left 30."""
 
     @pytest.mark.parametrize("conflict_limit", [2, 3])
     def test_random_net_under_a_small_budget(self, conflict_limit):
@@ -567,3 +578,43 @@ class TestLimitedBudgetQoR:
         assert stats.initial_luts == 202
         assert swept.n_luts() == 13
         assert check_equivalence(original, swept).equivalent
+
+
+def golden(sha1: str, *counts: int) -> tuple[str, dict[str, int]]:
+    """A recorded sweep: the SHA-1 of its BLIF and its count fields."""
+    fields = ("sat_calls_total", "sat_calls_sat", "sat_calls_unsat", "sat_calls_undet",
+              "merges", "window_merges", "constants", "ce_refinements",
+              "initial_luts", "final_luts")
+    return sha1, dict(zip(fields, counts))
+
+
+class TestGoldenSweeps:
+    """Recorded results of whole sweeps.  A change that only removes
+    code must leave each BLIF and every count but the timings as it is.
+    The UNDET network's sweep refines its classes by a counter-example
+    at no conflict limit and gets an UNDET answer at a limit of 1."""
+
+    CASES = [
+        ("adder_miter(8)", lambda: adder_miter(8), SweepConfig(),
+         golden("1394aa57d80bb997305045bb09ded70e07e17dd6", 0, 0, 0, 0, 31, 31, 0, 0, 104, 37)),
+        ("sweep_fixture(0)", lambda: sweep_fixture(0), SweepConfig(),
+         golden("b64ba59133ba774bdafc6f23f333cfcb0b449e65", 3, 0, 3, 0, 5, 5, 3, 0, 33, 11)),
+        ("sweep_fixture(1)", lambda: sweep_fixture(1), SweepConfig(),
+         golden("2dacae3c36c8bcf866eb13499d96025f066ec604", 20, 0, 20, 0, 1, 1, 20, 0, 37, 7)),
+        ("sweep_fixture(2)", lambda: sweep_fixture(2), SweepConfig(),
+         golden("e2201fe526ff403cde867d44a65b364da6be81b3", 5, 0, 5, 0, 4, 4, 5, 0, 28, 14)),
+        ("sweep_fixture(3)", lambda: sweep_fixture(3), SweepConfig(),
+         golden("ed4385b8ff0432bd0cbbcc96d232f98db9e2e453", 9, 0, 9, 0, 4, 4, 9, 0, 36, 9)),
+        ("undet_network, no limit", undet_network, SweepConfig(n_base_patterns=16),
+         golden("aaa7e280af4d7aebbb40938f31a80ca0ec626278", 49, 1, 48, 0, 10, 10, 48, 1, 275, 81)),
+        ("undet_network, limit 1", undet_network,
+         SweepConfig(conflict_limit=1, n_base_patterns=16),
+         golden("aaa7e280af4d7aebbb40938f31a80ca0ec626278", 49, 0, 48, 1, 10, 10, 48, 0, 275, 81)),
+    ]
+
+    @pytest.mark.parametrize("make, cfg, expected", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_sweep_matches_its_record(self, make, cfg, expected):
+        swept, stats = sweep(make(), cfg)
+        counts = {k: v for k, v in vars(stats).items() if k not in ("sim_time", "total_time")}
+        assert (hashlib.sha1(write_blif(swept).encode()).hexdigest(), counts) == expected
