@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bexpr import ExprSyntaxError, canonical_form, parse_expr, scan_names
@@ -137,6 +138,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"pos={len(net.pos)}")
     print(f"luts={net.n_luts()}")
     print(f"levels={net.level()}")
+    arities = Counter(node.arity for node in net.nodes if not node.is_pi)
+    print("arities=" + ",".join(f"{k}:{arities[k]}" for k in sorted(arities)))
+    print(f"max_fanout={max((node.fanout_count for node in net.nodes), default=0)}")
     return EXIT_OK
 
 

@@ -310,6 +310,12 @@ def _blif_logical_lines(text: str):
     pending: list[str] = []
     pending_no = 0
     for no, raw in enumerate(text.splitlines(), start=1):
+        if not pending and "#" not in raw and "\\" not in raw:
+            # No comment and no continuation: the common line.
+            tokens = raw.split()
+            if tokens:
+                yield no, tokens
+            continue
         line = raw.split("#", 1)[0].rstrip()
         cont = line.endswith("\\")
         if cont:
@@ -338,41 +344,58 @@ def _cover_to_tt(covers: list[tuple[int, str, str]], arity: int) -> int:
     acc = 0
     full = (1 << (1 << arity)) - 1
     for line, ins, _ in covers:
-        minterms = [0]
+        if not ins.strip("01"):
+            # ASCII 0/1 only, so ``int`` reads the row's one minterm; an
+            # arity-0 row is minterm 0.
+            acc |= 1 << int(ins or "0", 2)
+            continue
+        bad = [c for c in ins if c not in "01-"]
+        if bad:
+            raise NetlistError(f"line {line}: bad cover character {bad[0]!r}")
+        minterms = [int(ins.replace("-", "0"), 2)]
         for j, c in enumerate(ins):
-            bitpos = arity - 1 - j
-            if c == "1":
-                minterms = [v | (1 << bitpos) for v in minterms]
-            elif c == "0":
-                pass
-            elif c == "-":
-                minterms = minterms + [v | (1 << bitpos) for v in minterms]
-            else:
-                raise NetlistError(f"line {line}: bad cover character {c!r}")
+            if c == "-":
+                bit = 1 << (arity - 1 - j)
+                minterms += [v | bit for v in minterms]
         for v in minterms:
             acc |= 1 << v
     return acc if out_vals == {"1"} else acc ^ full
 
 
 def parse_blif(text: str) -> Network:
-    """Parse the supported BLIF subset into a network."""
+    """Parse the supported BLIF subset into a network.
+
+    A cover row's inputs are the ASCII characters ``0``, ``1`` and
+    ``-`` only; any other character, even one that ``int`` reads as a
+    digit, is a ``bad cover character``.  PIs take the first ids, in
+    ``.inputs`` order.  The ``.names`` blocks then get theirs by a
+    dependency-ordered DFS in file order: a block is numbered after
+    those of its fanins that are not yet numbered, which are visited
+    last-listed first.
+    """
     model = "net"
     inputs: list[str] = []
     outputs: list[str] = []
     defs: dict[str, tuple[int, list[str], list[tuple[int, str, str]]]] = {}
-    current: tuple[int, list[str], list[tuple[int, str, str]]] | None = None
+    rows: list[tuple[int, str, str]] | None = None  # of the open .names block
+    arity = 0
 
     for no, tokens in _blif_logical_lines(text):
         cmd = tokens[0]
-        if cmd.startswith("."):
-            current = None
-        if cmd == ".model":
-            model = tokens[1] if len(tokens) > 1 else model
-        elif cmd == ".inputs":
-            inputs.extend(tokens[1:])
-        elif cmd == ".outputs":
-            outputs.extend(tokens[1:])
-        elif cmd == ".names":
+        if cmd[0] != ".":
+            if rows is None:
+                raise NetlistError(f"line {no}: cover row outside .names")
+            if arity == 0:
+                if len(tokens) != 1 or cmd not in ("0", "1"):
+                    raise NetlistError(f"line {no}: bad constant cover row")
+                rows.append((no, "", cmd))
+            elif len(tokens) != 2 or len(cmd) != arity or tokens[1] not in ("0", "1"):
+                raise NetlistError(f"line {no}: malformed cover row")
+            else:
+                rows.append((no, cmd, tokens[1]))
+            continue
+        rows = None
+        if cmd == ".names":
             if len(tokens) < 2:
                 raise NetlistError(f"line {no}: .names needs an output")
             fanin_names, out_name = tokens[1:-1], tokens[-1]
@@ -382,25 +405,19 @@ def parse_blif(text: str) -> Network:
                     f"limit is {MAX_BLIF_FANINS}")
             if out_name in defs:
                 raise NetlistError(f"line {no}: {out_name!r} defined twice")
-            defs[out_name] = (no, fanin_names, [])
-            current = defs[out_name]
+            rows = []
+            arity = len(fanin_names)
+            defs[out_name] = (no, fanin_names, rows)
+        elif cmd == ".model":
+            model = tokens[1] if len(tokens) > 1 else model
+        elif cmd == ".inputs":
+            inputs.extend(tokens[1:])
+        elif cmd == ".outputs":
+            outputs.extend(tokens[1:])
         elif cmd == ".end":
-            current = None
             break
-        elif cmd.startswith("."):
-            raise NetlistError(f"line {no}: unsupported construct {cmd!r}")
         else:
-            if current is None:
-                raise NetlistError(f"line {no}: cover row outside .names")
-            arity = len(current[1])
-            if arity == 0:
-                if len(tokens) != 1 or tokens[0] not in ("0", "1"):
-                    raise NetlistError(f"line {no}: bad constant cover row")
-                current[2].append((no, "", tokens[0]))
-            else:
-                if len(tokens) != 2 or len(tokens[0]) != arity or tokens[1] not in ("0", "1"):
-                    raise NetlistError(f"line {no}: malformed cover row")
-                current[2].append((no, tokens[0], tokens[1]))
+            raise NetlistError(f"line {no}: unsupported construct {cmd!r}")
 
     net = Network(model)
     for name in inputs:

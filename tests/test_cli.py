@@ -268,6 +268,20 @@ class TestStatsCmd:
         assert out["pos"] == "2"
         assert out["luts"] == "6"
         assert out["levels"] == "3"
+        assert out["arities"] == "2:6"
+        assert out["max_fanout"] == "2"
+
+    def test_arity_histogram_and_max_fanout(self, tmp_path, capsys):
+        # t reads a twice, and three LUTs read t: a fanout counts fanin
+        # slots, so a's is 2 and t's 3.
+        p = tmp_path / "m.blif"
+        p.write_text(".model m\n.inputs a b c\n.outputs y k u v\n"
+                     ".names a a b t\n111 1\n.names t c y\n11 1\n.names k\n1\n"
+                     ".names t u\n1 1\n.names t v\n0 1\n.end\n")
+        assert main(["stats", str(p)]) == 0
+        assert capsys.readouterr().out == (
+            "name=m\npis=3\npos=4\nluts=5\nlevels=2\n"
+            "arities=0:1,1:2,2:1,3:1\nmax_fanout=3\n")
 
 
 class TestUsage:

@@ -140,6 +140,157 @@ class TestParseBlif:
             parse_blif(text)
 
 
+def cover_oracle(cubes: list[str], out: str, arity: int) -> int:
+    """Truth row of a single-output cover, one minterm at a time.
+
+    Minterm ``v`` (first fanin most significant) is on when some cube
+    matches it, a ``-`` matching either value; an off-set cover (output
+    ``0``) is the complement, and a cover with no rows is constant 0.
+    """
+    if not cubes:
+        return 0
+    bits = []
+    for v in range(1 << arity):
+        assignment = format(v, f"0{arity}b") if arity else ""
+        hit = any(all(c in ("-", x) for c, x in zip(cube, assignment)) for cube in cubes)
+        bits.append("1" if hit == (out == "1") else "0")
+    return int("".join(reversed(bits)), 2)
+
+
+def _noisy_layout(rng: random.Random, lines: list[str]) -> str:
+    """Join BLIF lines with comments, continuations, tabs, blank lines
+    and, at random, CRLF line ends, none of which changes the tokens."""
+    out = []
+    for line in lines:
+        r = rng.random()
+        if r < 0.1:
+            out.append(rng.choice(["", "  ", "\t", "# a comment line", "   # indented"]))
+        elif r < 0.2:
+            line += rng.choice([" # trailing comment", "\t#", "#no space"])
+        elif r < 0.3 and " " in line:
+            cut = line.index(" ")
+            line = line[:cut] + " \\\n\t" + line[cut + 1:]
+        elif r < 0.4:
+            line = line.replace(" ", rng.choice(["\t", " \t ", "   "]))
+        out.append(line)
+    return rng.choice(["\n", "\r\n"]).join(out) + "\n"
+
+
+class TestCoverDecoding:
+    """Cover rows read to the tables a brute-force reading gives."""
+
+    ARITIES = [0, 0, 1, 2, 3, 4, 5, 6, 6, 6, 16]
+
+    def random_blocks(self, rng: random.Random, pis: list[str]):
+        blocks = []
+        for g in range(rng.randint(1, 8)):
+            arity = rng.choice(self.ARITIES)
+            fanins = [rng.choice(pis) for _ in range(arity)]
+            dash = rng.choice([0.0, 0.2, 0.5, 0.9])
+            # 16-input rows expand up to 65,536 minterms; keep them few.
+            n_rows = rng.randint(0, 2 if arity == 16 else 6)
+            cubes = ["".join("-" if rng.random() < dash else rng.choice("01")
+                             for _ in range(arity)) for _ in range(n_rows)]
+            blocks.append((f"g{g}", fanins, cubes, rng.choice("01")))
+        return blocks
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tables_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        pis = [f"p{i}" for i in range(16)]
+        blocks = self.random_blocks(rng, pis)
+        lines = [".model cov", ".inputs " + " ".join(pis),
+                 ".outputs " + " ".join(name for name, *_ in blocks)]
+        for name, fanins, cubes, out in blocks:
+            lines.append(".names " + " ".join(fanins + [name]))
+            lines += [f"{cube} {out}" if fanins else out for cube in cubes]
+        lines.append(".end")
+        net = parse_blif(_noisy_layout(rng, lines))
+        assert net.n_luts() == len(blocks)
+        for name, fanins, cubes, out in blocks:
+            node = net.nodes[net.names[name]]
+            assert node.fanins == [net.names[f] for f in fanins]
+            assert node.tt == cover_oracle(cubes, out, len(fanins)), (name, cubes, out)
+
+    @pytest.mark.parametrize("row, char", [
+        ("0_1", "_"),  # int() reads digit-group underscores,
+        ("+1", "+"),  # a sign,
+        ("0b1", "b"),  # a base prefix,
+        ("\u0661\u0661", "\u0661"),  # Arabic-Indic digits
+        ("\uff11\uff11", "\uff11"),  # and full-width digits
+        ("1x-", "x"),
+    ])
+    def test_only_ascii_zero_one_and_dash_are_cover_characters(self, row, char):
+        ins = " ".join("abc"[:len(row)])
+        text = (f".model t\n.inputs {ins}\n.outputs y\n.names {ins} y\n"
+                f"{'1' * len(row)} 1\n# the next row is line 7\n{row} 1\n.end\n")
+        with pytest.raises(NetlistError) as exc:
+            parse_blif(text)
+        assert str(exc.value) == f"line 7: bad cover character {char!r}"
+
+
+#: Definitions in reverse dependency order, a PO alias of a LUT (``z``)
+#: and of a PI (``w``), and an AND of two constants that the file
+#: defines after it (``t4`` before ``t3``).
+OUT_OF_ORDER_BLIF = """\
+.model ooo
+.inputs a b c
+.outputs y z w k
+.names t1 c y
+10 1
+01 1
+.names t2 b t1
+1- 1
+-1 1
+.names y z
+0 0
+.names a b t2
+11 0
+.names a w
+0 0
+.names t3 t4 k
+11 1
+.names t4
+0
+.names t3
+1
+.end
+"""
+
+
+class TestGoldenParse:
+    """Ids follow the dependency-ordered DFS, defined in file order."""
+
+    def test_out_of_order_file(self):
+        net = parse_blif(OUT_OF_ORDER_BLIF)
+        assert [(n.id, n.fanins, n.tt) for n in net.nodes] == [
+            (0, [], 0), (1, [], 0), (2, [], 0), (3, [0, 1], 7), (4, [3, 1], 14),
+            (5, [4, 2], 6), (6, [], 0), (7, [], 1), (8, [7, 6], 8)]
+        assert net.names == {"a": 0, "b": 1, "c": 2, "t2": 3, "t1": 4, "y": 5, "t4": 6,
+                             "t3": 7, "k": 8, "z": 5, "w": 0}
+        assert net.pis == [0, 1, 2]
+        assert net.pos == [(5, False), (5, False), (0, False), (8, False)]
+        assert net.po_names == ["y", "z", "w", "k"]
+
+    @staticmethod
+    def blocks(text: str) -> list[str]:
+        return sorted(text.removesuffix(".end\n").split(".names "))
+
+    @pytest.mark.parametrize("n_pi, n_luts, max_k", [
+        (2, 1, 1), (4, 10, 2), (8, 50, 4), (16, 200, 6), (32, 700, 4), (64, 2000, 6)])
+    def test_written_file_reads_back_to_the_same_bytes(self, n_pi, n_luts, max_k):
+        net = random_network(random.Random(n_luts), n_pi, n_luts, max_k=max_k, po_count=8)
+        text = write_blif(net)
+        again = write_blif(parse_blif(text))
+        # An inverted PO reads back as a LUT, so the first rewrite may
+        # move its inverter ahead of the PO buffers; nothing else moves.
+        assert self.blocks(again) == self.blocks(text)
+        assert write_blif(parse_blif(again)) == again
+        net.pos = [(driver, False) for driver, _ in net.pos]
+        text = write_blif(net)
+        assert write_blif(parse_blif(text)) == text
+
+
 class TestWriteBlif:
     def test_round_trip_preserves_po_tables(self):
         rng = random.Random(5)
