@@ -483,8 +483,10 @@ def write_blif(net: Network) -> str:
     name of the first PO it drives in true phase.  An inverted PO gets
     an inverter.  A PO whose driver is a PI or carries another PO's
     name gets a buffer in off-set form (``0 0``), which no LUT is
-    written in and :func:`parse_blif` reads back as an alias.
-    Everything else round-trips structurally.
+    written in and :func:`parse_blif` reads back as an alias.  The
+    inverters come after every LUT and before every buffer, each kind in
+    PO order, so a file this writes reads back and rewrites to the same
+    bytes.  Everything else round-trips structurally.
     """
     taken = set(net.pi_names)
     sig = dict(zip(net.pis, net.pi_names))
@@ -531,7 +533,9 @@ def write_blif(net: Network) -> str:
             if (node.tt >> v) & 1:
                 bits = format(v, f"0{k}b")
                 lines.append(f"{bits} 1")
-    for driver, name, phase in extra:
+    # Inverters before buffers: parse_blif reads an inverter back as a
+    # LUT, which a rewrite puts ahead of every buffer.
+    for driver, name, phase in sorted(extra, key=lambda e: not e[2]):
         lines += [f".names {sig[driver]} {name}", "0 1" if phase else "0 0"]
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -17,16 +17,28 @@ patterns on the cut's leaves, which yields the cut's STP logic matrix.
 of a network, but evaluates each operator the same way, with
 :func:`eval_tt_words` over exhaustive rows (:func:`_var_row`).
 
+Every row handed to :func:`eval_tt_words` lies within the pattern mask,
+and so does every row it returns.
+
 :func:`eval_tt_words` applies a LUT by reading its logic matrix ``M_f``
 in column blocks: ``M_f ⋉ x`` is the left half of ``M_f`` for a true
 ``x`` and the right half for a false one, so taking the inputs in turn
 is a Shannon mux tree over packed rows.
+
+Cost model.  A row operation (``&``, ``|`` or ``^`` of two rows) takes
+time in proportion to the pattern count, and a held row takes
+``n_patterns / 8`` bytes.  Up to 4 inputs, a LUT pays only for the
+leaves its table names: an inverter costs one row operation and a
+2-input LUT at most two; a 6-input LUT costs at most 51 (see
+:func:`eval_tt_words`).  :func:`simulate_specified` drops each row once
+its last reader has been evaluated, so it holds at most its cone's live
+rows and its targets'; :func:`simulate_all` keeps every row it returns.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Container
+from collections.abc import Collection, Container
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,9 +122,41 @@ class Signature:
 #: Widest LUT that the mux tree evaluates; wider ones take the gather.
 _MUX_MAX_ARITY = 9
 
+#: The 16 functions of a LUT's last two inputs ``y`` (first) and ``x``,
+#: by nibble: bit ``2*y + x`` of nibble ``n`` is the value of
+#: ``_LEAF[n](y, x, mask)``.  Each takes at most two row operations.
+_LEAF = (
+    lambda y, x, m: 0,
+    lambda y, x, m: (y | x) ^ m,
+    lambda y, x, m: (y | x) ^ y,
+    lambda y, x, m: y ^ m,
+    lambda y, x, m: (y | x) ^ x,
+    lambda y, x, m: x ^ m,
+    lambda y, x, m: y ^ x,
+    lambda y, x, m: (y & x) ^ m,
+    lambda y, x, m: y & x,
+    lambda y, x, m: y ^ x ^ m,
+    lambda y, x, m: x,
+    lambda y, x, m: (y ^ m) | x,
+    lambda y, x, m: y,
+    lambda y, x, m: y | (x ^ m),
+    lambda y, x, m: y | x,
+    lambda y, x, m: m,
+)
+
+#: Byte ``b`` of a truth row holds the two nibbles of one first-fold
+#: pair, ``lo = b & 15`` and ``hi = b >> 4``.  These ``bytes.translate``
+#: tables map each byte of a row to its ``lo`` and to its ``lo ^ hi``.
+_LO = bytes(b & 15 for b in range(256))
+_LO_XOR_HI = bytes((b ^ (b >> 4)) & 15 for b in range(256))
+
 
 def eval_tt_words(tt: int, words: list[int], mask: int) -> int:
     """Apply a LUT bitwise to packed fanin rows (first fanin = MSB).
+
+    ``tt`` must fit ``len(words)`` inputs and every row in ``words`` must
+    lie within ``mask``, as every caller's do; the result then lies
+    within ``mask`` too.
 
     Bit ``v`` of ``tt`` is column ``2**k - 1 - v`` of ``M_f``: the first
     input picks a half of the columns, the last a column of each pair.
@@ -120,30 +164,71 @@ def eval_tt_words(tt: int, words: list[int], mask: int) -> int:
 
     - Leaves: each nibble ``(tt >> 4i) & 15`` is a column block of the
       last two inputs ``y, x`` and names one of their 16 functions.
-    - Folds: each earlier input ``x_j``, last to first, merges adjacent
-      entries ``lo`` (``x_j`` false) and ``hi`` into
-      ``lo ^ ((hi ^ lo) & x_j)``, or passes equal cofactors through.
+    - First fold, on the third-last input ``z``: adjacent nibbles ``lo``
+      (``z`` false) and ``hi`` give ``leaf[lo] ^ (leaf[lo ^ hi] & z)``,
+      since the XOR of two nibbles names the XOR of their functions.
+    - Later folds: each earlier input ``x_j``, last to first, merges
+      adjacent entries ``lo`` and ``hi`` into ``lo ^ ((hi ^ lo) & x_j)``.
+    - Equal cofactors pass through at every fold.
 
-    The tree takes about ``3 * 2**(k-2)`` row operations; a numpy gather's
-    cost hardly grows with ``k``.  At 10 inputs (CPython 3.11, x86) the
-    tree took 85 against the gather's 65 µs at 64 patterns and 93 against
-    88 µs at 2,048 (it won at 9), so wider LUTs take the gather.
+    Cost in row operations (one ``&``, ``|`` or ``^`` of two rows): 1
+    for an inverter and none for another 1-input table; at most 2 for 2
+    inputs (one leaf); for 3 and 4 inputs, at most 2 per leaf that a
+    pair of nibbles names, 2 per pair and 3 per later merge (at most 6
+    and 15); from 5 inputs on, 14 for all 16 leaves, 2 per pair and 3
+    per later merge (31 for 5 inputs, 51 for 6).
+
+    The tree's cost doubles with each input; a numpy gather's hardly
+    grows.  Per LUT, tree / gather in µs (CPython 3.11, x86, best of 15
+    over 8 random tables):
+
+    ======  ===========  ==========  ==========
+    inputs  64 patterns  2,048       65,536
+    ======  ===========  ==========  ==========
+    8       15 / 36      20 / 79     104 / 902
+    9       25 / 39      32 / 83     183 / 938
+    10      46 / 44      47 / 65     754 / 727
+    11      84 / 47      93 / 77     2284 / 1182
+    12      202 / 76     187 / 97    5032 / 1019
+    ======  ===========  ==========  ==========
+
+    The gather takes 10 inputs and more.  At 10 the tree is faster at
+    2,048 patterns, and at 64 and 65,536 the two trade places from run
+    to run; no benchmark net has LUTs of more than 6 inputs to tell them
+    apart.  From 11 on the gather wins at every width.
     """
     arity = len(words)
+    if arity == 1:
+        if tt == 1:
+            return words[0] ^ mask
+        if tt == 2:
+            return words[0]
+        return mask if tt else 0
     if arity == 0:
         return mask if tt & 1 else 0
     if arity > _MUX_MAX_ARITY:
         return _eval_tt_gather(tt, words, mask)
-    x = words[-1] & mask
-    if arity == 1:
-        return (0, x ^ mask, x, mask)[tt & 3]
-    y = words[-2] & mask
-    nx, ny, a, o, e = x ^ mask, y ^ mask, x & y, x | y, x ^ y
-    leaves = (0, o ^ mask, ny & x, ny, y & nx, nx, e, a ^ mask,
-              a, e ^ mask, x, ny | x, y, y | nx, o, mask)
-    level = [leaves[(tt >> s) & 15] for s in range(0, 1 << arity, 4)]
-    for x in words[-3::-1]:
-        level = [lo if lo == hi else lo ^ ((hi ^ lo) & x)
+    x = words[-1]
+    y = words[-2]
+    if arity == 2:
+        return _LEAF[tt & 15](y, x, mask)
+    z = words[-3]
+    row = tt.to_bytes(1 << (arity - 3), "little")
+    pairs = zip(row.translate(_LO), row.translate(_LO_XOR_HI))
+    if arity < 5:
+        # Only the leaves that the nibbles name.
+        level = [_LEAF[lo](y, x, mask) ^ (_LEAF[d](y, x, mask) & z) if d
+                 else _LEAF[lo](y, x, mask) for lo, d in pairs]
+    else:
+        # The 16 leaves of ``_LEAF`` at once, sharing subexpressions.  Per
+        # LUT at 65,536 patterns this takes 44 µs for 6 inputs where the
+        # ``_LEAF`` calls take 53 (24 and 24 for 5 inputs; CPython 3.11, x86).
+        nx, ny, a, o, e = x ^ mask, y ^ mask, x & y, x | y, x ^ y
+        leaves = (0, o ^ mask, ny & x, ny, y & nx, nx, e, a ^ mask,
+                  a, e ^ mask, x, ny | x, y, y | nx, o, mask)
+        level = [leaves[lo] ^ (leaves[d] & z) if d else leaves[lo] for lo, d in pairs]
+    for w in words[-4::-1]:
+        level = [lo if lo == hi else lo ^ ((hi ^ lo) & w)
                  for lo, hi in zip(level[::2], level[1::2])]
     return level[0]
 
@@ -159,24 +244,46 @@ def _eval_tt_gather(tt: int, words: list[int], mask: int) -> int:
     n = mask.bit_length()
     idx = np.zeros(n, dtype=np.int32)
     for w in words:
-        idx = (idx << 1) | _int_to_bitarray(w & mask, n)
+        idx = (idx << 1) | _int_to_bitarray(w, n)
     table = _int_to_bitarray(tt, 1 << len(words))
     return int.from_bytes(np.packbits(table[idx], bitorder="little").tobytes(), "little")
 
 
-def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int) -> None:
+def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int,
+              keep: Collection[int] | None = None) -> None:
     """Evaluate the LUTs of ``order`` into ``bits``.
 
     This is the only simulator.  ``order`` is topologically sorted, and
     each fanin of a LUT in it is either earlier in ``order`` or already
     in ``bits``.  PIs in ``order`` are skipped: their rows come in
-    ``bits``.
+    ``bits``.  With ``keep`` given, every row not in ``keep`` leaves
+    ``bits`` once its last reader in ``order`` is evaluated, so at most
+    the rows still to be read, and those kept, are held at once.
     """
     nodes = net.nodes
+    # ``dies[r]`` is a row whose last reader is ``r``, and ``also[f]`` the
+    # next row with the same last reader as row ``f``.  Flat int maps make
+    # no container per reader: a list per reader set off five or six
+    # garbage collections per call on an 8,000-LUT cone.
+    dies: dict[int, int] = {}
+    also: dict[int, int] = {}
+    if keep is not None:
+        # Later readers overwrite earlier ones: each row's last reader.
+        last = {f: nid for nid in order for f in nodes[nid].fanins}
+        for nid in keep:
+            last.pop(nid, None)
+        for f, nid in last.items():
+            if nid in dies:
+                also[f] = dies[nid]
+            dies[nid] = f
     for nid in order:
         node = nodes[nid]
         if not node.is_pi:
             bits[nid] = eval_tt_words(node.tt, [bits[f] for f in node.fanins], mask)
+            f = dies.get(nid)
+            while f is not None:
+                del bits[f]
+                f = also.get(f)
 
 
 def _pi_rows(net: Network, patterns: PatternSet) -> dict[int, int]:
@@ -239,10 +346,12 @@ def _cone(net: Network, targets: list[int], pi_cap: int | None = None,
 def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -> dict[int, Signature]:
     """Signatures of the target nodes only; nothing outside their input cone is simulated.
 
-    Bit-identical to ``simulate_all`` restricted to the targets.
+    Bit-identical to ``simulate_all`` restricted to the targets.  It holds
+    at most its cone's live rows: a row is dropped once its last reader
+    in the cone is evaluated, unless it is a target's.
     """
     bits = _pi_rows(net, patterns)
-    _simulate(net, _cone(net, targets), bits, patterns.mask)
+    _simulate(net, _cone(net, targets), bits, patterns.mask, targets)
     n = patterns.n_patterns
     return {t: Signature(t, bits[t], n) for t in targets}
 

@@ -1,6 +1,7 @@
 """Pattern handling, bit-parallel simulation, cuts, exhaustive windows."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,14 @@ from stpsweep import (
     simulate_all,
     simulate_specified,
 )
-from stpsweep.simulate import _MUX_MAX_ARITY, _eval_tt_gather, _var_row, eval_tt_words
+from stpsweep.simulate import (
+    _MUX_MAX_ARITY,
+    _cone,
+    _eval_tt_gather,
+    _simulate,
+    _var_row,
+    eval_tt_words,
+)
 from helpers import bits_of, exhaustive_tables, random_network, scalar_signatures
 
 NAND = 0b0111
@@ -163,6 +171,30 @@ class TestEvalTtWords:
         mask = (1 << 70) - 1
         for tt in range(16):
             assert eval_tt_words(tt, words, mask) == scalar_lut_rows(tt, words, 70)
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_every_table_of_three_and_four_inputs(self, arity):
+        # These arities compute only the leaves that their nibbles name.
+        rng = random.Random(arity)
+        n = 70
+        mask = (1 << n) - 1
+        rows = [rng.getrandbits(n) for _ in range(arity)]
+        # Distinct fanins; the last fanin read twice; the first read again last.
+        for words in (rows, rows[:-1] + rows[-2:-1], rows[:-1] + rows[:1]):
+            # The scalar lookup, grouped by the row bit each pattern reads:
+            # ``reads[v]`` holds the patterns whose fanin values spell ``v``.
+            reads = [0] * (1 << arity)
+            for j in range(n):
+                v = 0
+                for w in words:
+                    v = (v << 1) | ((w >> j) & 1)
+                reads[v] |= 1 << j
+            for tt in range(1 << (1 << arity)):
+                expected = 0
+                for v, patterns in enumerate(reads):
+                    if (tt >> v) & 1:
+                        expected |= patterns
+                assert eval_tt_words(tt, words, mask) == expected, (words, tt)
 
 
 class TestSimulateAll:
@@ -345,6 +377,24 @@ class TestSimulateSpecified:
             for t in targets:
                 assert spec[t].bits == full[t].bits
 
+    def test_edge_case_targets_match_simulate_all(self):
+        rng = random.Random(126)
+        for _ in range(30):
+            net = random_network(rng, rng.randint(2, 10), rng.randint(4, 120), max_k=5)
+            p = gen_random_patterns(len(net.pis), 70, rng.randrange(9999))
+            full = simulate_all(net, p)
+            luts = [n.id for n in net.nodes if not n.is_pi and not n.dead]
+            lut = rng.choice(luts)
+            reader = rng.choice([n for n in luts if net.nodes[n].fanins])
+            read = rng.choice(net.nodes[reader].fanins)
+            pi = rng.choice(net.pis)
+            for targets in ([lut, lut], [pi], [pi, lut, pi], [reader, read], [read, reader],
+                            net.live_ids()):
+                spec = simulate_specified(net, p, targets)
+                assert sorted(spec) == sorted(set(targets))
+                for t in targets:
+                    assert spec[t].bits == full[t].bits, (targets, t)
+
     def test_dead_target_is_an_error(self):
         net, label = two_target_example()
         dead = label["6"]
@@ -445,6 +495,35 @@ def and_under_inverters(depth: int) -> tuple[Network, int]:
         top = net.add_lut([top], 0b01)
     net.add_po(top)
     return net, top
+
+
+class TestLiveRows:
+    """``simulate_specified`` holds only the rows still to be read."""
+
+    def test_peak_memory_under_a_deep_chain(self):
+        # 2,000 inverters at 65,536 patterns make 16 MB of rows; one or
+        # two of them are live at any time.
+        net, y = and_under_inverters(2000)
+        p = gen_random_patterns(2, 1 << 16, 5)
+        tracemalloc.start()
+        try:
+            sig = simulate_specified(net, p, [y])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig[y].bits == p.rows[0] & p.rows[1]
+        assert peak < 1 << 20
+
+    def test_only_kept_rows_remain(self):
+        net, y = and_under_inverters(50)
+        p = gen_random_patterns(2, 64, 5)
+        for keep in ([y], [y, 1], [y, 2, 30]):
+            bits = dict(zip(net.pis, p.rows))
+            _simulate(net, _cone(net, [y]), bits, p.mask, keep)
+            assert sorted(bits) == sorted(keep)
+        bits = dict(zip(net.pis, p.rows))
+        _simulate(net, _cone(net, [y]), bits, p.mask)
+        assert sorted(bits) == net.live_ids()
 
 
 class TestDeepChain:

@@ -604,7 +604,7 @@ class TestGoldenSweeps:
         ("sweep_fixture(2)", lambda: sweep_fixture(2), SweepConfig(),
          golden("e2201fe526ff403cde867d44a65b364da6be81b3", 5, 0, 5, 0, 4, 4, 5, 0, 28, 14)),
         ("sweep_fixture(3)", lambda: sweep_fixture(3), SweepConfig(),
-         golden("ed4385b8ff0432bd0cbbcc96d232f98db9e2e453", 9, 0, 9, 0, 4, 4, 9, 0, 36, 9)),
+         golden("df2a1c3c49d312b55894added134eb8fe79c92b3", 9, 0, 9, 0, 4, 4, 9, 0, 36, 9)),
         ("undet_network, no limit", undet_network, SweepConfig(n_base_patterns=16),
          golden("aaa7e280af4d7aebbb40938f31a80ca0ec626278", 49, 1, 48, 0, 10, 10, 48, 1, 275, 81)),
         ("undet_network, limit 1", undet_network,
