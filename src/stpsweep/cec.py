@@ -7,7 +7,10 @@ with the same fanins and truth table as an earlier miter LUT is that
 LUT, so an output pair whose drivers hash together needs no SAT query.
 The other pairs are asked in output order on one cone-scoped
 :class:`~stpsweep.sat.NetSolver`, so each query branches only on its
-own cones and what one query learns speeds up the next.  PI and PO
+own cones and what one query learns speeds up the next.  A SAT answer
+is a counter-example: a value for each miter PI in the query's scope,
+keyed by PI node id.  The PIs outside the scope are free, and the
+witness that :class:`CecResult` reports sets them to 0.  PI and PO
 correspondence is by name when both sides carry the same name sets,
 otherwise positional.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import Network
-from .sat import NetSolver, pi_assignment, solve
+from .sat import NetSolver, solve
 from .simulate import PatternSet, _var_row, simulate_all
 
 EXHAUSTIVE_PI_LIMIT = 14
@@ -107,10 +110,8 @@ def _miter_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> 
             if pa != pb:
                 vb = -vb
             outcome = solve(solver, assumptions=[va, -vb], alternatives=[[-va, vb]])
-            differ = outcome.is_sat
-            assignment = pi_assignment(miter, solver, outcome.model) if differ else {}
+            differ, assignment = outcome.is_sat, outcome.model
         if differ:
-            # PIs outside the query's scope do not matter; they read 0.
             ce = {name: assignment.get(pid, False) for name, pid in zip(a.pi_names, miter.pis)}
             return CecResult(False, ce, a.po_names[j])
     return CecResult(True)

@@ -226,18 +226,21 @@ class Network:
 
         A substitution that would make ``new`` read itself raises
         :class:`NetlistError`; checking for it walks ``old``'s fanout
-        cone.  ``rank``, if given, must be a topological rank of the
-        live nodes.  When ``new`` ranks before ``old`` there, ``new``
-        cannot lie in ``old``'s fanout cone, so the walk is skipped and
-        the substitution costs time in ``old``'s readers and fanins
-        only.  The rank then stays topological, since every reader of
-        ``old`` ranks after ``old`` and so after ``new``.
+        cone.  A ``new`` with no fanins, such as a PI or a constant,
+        reads nothing and lies in no fanout cone, so it needs no walk.
+        ``rank``, if given, must be a topological rank of the live
+        nodes.  When ``new`` ranks before ``old`` there, ``new`` cannot
+        lie in ``old``'s fanout cone either, so the walk is skipped.
+        Without the walk, the substitution costs time in ``old``'s
+        readers and fanins only.  The rank then stays topological, since
+        every reader of ``old`` ranks after ``old`` and so after ``new``.
         """
         if old == new:
             raise NetlistError("cannot substitute a node by itself")
         if self.nodes[old].dead or self.nodes[new].dead:
             raise NetlistError("substitution involving a dead node")
-        if (rank is None or rank[new] >= rank[old]) and self.is_in_tfo(old, new):
+        if (self.nodes[new].fanins and (rank is None or rank[new] >= rank[old])
+                and self.is_in_tfo(old, new)):
             raise NetlistError(f"substituting {old} by {new} would create a cycle")
         old_node = self.nodes[old]
         for reader in dict.fromkeys(old_node.fanouts):

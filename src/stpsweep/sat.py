@@ -20,6 +20,12 @@ it loads a node's LUT clauses the first time the node enters a query
 cone and branches only on each query's cone, and :func:`prove_equiv` on
 it asks an equivalence as two assumption-only queries in one
 :func:`solve` call, as ABC's fraig does.
+
+A SAT answer of a :class:`NetSolver` is a counter-example: a value for
+each PI in the query's scope, keyed by PI node id.  The PIs outside the
+scope are free; any value of theirs extends the answer.  The sweep
+turns counter-examples into simulation patterns (``sweep._ce_rows``),
+and CEC reports one as its witness.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ class SatStatus(Enum):
 @dataclass
 class SatOutcome:
     status: SatStatus
+    #: The satisfying assignment of a SAT answer, else None.  A plain
+    #: :class:`Solver` keys it by variable and covers every variable; a
+    #: :class:`NetSolver` keys it by PI node id and covers the PIs of the
+    #: query's scope, the others being free.
     model: dict[int, bool] | None = None
     #: Conflicts the solver met in this call.
     conflicts: int = 0
@@ -512,11 +522,11 @@ class NetSolver(Solver):
     :meth:`solve` branches only on the scope of its assumptions: their
     variables and, transitively, the fanin variables each was loaded
     with (the loaded fanins, not the current ones, since a merge
-    rewires a node but not its clauses).  Its model covers that scope,
-    so a query costs time in its own cone, not in all that is loaded.
-    A SAT answer stays sound: the scope's clauses mention only scope
-    variables, and every variable outside it is a function of the PIs
-    that the model extends to.
+    rewires a node but not its clauses), so a query costs time in its
+    own cone, not in all that is loaded.  Its model is the values of the
+    scope's PIs, keyed by PI node id.  A SAT answer stays sound: the
+    scope's clauses mention only scope variables, and every variable
+    outside it is a function of the PIs that the model extends to.
 
     :meth:`add_equivalence` records a merge proven without SAT (by an
     exhaustive window) as the two binary clauses of ``a <-> b'``.  Both
@@ -609,8 +619,8 @@ class NetSolver(Solver):
         return 0
 
     def _model(self) -> dict[int, bool]:
-        value = self.value
-        return {v: value[v] == 1 for v in self.scope_vars}
+        value, node_var, scope = self.value, self.node_var, self.scope
+        return {nid: value[v] == 1 for nid in self.net.pis if (v := node_var.get(nid)) in scope}
 
 
 def encode_cone(net: Network, roots: list[int]) -> NetSolver:
@@ -626,17 +636,6 @@ def encode_cone(net: Network, roots: list[int]) -> NetSolver:
     return solver
 
 
-def pi_assignment(net: Network, solver: NetSolver,
-                  model: dict[int, bool]) -> dict[int, bool]:
-    """The model's values of the PIs loaded in ``solver``, keyed by PI node id.
-
-    PIs that ``solver`` has not loaded, or that the model leaves out,
-    are left out.
-    """
-    node_var = solver.node_var
-    return {nid: model[node_var[nid]] for nid in net.pis if node_var.get(nid) in model}
-
-
 def prove_equiv(
     solver: NetSolver,
     a: int,
@@ -646,15 +645,13 @@ def prove_equiv(
 ) -> SatOutcome:
     """Decide whether node ``a`` equals node ``b`` (or its complement).
 
-    Both are nodes of ``solver.net``.  UNSAT certifies the equivalence under the stated phase.  A SAT
-    outcome carries a counter-example assignment keyed by PI node id.
+    Both are nodes of ``solver.net``.  UNSAT certifies the equivalence
+    under the stated phase; a SAT outcome carries a counter-example.
 
     The cones are loaded if need be, and the equivalence is asked as
     two assumption-only queries, ``(a, not b')`` then ``(not a, b')``
     with ``b'`` the phase-adjusted ``b``, in one :func:`solve` call
-    whose assumption sets share ``conflict_limit``.  The counter-example
-    covers the PIs of the query's scope (see :class:`NetSolver`); the
-    other PIs do not matter.
+    whose assumption sets share ``conflict_limit``.
     """
     if a == b:
         raise ValueError("prove_equiv needs two distinct nodes")
@@ -662,9 +659,5 @@ def prove_equiv(
     va, vb = solver.node_var[a], solver.node_var[b]
     if inverted:
         vb = -vb
-    outcome = solve(solver, assumptions=[va, -vb], conflict_limit=conflict_limit,
-                    alternatives=[[-va, vb]])
-    if not outcome.is_sat:
-        return outcome
-    return SatOutcome(SatStatus.SAT, pi_assignment(solver.net, solver, outcome.model),
-                      outcome.conflicts)
+    return solve(solver, assumptions=[va, -vb], conflict_limit=conflict_limit,
+                 alternatives=[[-va, vb]])

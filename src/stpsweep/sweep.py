@@ -16,6 +16,12 @@ UNSAT answer from one incremental :class:`~stpsweep.sat.NetSolver`,
 which answers every query of a sweep, loads each node's clauses once
 and is told of each window merge.  Counter-examples from satisfiable
 queries refine the classes, and the window refines them again.
+
+A counter-example is the solver's answer to a satisfiable query: a
+value for each PI in the query's scope, keyed by PI node id, with the
+other PIs free.  :func:`_ce_rows` is the one place it becomes pattern
+rows: one pattern each for :func:`sat_guided_patterns`, and
+``CE_EXPANSION`` patterns each for :func:`refine_classes`.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .netlist import Network
 # ``encode_cone`` is not called here: the benchmark's tracer
 # (perfbench/tracer.py) patches it, ``solve`` and ``prove_equiv`` in this
 # module by name.
-from .sat import NetSolver, SatOutcome, SatStatus, encode_cone, pi_assignment, prove_equiv, solve
+from .sat import NetSolver, SatOutcome, SatStatus, encode_cone, prove_equiv, solve
 from .simulate import (
     WINDOW_CAP,
     PatternSet,
@@ -175,22 +181,19 @@ class ClassManager:
 def init_equiv_classes(net: Network, signatures) -> ClassManager:
     """Group live nodes by polarity-normalized signature.
 
-    A signature whose first bit is 1 is complemented and the flip is
-    recorded in the node's phase bit, which merges complement pairs
-    into a single class.  Classes of size one are discarded.
+    A node whose signature's first bit is 1 gets its phase bit set, so
+    a function and its complement share a class.  The live nodes start
+    as one class, which :meth:`ClassManager.split_class` splits by
+    signature; classes of size one are discarded.
     """
     rank = {nid: i for i, nid in enumerate(net.topo_order())}
     mgr = ClassManager(rank)
-    buckets: dict[int, list[int]] = {}
-    for nid in sorted(signatures, key=rank.__getitem__):
-        sig = signatures[nid].bits
-        n = signatures[nid].n_patterns
-        phase = mgr.phase_of[nid] = sig & 1
-        norm = sig ^ ((1 << n) - 1) if phase else sig
-        buckets.setdefault(norm, []).append(nid)
-    for nodes in buckets.values():
-        if len(nodes) >= 2:
-            mgr.new_class(nodes)
+    rows = {nid: sig.bits for nid, sig in signatures.items()}
+    for nid, row in rows.items():
+        mgr.phase_of[nid] = row & 1
+    if len(rows) >= 2:
+        mask = (1 << next(iter(signatures.values())).n_patterns) - 1
+        mgr.split_class(mgr.new_class(list(rows)), rows, mask)
     return mgr
 
 
@@ -202,39 +205,28 @@ def toggle_rate(bits: int, n_patterns: int) -> float:
     return toggles / (n_patterns - 1)
 
 
-def _ce_to_pattern(net: Network, ce: dict[int, bool], rng: random.Random) -> list[bool]:
-    """Full PI assignment from a partial counter-example."""
-    return [
-        bool(ce[pid]) if pid in ce else bool(rng.getrandbits(1))
-        for pid in net.pis
-    ]
+def _ce_rows(net: Network, ce: dict[int, bool], width: int, rng: random.Random) -> list[int]:
+    """``width`` patterns from a counter-example, one row per PI of ``net``.
 
-
-def _append_patterns(base: PatternSet, extra: list[list[bool]]) -> PatternSet:
-    n = base.n_patterns
-    rows = list(base.rows)
-    for t, assignment in enumerate(extra):
-        for i, bit in enumerate(assignment):
-            if bit:
-                rows[i] |= 1 << (n + t)
-    return PatternSet(rows, n + len(extra))
+    A PI that ``ce`` assigns is constant across the row; every other PI
+    gets ``rng.getrandbits(width)``, drawn in ``net.pis`` order.
+    """
+    full = (1 << width) - 1
+    return [(full if ce[pid] else 0) if pid in ce else rng.getrandbits(width) for pid in net.pis]
 
 
 def _find_value(solver: NetSolver, nid: int, value: bool, cfg: SweepConfig,
                 stats: SweepStats) -> SatOutcome:
     """Ask the solver for an input assignment that sets ``nid`` to ``value``.
 
-    A SAT outcome carries the assignment of the PIs in ``nid``'s cone,
-    keyed by PI node id; UNSAT proves ``nid`` constant at ``not value``.
+    A SAT outcome carries a counter-example over ``nid``'s cone; UNSAT
+    proves ``nid`` constant at ``not value``.
     """
     solver.load([nid])
     var = solver.node_var[nid]
     outcome = solve(solver, assumptions=[var if value else -var],
                     conflict_limit=cfg.conflict_limit)
     stats.record(outcome.status)
-    if outcome.is_sat:
-        return SatOutcome(SatStatus.SAT, pi_assignment(solver.net, solver, outcome.model),
-                          outcome.conflicts)
     return outcome
 
 
@@ -276,7 +268,8 @@ def sat_guided_patterns(
         t0 = time.perf_counter()
         sigs = simulate_all(net, patterns)
         stats.sim_time += time.perf_counter() - t0
-        extra: list[list[bool]] = []
+        # Row i of the counter-example patterns, and how many there are.
+        extra, n_extra = [0] * len(net.pis), 0
         for nid in net.topo_order():
             node = net.nodes[nid]
             if node.arity == 0 or nid in constants:
@@ -286,10 +279,14 @@ def sat_guided_patterns(
                 continue
             outcome = _find_value(solver, nid, value, cfg, stats)
             if outcome.is_sat:
-                extra.append(_ce_to_pattern(net, outcome.model, rng))
+                for i, bit in enumerate(_ce_rows(net, outcome.model, 1, rng)):
+                    extra[i] |= bit << n_extra
+                n_extra += 1
             elif outcome.is_unsat:
                 constants[nid] = not value
-        patterns = _append_patterns(patterns, extra)
+        n = patterns.n_patterns
+        patterns = PatternSet([row | more << n for row, more in zip(patterns.rows, extra)],
+                              n + n_extra)
     return patterns, list(constants.items())
 
 
@@ -352,17 +349,10 @@ def refine_classes(
     if rng is None:
         seed_key = (cfg.seed,) + tuple(sorted(ce.items()))
         rng = random.Random(hash(seed_key) & 0xFFFFFFFF)
-    full = (1 << CE_EXPANSION) - 1
-    rows = []
-    for pid in net.pis:
-        if pid in ce:
-            rows.append(full if ce[pid] else 0)
-        else:
-            rows.append(rng.getrandbits(CE_EXPANSION))
-    pats = PatternSet(rows, CE_EXPANSION)
+    pats = PatternSet(_ce_rows(net, ce, CE_EXPANSION, rng), CE_EXPANSION)
     sigs = simulate_specified(net, pats, list(mgr.class_of))
     bits = {nid: sig.bits for nid, sig in sigs.items()}
-    splits = sum(mgr.split_class(cid, bits, full) != [cid] for cid in list(mgr.members))
+    splits = sum(mgr.split_class(cid, bits, pats.mask) != [cid] for cid in list(mgr.members))
     return splits + _window_refine_classes(mgr, net, cfg)
 
 

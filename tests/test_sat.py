@@ -16,7 +16,6 @@ from stpsweep import (
     sweep,
 )
 import stpsweep.sat as sat_module
-from stpsweep.sat import pi_assignment
 from helpers import adder_miter, eval_assignment, exhaustive_tables, random_network, sweep_fixture
 
 
@@ -443,10 +442,8 @@ class TestNetSolver:
         solver = NetSolver(net)
         solver.load([g, h])
         out = solve(solver, assumptions=[solver.node_var[g]])
-        assert out.is_sat
-        assert set(out.model) == {solver.node_var[n] for n in (a, b, g)}
-        assert out.model[solver.node_var[a]] and out.model[solver.node_var[b]]
-        assert pi_assignment(net, solver, out.model) == {a: True, b: True}
+        # The PIs of g's cone, by node id; c and d are loaded but free.
+        assert out.is_sat and out.model == {a: True, b: True}
 
     def test_scope_follows_the_loaded_fanins(self):
         # y = a AND (p XNOR q) with p, q both b XOR d, so y equals a, but
@@ -465,11 +462,40 @@ class TestNetSolver:
         solver = NetSolver(net)
         solver.load([r])
         assert prove_equiv(NetSolver(net), y, a).is_unsat
+        before = net.clone()
         net.substitute_node(y, a)
         var = solver.node_var
         assert solve(solver, assumptions=[var[r], var[a], var[c]]).is_unsat
         out = solve(solver, assumptions=[var[r], var[a], -var[c]])
-        assert out.is_sat and out.model[var[y]] is True
+        assert out.is_sat
+        assignment = {pid: out.model.get(pid, False) for pid in net.pis}
+        assert eval_assignment(before, assignment)[y] is True
+        assert eval_assignment(net, assignment)[r] is True
+
+    def test_answers_are_pi_assignments(self):
+        # A SAT answer is keyed by PI node id, and with the PIs it leaves
+        # out set to False it gives every assumed node its assumed value.
+        rng = random.Random(41)
+        answered = 0
+        for _ in range(30):
+            net = random_network(rng, rng.randint(2, 10), rng.randint(3, 30), max_k=4)
+            solver = NetSolver(net)
+            gates = [n.id for n in net.nodes if not n.is_pi and not n.dead]
+            for _ in range(4):
+                picked = {nid: rng.random() < 0.5
+                          for nid in rng.sample(gates, min(len(gates), rng.randint(1, 3)))}
+                solver.load(list(picked))
+                var = solver.node_var
+                out = solve(solver, assumptions=[var[n] if v else -var[n]
+                                                 for n, v in picked.items()])
+                if not out.is_sat:
+                    continue
+                answered += 1
+                assert set(out.model) <= set(net.pis)
+                values = eval_assignment(net, {pid: out.model.get(pid, False)
+                                               for pid in net.pis})
+                assert all(values[n] == v for n, v in picked.items())
+        assert answered > 50
 
     @pytest.mark.parametrize("make", [lambda: adder_miter(3), lambda: adder_miter(4),
                                       lambda: sweep_fixture(5)])

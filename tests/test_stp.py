@@ -23,7 +23,8 @@ from stp_oracle import (
     swap_adjacent,
 )
 
-from stpsweep import LogicMatrix, structural_matrix
+from stpsweep import LogicMatrix
+from stpsweep.stp import structural_matrix
 
 
 class TestKronecker:

@@ -12,18 +12,16 @@ from stpsweep import (
     Network,
     SweepConfig,
     check_equivalence,
-    constant_prop,
     gen_random_patterns,
-    init_equiv_classes,
     prove_equiv,
     refine_classes,
     sat_guided_patterns,
     simulate_all,
     sweep,
-    toggle_rate,
     write_blif,
 )
 from stpsweep.sat import SatStatus
+from stpsweep.sweep import _ce_rows, constant_prop, init_equiv_classes, toggle_rate
 from helpers import (
     adder_miter, exhaustive_tables, lookup_tables, po_tables, random_network, sweep_fixture,
     undet_network,
@@ -79,6 +77,22 @@ class TestSatGuidedPatterns:
         assert p1.rows == p2.rows and c1 == c2
 
 
+class TestCeRows:
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_assigned_pis_are_constant_and_the_rest_drawn_in_pi_order(self, width):
+        net = sweep_fixture(2)
+        pis = net.pis
+        ce = {pis[3]: True, pis[0]: False, pis[5]: True}
+        rng, twin = random.Random(5), random.Random(5)
+        rows = _ce_rows(net, ce, width, rng)
+        assert len(rows) == len(pis)
+        full = (1 << width) - 1
+        for pid, row in zip(pis, rows):
+            assert row == ((full if ce[pid] else 0) if pid in ce else twin.getrandbits(width))
+        # No draw besides one per unassigned PI.
+        assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
 class TestToggleRate:
     def test_constant_is_zero(self):
         assert toggle_rate(0, 64) == 0.0
@@ -121,6 +135,23 @@ class TestConstantProp:
         driver, phase = net.pos[0]
         assert net.nodes[driver].arity == 0
         assert phase is True  # constant-0 node, inverted
+
+    def test_constants_need_no_cycle_walk(self, monkeypatch):
+        # Counted, not timed: the constant-0 LUT has no fanins, so it lies
+        # in no fanout cone, and no substitution onto it walks one.
+        net = sweep_fixture(1)
+        original = net.clone()
+        walks = []
+        is_in_tfo = Network.is_in_tfo
+
+        def counting(self, a, b):
+            walks.append((a, b))
+            return is_in_tfo(self, a, b)
+
+        monkeypatch.setattr(Network, "is_in_tfo", counting)
+        swept, stats = sweep(net, SweepConfig())
+        assert stats.constants == 20 and walks == []
+        assert check_equivalence(original, swept).equivalent
 
 
 class TestClasses:
