@@ -8,7 +8,10 @@ The solver is a conventional conflict-driven solver with two watched
 literals per clause, first-UIP clause learning, activity-based
 branching with 0.95 decay, saved polarities, and Luby restarts.  It is
 fully deterministic.  A positive conflict limit turns exhausted queries
-into an undetermined outcome; 0 disables the limit.
+into an undetermined outcome; 0 disables the limit.  Branching reads a
+lazy heap that holds, for every unassigned variable, an entry at the
+variable's current activity (see :class:`Solver`), so a backtrack
+pushes only the variables that have none.
 
 There is one way to ask: a live :class:`Solver`, with MiniSat's
 assumption interface.  Every clause enters through
@@ -17,9 +20,10 @@ assumption interface.  Every clause enters through
 over to the next query; variables and clauses may be added between
 queries.  A :class:`NetSolver` is such a solver bound to one network:
 it loads a node's LUT clauses the first time the node enters a query
-cone and branches only on each query's cone, and :func:`prove_equiv` on
-it asks an equivalence as two assumption-only queries in one
-:func:`solve` call, as ABC's fraig does.
+cone, from one clause template per distinct ``(arity, tt)``, and
+branches only on each query's cone.  :func:`prove_equiv` on it asks an
+equivalence as two assumption-only queries in one :func:`solve` call,
+as ABC's fraig does; the two share one scope walk and one heap.
 
 A SAT answer of a :class:`NetSolver` is a counter-example: a value for
 each PI in the query's scope, keyed by PI node id.  The PIs outside the
@@ -97,6 +101,16 @@ class Solver:
     satisfied at level 0 are dropped when the next call starts.  Between
     calls, :meth:`add_vars` and :meth:`add_clause` grow the problem.  A
     conflict at level 0 makes the solver UNSAT for good.
+
+    The branching heap is lazy: it holds ``(-activity, var)`` entries,
+    and an entry is valid while its key is its variable's activity.
+    ``in_heap[v]`` says that the heap holds a valid entry of ``v``.  A
+    bump in :meth:`_analyze` clears the flag, as does popping the valid
+    entry; a backtrack pushes a freed variable only if its flag is
+    clear.  So every unassigned variable has a valid entry, and the
+    pick, the first valid entry of an unassigned variable, is the
+    unassigned variable of maximal activity, ties going to the lowest
+    id.  A rescale scales the keys with the activities.
     """
 
     _DECAY = 0.95
@@ -116,8 +130,11 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        # Lazy max-activity heap; every activity is 0, so sorted is a heap.
+        # Lazy max-activity heap of ``(-activity, var)`` entries; every
+        # activity is 0, so sorted is a heap.
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
+        #: ``in_heap[v]``: the heap holds an entry of ``v`` at its current activity.
+        self.in_heap: list[bool] = [True] * (n + 1)
         self.ok = True
         self.learnts: list[list[int]] = []
         #: Length of the level-0 trail when learnt clauses were last pruned.
@@ -127,6 +144,14 @@ class Solver:
 
     def add_vars(self, count: int) -> int:
         """Add ``count`` fresh variables between calls; returns the first."""
+        first = self._grow(count)
+        for v in range(first, self.n_vars + 1):
+            heapq.heappush(self.heap, (0.0, v))
+            self.in_heap[v] = True
+        return first
+
+    def _grow(self, count: int) -> int:
+        """Add ``count`` variables, none of them on the heap; returns the first."""
         first = self.n_vars + 1
         self.n_vars += count
         # Negative literals sit at the end of the literal-indexed lists,
@@ -138,8 +163,7 @@ class Solver:
         self.activity += [0.0] * count
         self.polarity += [0] * count
         self.seen += [False] * count
-        for v in range(first, self.n_vars + 1):
-            heapq.heappush(self.heap, (0.0, v))
+        self.in_heap += [False] * count
         return first
 
     def add_clause(self, lits: list[int]) -> None:
@@ -201,9 +225,10 @@ class Solver:
                 clause = watch[i]
                 # Literals are swapped, never rewritten: the clause keeps
                 # its own int objects rather than gaining new ones.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
+                if first == falsified:
+                    first, clause[1] = clause[1], first
+                    clause[0] = first
                 if value[first] == 1:
                     i += 1
                     continue
@@ -233,11 +258,13 @@ class Solver:
     # -- branching ------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        value, activity, heap = self.value, self.activity, self.heap
+        value, activity, heap, in_heap = self.value, self.activity, self.heap, self.in_heap
         while heap:
             act, v = heapq.heappop(heap)
-            if value[v] < 0 and -act == activity[v]:
-                return v if self.polarity[v] else -v
+            if -act == activity[v]:
+                in_heap[v] = False
+                if value[v] < 0:
+                    return v if self.polarity[v] else -v
         for v in range(1, self.n_vars + 1):
             if value[v] < 0:
                 return v if self.polarity[v] else -v
@@ -245,7 +272,8 @@ class Solver:
 
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) > target_level:
-            value, activity, polarity, heap = self.value, self.activity, self.polarity, self.heap
+            value, activity, polarity = self.value, self.activity, self.polarity
+            heap, in_heap = self.heap, self.in_heap
             start = self.trail_lim[target_level]
             for lit in self.trail[start:]:
                 value[lit] = value[-lit] = -1
@@ -254,13 +282,15 @@ class Solver:
                 else:
                     lit = -lit
                     polarity[lit] = 0
-                heapq.heappush(heap, (-activity[lit], lit))
+                if not in_heap[lit]:
+                    in_heap[lit] = True
+                    heapq.heappush(heap, (-activity[lit], lit))
             del self.trail[start:]
             del self.trail_lim[target_level:]
             if len(heap) > 2 * self.n_vars + 64:
-                # Drop stale entries and duplicates: neither can be picked,
-                # and the pick only depends on the entries that can.
-                heap[:] = {e for e in heap if -e[0] == activity[e[1]]}
+                # Drop the stale entries: none can be picked, and the
+                # pick only depends on the entries that can.
+                heap[:] = [e for e in heap if -e[0] == activity[e[1]]]
                 heapq.heapify(heap)
         self.qhead = len(self.trail)
 
@@ -271,9 +301,13 @@ class Solver:
 
         Each variable met is bumped.  A bumped variable is always on the
         trail, and the backtrack that frees it pushes it onto the heap
-        with its new activity, so the bump itself pushes nothing.
+        with its new activity, so the bump itself pushes nothing: it
+        only marks the variable's heap entry stale.  A rescale scales
+        the heap keys with the activities, so every entry stays valid or
+        stale as it was.
         """
         seen, level, activity, trail = self.seen, self.level, self.activity, self.trail
+        in_heap = self.in_heap
         var_inc = self.var_inc
         learnt: list[int] = []
         counter = 0
@@ -289,9 +323,14 @@ class Solver:
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
                     activity[v] += var_inc
+                    in_heap[v] = False
                     if activity[v] > self._RESCALE:
                         scale = 1.0 / self._RESCALE
                         activity[:] = [a * scale for a in activity]
+                        heap = self.heap
+                        heap[:] = [(key * scale, u) for key, u in heap]
+                        # Rounding may tie two keys; restore the order on ids.
+                        heapq.heapify(heap)
                         var_inc = self.var_inc = var_inc * scale
                     if level[v] >= cur_level:
                         counter += 1
@@ -513,7 +552,10 @@ class NetSolver(Solver):
 
     :meth:`load` gives a node a variable (``node_var``), and a non-PI
     node its :func:`lut_clauses`, the first time the node enters a query
-    cone; nothing is encoded twice.  The clauses stay sound while the
+    cone; nothing is encoded twice.  ``lut_clauses`` runs once per
+    distinct ``(arity, tt)``, into a template over fanin positions kept
+    in ``templates``, and each LUT gets the template with its own
+    variables filled in.  The clauses stay sound while the
     network is swept: a node is substituted only once it is proven equal
     to its replacement, so each variable still equals its node's
     function of the PIs.
@@ -527,6 +569,13 @@ class NetSolver(Solver):
     scope's PIs, keyed by PI node id.  A SAT answer stays sound: the
     scope's clauses mention only scope variables, and every variable
     outside it is a function of the PIs that the model extends to.
+    Each query that walks a scope builds its heap from the scope's
+    unassigned variables and sets their heap flags.  A variable outside
+    the scope is never picked, so its flag and entries do not matter.
+    The two halves of an equivalence have one set of variables, so the
+    second keeps the first's scope and heap, unless the first fixed new
+    level-0 literals: every scope variable the first left unassigned
+    still has a valid entry.
 
     :meth:`add_equivalence` records a merge proven without SAT (by an
     exhaustive window) as the two binary clauses of ``a <-> b'``.  Both
@@ -547,21 +596,54 @@ class NetSolver(Solver):
         #: of them it may branch on.
         self.scope: set[int] = set()
         self.scope_vars: list[int] = []
+        #: The assumption variables and the level-0 trail length the
+        #: scope was walked for.
+        self.scope_key: tuple[set[int], int] | None = None
+        #: :func:`lut_clauses` of each ``(arity, tt)`` loaded so far, as
+        #: literal codes: ``2 * i`` is fanin ``i``, ``2 * i + 1`` its
+        #: complement, and ``2 * arity`` and ``2 * arity + 1`` the output's.
+        self.templates: dict[tuple[int, int], list[list[int]]] = {}
 
     def load(self, roots: list[int]) -> None:
-        """Encode the nodes of the roots' input cones not encoded yet."""
+        """Encode the nodes of the roots' input cones not encoded yet.
+
+        A LUT gets its table's template with its own literals filled in,
+        one int object per literal.  When its fanin variables are
+        distinct and unassigned, :meth:`add_clause` would attach every
+        clause as it is, so they go straight to their watch lists; any
+        other LUT's clauses go through :meth:`add_clause`.
+        """
         new = _cone(self.net, roots, known=self.node_var)
         if not new:
             return
-        nodes, node_var = self.net.nodes, self.node_var
+        nodes, node_var, value, watches = self.net.nodes, self.node_var, self.value, self.watches
+        templates = self.templates
         # Post-order: every fanin has its variable before its readers.
-        for var, nid in enumerate(new, self.add_vars(len(new))):
+        # The heap gets no entries: the next query builds its own.
+        for var, nid in enumerate(new, self._grow(len(new))):
             node_var[nid] = var
             node = nodes[nid]
             fanins = [node_var[f] for f in node.fanins]
             self.fanin_vars.append(fanins)
-            if not node.is_pi:
-                for clause in lut_clauses(var, fanins, node.tt):
+            if node.is_pi:
+                continue
+            arity = len(fanins)
+            template = templates.get((arity, node.tt))
+            if template is None:
+                template = templates[arity, node.tt] = [
+                    [2 * abs(lit) - 2 + (lit < 0) for lit in clause]
+                    for clause in lut_clauses(arity + 1, list(range(1, arity + 1)), node.tt)]
+            lits = [lit for fv in fanins for lit in (fv, -fv)]
+            lits += (var, -var)
+            clauses = [[lits[code] for code in codes] for codes in template]
+            # Only a constant table has a unit clause, and it has just one.
+            if (self.ok and len(template[0]) > 1 and len(set(fanins)) == arity
+                    and all(value[fv] < 0 for fv in fanins)):
+                for clause in clauses:
+                    watches[clause[0]].append(clause)
+                    watches[clause[1]].append(clause)
+            else:
+                for clause in clauses:
                     self.add_clause(clause)
 
     def add_equivalence(self, a: int, b: int, inverted: bool = False) -> None:
@@ -587,8 +669,13 @@ class NetSolver(Solver):
 
         The scope walk does not enter variables already fixed (a call
         starts at level 0): such a node is constant, so any values of
-        its fanins extend to a model.
+        its fanins extend to a model.  A query over the same variables
+        as the last one, with no level-0 literal fixed since, has the
+        same scope and keeps the last query's scope and heap.
         """
+        key = ({abs(lit) for lit in assumptions}, len(self.trail))
+        if key == self.scope_key:
+            return super().solve(assumptions, conflict_limit)
         value, fanin_vars = self.value, self.fanin_vars
         scope: set[int] = set()
         order: list[int] = []
@@ -601,18 +688,23 @@ class NetSolver(Solver):
             if value[v] < 0:
                 order.append(v)
                 stack.extend(fanin_vars[v])
-        self.scope, self.scope_vars = scope, order
-        activity = self.activity
-        self.heap = [(-activity[v], v) for v in order if value[v] < 0]
+        self.scope, self.scope_vars, self.scope_key = scope, order, key
+        activity, in_heap = self.activity, self.in_heap
+        self.heap = [(-activity[v], v) for v in order]
         heapq.heapify(self.heap)
+        for v in order:
+            in_heap[v] = True
         return super().solve(assumptions, conflict_limit)
 
     def _pick_branch(self) -> int:
-        value, activity, heap, scope = self.value, self.activity, self.heap, self.scope
+        value, activity, heap, in_heap = self.value, self.activity, self.heap, self.in_heap
+        scope = self.scope
         while heap:
             act, v = heapq.heappop(heap)
-            if value[v] < 0 and -act == activity[v] and v in scope:
-                return v if self.polarity[v] else -v
+            if -act == activity[v]:
+                in_heap[v] = False
+                if value[v] < 0 and v in scope:
+                    return v if self.polarity[v] else -v
         for v in self.scope_vars:
             if value[v] < 0:
                 return v if self.polarity[v] else -v

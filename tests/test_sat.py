@@ -1,5 +1,6 @@
 """CDCL solver, net-bound cone loading, and equivalence queries."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from stpsweep import (
     SatStatus,
     Solver,
     SweepConfig,
+    check_equivalence,
     prove_equiv,
     solve,
     sweep,
@@ -445,6 +447,25 @@ class TestNetSolver:
         # The PIs of g's cone, by node id; c and d are loaded but free.
         assert out.is_sat and out.model == {a: True, b: True}
 
+    def test_a_new_level_zero_literal_renews_the_scope(self):
+        # A query over the same variables as the last one keeps its
+        # scope only while no level-0 literal is new: once g is fixed,
+        # the walk stops at g, and y and z leave the scope and the model.
+        net = Network()
+        x, y, z = (net.add_pi() for _ in range(3))
+        g = net.add_lut([y, z], 0b1000)
+        r = net.add_lut([x, g], 0b1110)
+        solver = NetSolver(net)
+        solver.load([r])
+        var = solver.node_var
+        out = solve(solver, assumptions=[var[r]])
+        assert out.is_sat and set(out.model) == {x, y, z}
+        out = solve(solver, assumptions=[var[r]])
+        assert out.is_sat and set(out.model) == {x, y, z}
+        solver.add_clause([var[g]])
+        out = solve(solver, assumptions=[var[r]])
+        assert out.is_sat and set(out.model) == {x}
+
     def test_scope_follows_the_loaded_fanins(self):
         # y = a AND (p XNOR q) with p, q both b XOR d, so y equals a, but
         # unit propagation alone cannot see p == q.  Once y is replaced
@@ -584,7 +605,7 @@ class TestNetSolver:
 
 
 class TestSearchPinned:
-    """Golden ``(status, conflicts)``.  The first two tests ask a fresh
+    """Golden ``(status, conflicts)``.  The first tests ask a fresh
     ``Solver(n_vars, clauses)`` once, with no assumptions; their numbers
     were recorded before the solver became incremental and still hold
     now that every clause enters through ``add_clause``.  The sweep's
@@ -597,31 +618,47 @@ class TestSearchPinned:
         assert (out.status, out.conflicts) == (SatStatus.UNSAT, 28)
 
     GOLDEN_3SAT = [152, 102, 230, 293, 201, 142]
-    #: The same instances with activities rescaled past 2.0 instead of
-    #: 1e100: rescaling leaves stale heap entries, and that changes the search.
-    GOLDEN_3SAT_RESCALE_2 = [182, 99, 258, 293, 213, 136]
 
-    def test_random_3sat(self, monkeypatch):
+    def test_random_3sat(self):
         got = [solve(Solver(*random_3sat(seed))) for seed in range(6)]
         assert all(o.is_unsat for o in got)
         assert [o.conflicts for o in got] == self.GOLDEN_3SAT
-        monkeypatch.setattr(Solver, "_RESCALE", 2.0)
-        got = [solve(Solver(*random_3sat(seed))).conflicts for seed in range(6)]
-        assert got == self.GOLDEN_3SAT_RESCALE_2
+
+    @pytest.mark.parametrize("rescale", [2.0, 16.0])
+    def test_rescale_leaves_the_search_unchanged(self, monkeypatch, rescale):
+        # Activities and heap keys scaled down by a power of two, many
+        # times per instance: exact arithmetic, so every comparison and
+        # every branch is the one made with no rescale.
+        monkeypatch.setattr(Solver, "_RESCALE", rescale)
+        solvers = [Solver(*random_3sat(seed)) for seed in range(6)]
+        got = [solve(solver).conflicts for solver in solvers]
+        assert got == self.GOLDEN_3SAT
+        # var_inc grows by 1 / _DECAY a conflict, so it ends below that
+        # product only if it was scaled down.
+        assert all(solver.var_inc < Solver._DECAY ** -n / rescale
+                   for solver, n in zip(solvers, got))
 
     @staticmethod
-    def sweep_log(monkeypatch, cfg: SweepConfig):
+    def solve_log(monkeypatch) -> list:
+        """``(status, conflicts, model)`` of each ``Solver.solve`` call,
+        taken as the call returns: :func:`solve` later overwrites a
+        second assumption set's conflicts with the pair's."""
         log = []
         original = Solver.solve
 
         def recording(self, *args, **kwargs):
             out = original(self, *args, **kwargs)
-            log.append((out.status, out.conflicts))
+            log.append((out.status, out.conflicts, out.model))
             return out
 
         monkeypatch.setattr(Solver, "solve", recording)
+        return log
+
+    @classmethod
+    def sweep_log(cls, monkeypatch, cfg: SweepConfig):
+        log = cls.solve_log(monkeypatch)
         _, stats = sweep(sweep_fixture(0), cfg)
-        return log, stats
+        return [(status, conflicts) for status, conflicts, _ in log], stats
 
     def test_every_query_of_a_sweep(self, monkeypatch):
         # Recorded from the sweep on one NetSolver with the window off:
@@ -639,6 +676,32 @@ class TestSearchPinned:
         unsat = SatStatus.UNSAT
         assert log == [(unsat, 0), (unsat, 0), (unsat, 1)]
         assert stats.merges == stats.window_merges == 5
+
+    #: ``sweep(adder_miter(12), SweepConfig(window_cap=0))``, then
+    #: ``check_equivalence`` of its input and output: the status of each
+    #: ``Solver.solve`` call (S or U), its conflicts, and the SHA-1 of the
+    #: SAT answers' models.  Many queries take several conflicts, so a
+    #: changed decision, learnt clause or restart shows here.
+    ADDER_STATUSES = "S" * 8 + "U" * 114
+    ADDER_CONFLICTS = [
+        0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 2, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1,
+        0, 1, 0, 1, 0, 1, 2, 0, 3, 1, 3, 1, 4, 1, 3, 1, 4, 1, 3, 1, 5, 1, 4, 1, 6, 1,
+        4, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2, 3, 2, 5, 5,
+        11, 8, 8, 9, 9, 8, 10, 8, 13, 9, 18, 8, 14, 8, 11, 10, 5, 1,
+    ]
+    ADDER_MODELS_SHA1 = "30009fd796ab7d43b46306697a79e412c429921a"
+
+    def test_every_query_of_a_sat_heavy_sweep_and_its_cec(self, monkeypatch):
+        log = self.solve_log(monkeypatch)
+        net = adder_miter(12)
+        before = net.clone()
+        sweep(net, SweepConfig(window_cap=0))
+        assert check_equivalence(before, net).equivalent
+        assert "".join(status.value[0].upper() for status, _, _ in log) == self.ADDER_STATUSES
+        assert [conflicts for _, conflicts, _ in log] == self.ADDER_CONFLICTS
+        models = repr([sorted(model.items()) for _, _, model in log if model is not None])
+        assert hashlib.sha1(models.encode()).hexdigest() == self.ADDER_MODELS_SHA1
 
 
 def falsified_rows(arity: int, clauses) -> np.ndarray:
@@ -665,6 +728,41 @@ def parity_tt(arity: int) -> int:
     return sum(1 << v for v in range(1 << arity) if bin(v).count("1") % 2)
 
 
+def small_tables():
+    """Every ``(arity, tt)`` of up to three inputs."""
+    for arity in range(4):
+        for tt in range(1 << (1 << arity)):
+            yield arity, tt
+
+
+def sample_tables(rng: random.Random, count: int, arities):
+    """``count`` tables, the arities in turn: constants, projections,
+    AND, OR, parity, sparse and random tables, in turn too."""
+    arities = list(arities)
+    for i in range(count):
+        arity = arities[i % len(arities)]
+        n_rows = 1 << arity
+        full = (1 << n_rows) - 1
+        x = rng.randrange(arity)
+        x_row = sum(1 << v for v in range(n_rows) if v >> (arity - 1 - x) & 1)
+        kind = i % 10
+        if kind == 0:
+            tt = rng.choice([0, full])
+        elif kind == 1:
+            tt = rng.choice([x_row, x_row ^ full])
+        elif kind == 2:
+            tt = 1 << (n_rows - 1)  # AND
+        elif kind == 3:
+            tt = full ^ 1  # OR
+        elif kind == 4:
+            tt = rng.choice([parity_tt(arity), parity_tt(arity) ^ full])
+        elif kind == 5:  # few on-set rows
+            tt = rng.getrandbits(n_rows) & rng.getrandbits(n_rows) & rng.getrandbits(n_rows)
+        else:
+            tt = rng.getrandbits(n_rows)
+        yield arity, tt
+
+
 class TestLutClauses:
     """``lut_clauses`` against the LUT relation, checked by enumeration."""
 
@@ -684,33 +782,11 @@ class TestLutClauses:
         return clauses
 
     def test_every_table_up_to_three_inputs(self):
-        for arity in range(4):
-            for tt in range(1 << (1 << arity)):
-                self.check_exact(arity, tt)
+        for arity, tt in small_tables():
+            self.check_exact(arity, tt)
 
     def test_random_tables_of_four_to_ten_inputs(self):
-        rng = random.Random(23)
-        for i in range(500):
-            arity = 4 + i % 7
-            n_rows = 1 << arity
-            full = (1 << n_rows) - 1
-            x = rng.randrange(arity)
-            x_row = sum(1 << v for v in range(n_rows) if v >> (arity - 1 - x) & 1)
-            kind = i % 10
-            if kind == 0:
-                tt = rng.choice([0, full])
-            elif kind == 1:
-                tt = rng.choice([x_row, x_row ^ full])
-            elif kind == 2:
-                tt = 1 << (n_rows - 1)  # AND
-            elif kind == 3:
-                tt = full ^ 1  # OR
-            elif kind == 4:
-                tt = rng.choice([parity_tt(arity), parity_tt(arity) ^ full])
-            elif kind == 5:  # few on-set rows
-                tt = rng.getrandbits(n_rows) & rng.getrandbits(n_rows) & rng.getrandbits(n_rows)
-            else:
-                tt = rng.getrandbits(n_rows)
+        for arity, tt in sample_tables(random.Random(23), 500, range(4, 11)):
             self.check_exact(arity, tt)
 
     def test_and_or_and_parity_sizes(self):
@@ -725,6 +801,154 @@ class TestLutClauses:
         clauses = sat_module.lut_clauses(2000, fanins, random.Random(4).getrandbits(64))
         lits = [lit for clause in clauses for lit in clause]
         assert len({id(lit) for lit in lits}) == len(set(lits)) <= 2 * len(fanins) + 2
+
+
+class TestLoadAttaches:
+    """``NetSolver.load`` leaves the solver as a plain :class:`Solver`
+    given each LUT's ``lut_clauses`` through ``add_clause`` would be."""
+
+    @staticmethod
+    def reference(solver: NetSolver, units=()) -> Solver:
+        """The plain solver: ``units`` first, then every loaded LUT's
+        clauses, the LUTs in the order they were loaded."""
+        ref = Solver(solver.n_vars)
+        for lit in units:
+            ref.add_clause([lit])
+        node_of = {var: nid for nid, var in solver.node_var.items()}
+        for var in range(1, solver.n_vars + 1):
+            node = solver.net.nodes[node_of[var]]
+            if not node.is_pi:
+                fanin_vars = [solver.node_var[f] for f in node.fanins]
+                for clause in sat_module.lut_clauses(var, fanin_vars, node.tt):
+                    ref.add_clause(clause)
+        return ref
+
+    @staticmethod
+    def check_same_state(solver: NetSolver, ref: Solver) -> list[list[int]]:
+        """Same values, trail and watch lists (clause by clause, in
+        order); returns the attached clauses."""
+        assert solver.value == ref.value and solver.trail == ref.trail
+        watched = [[list(clause) for clause in watch] for watch in solver.watches]
+        assert watched == [[list(clause) for clause in watch] for watch in ref.watches]
+        # Each clause is one object on the lists of its first two literals.
+        count: dict[int, int] = {}
+        clauses = {}
+        for lit in range(-solver.n_vars, solver.n_vars + 1):
+            for clause in solver.watches[lit]:
+                assert lit in clause[:2]
+                count[id(clause)] = count.get(id(clause), 0) + 1
+                clauses[id(clause)] = clause
+        assert set(count.values()) <= {2}
+        return list(clauses.values())
+
+    def test_distinct_free_fanins(self):
+        # 300 PIs, so most variables are past CPython's small-int cache
+        # and literal sharing is down to the loader.
+        rng = random.Random(53)
+        tables = list(small_tables()) + list(sample_tables(rng, 120, range(4, 7)))
+        net = Network()
+        pis = [net.add_pi() for _ in range(300)]
+        for arity, tt in tables:
+            net.add_lut(rng.sample(pis, arity), tt)
+        solver = NetSolver(net)
+        solver.load([n.id for n in net.nodes if not n.is_pi])
+        clauses = self.check_same_state(solver, self.reference(solver))
+        # The clauses of one LUT share one int object per literal; each
+        # cover clause ends with its LUT's output literal.
+        by_lut: dict[int, list[int]] = {}
+        for clause in clauses:
+            by_lut.setdefault(abs(clause[-1]), []).extend(clause)
+        for lits in by_lut.values():
+            assert len({id(lit) for lit in lits}) == len(set(lits))
+        # Only the constant tables leave units; everything else is attached.
+        expected = sum(len(sat_module.lut_clauses(0, list(range(1, a + 1)), tt))
+                       for a, tt in tables if 0 < tt < (1 << (1 << a)) - 1)
+        assert len(clauses) == expected
+
+    def test_repeated_and_fixed_fanins_are_simplified(self):
+        # x is fixed at level 0 before any LUT is loaded; each LUT reads
+        # x, or one fanin twice, or both.
+        rng = random.Random(59)
+        net = Network()
+        x = net.add_pi()
+        pis = [x] + [net.add_pi() for _ in range(299)]
+        for arity, tt in list(small_tables()) + list(sample_tables(rng, 60, range(4, 7))):
+            if arity < 2:
+                continue
+            fanins = rng.sample(pis[1:], arity)
+            kind = rng.randrange(3)
+            if kind != 1:
+                fanins[rng.randrange(arity)] = x
+            if kind != 0:
+                i, j = rng.sample(range(arity), 2)
+                fanins[i] = fanins[j]
+            net.add_lut(fanins, tt)
+        solver = NetSolver(net)
+        solver.load([x])
+        unit = solver.node_var[x] if rng.random() < 0.5 else -solver.node_var[x]
+        solver.add_clause([unit])
+        solver.load([n.id for n in net.nodes if not n.is_pi])
+        clauses = self.check_same_state(solver, self.reference(solver, [unit]))
+        for clause in clauses:
+            assert len({abs(lit) for lit in clause}) == len(clause)
+            assert abs(unit) not in map(abs, clause)
+
+
+class TestBranchPicks:
+    """Every branch is an unassigned variable of the query's scope with
+    maximal activity, ties going to the lowest id: checked on every
+    pick by a scan of the scope."""
+
+    @staticmethod
+    def check_picks(monkeypatch) -> list[int]:
+        picks = []
+
+        def checked(original):
+            def pick(solver):
+                lit = original(solver)
+                scope = (solver.scope_vars if isinstance(solver, NetSolver)
+                         else range(1, solver.n_vars + 1))
+                free = [v for v in scope if solver.value[v] < 0]
+                if lit == 0:
+                    assert not free
+                else:
+                    top = max(solver.activity[v] for v in free)
+                    assert abs(lit) == min(v for v in free if solver.activity[v] == top)
+                picks.append(lit)
+                return lit
+            return pick
+
+        for cls in (Solver, NetSolver):
+            if "_pick_branch" in vars(cls):
+                monkeypatch.setattr(cls, "_pick_branch", checked(vars(cls)["_pick_branch"]))
+        return picks
+
+    @pytest.mark.parametrize("rescale", [Solver._RESCALE, 2.0])
+    def test_random_3sat(self, monkeypatch, rescale):
+        monkeypatch.setattr(Solver, "_RESCALE", rescale)
+        picks = self.check_picks(monkeypatch)
+        for seed in range(6):
+            solve(Solver(*random_3sat(seed)))
+        assert len(picks) > 1000
+
+    @pytest.mark.parametrize("rescale", [Solver._RESCALE, 2.0])
+    def test_net_solver_queries(self, monkeypatch, rescale):
+        # Equivalences and random assumption cubes, many per solver.
+        monkeypatch.setattr(Solver, "_RESCALE", rescale)
+        picks = self.check_picks(monkeypatch)
+        rng = random.Random(61)
+        for _ in range(8):
+            net = random_network(rng, rng.randint(8, 16), rng.randint(40, 120), max_k=6)
+            solver = NetSolver(net)
+            gates = [n.id for n in net.nodes if not n.is_pi]
+            for _ in range(30):
+                a, b = rng.sample(gates, 2)
+                prove_equiv(solver, a, b, inverted=rng.random() < 0.5)
+                cube = rng.sample(gates, rng.randint(1, 3))
+                solver.load(cube)
+                solve(solver, assumptions=[solver.node_var[n] * rng.choice((1, -1))
+                                           for n in cube])
+        assert len(picks) > 1000
 
 
 class TestEncodeCone:
