@@ -23,14 +23,10 @@ from .netlist import (
 )
 from .sat import NetSolver, SatOutcome, SatStatus, Solver, prove_equiv, solve
 from .simulate import (
-    Cut,
-    CutSet,
     PatternSet,
     Signature,
     WindowTooLarge,
     WindowTruths,
-    circuit_cut,
-    cut_truth_tables,
     exhaustive_window_sim,
     gen_random_patterns,
     parse_patterns,
@@ -38,20 +34,20 @@ from .simulate import (
     simulate_specified,
 )
 from .stp import MAX_ARITY, LogicMatrix
-from .sweep import SweepConfig, SweepStats, refine_classes, sat_guided_patterns, sweep
+from .sweep import SweepConfig, SweepStats, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinOp", "CecResult", "Cut", "CutSet", "CycleError",
+    "BinOp", "CecResult", "CycleError",
     "ExprSyntaxError", "InterfaceMismatch", "LogicMatrix", "Lut", "LutNode",
     "MAX_ARITY", "NetSolver", "NetlistError", "Network", "Not", "PatternSet", "SatOutcome",
     "SatStatus", "Signature", "Solver", "SweepConfig", "SweepStats", "Var",
     "WindowTooLarge", "WindowTruths", "canonical_form",
-    "check_equivalence", "circuit_cut", "cut_truth_tables", "eval_expr",
+    "check_equivalence", "eval_expr",
     "exhaustive_window_sim", "flip_tt_input", "gen_random_patterns",
     "parse_aiger_ascii", "parse_blif",
-    "parse_expr", "parse_patterns", "prove_equiv", "refine_classes",
-    "sat_guided_patterns", "simulate_all", "simulate_specified", "solve",
+    "parse_expr", "parse_patterns", "prove_equiv",
+    "simulate_all", "simulate_specified", "solve",
     "sweep", "write_blif",
 ]

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .simulate import _var_row, eval_tt_words
-from .stp import MAX_ARITY, LogicMatrix, structural_matrix
+from .stp import MAX_ARITY, LogicMatrix
 
 BoolExpr = Union["Var", "Not", "BinOp", "Lut"]
 
-_BINARY_OPS = ("and", "or", "xor", "implies", "iff")
+#: Truth row of each binary operator, in the column order of :mod:`stpsweep.stp`.
+_BINARY_OPS = {"and": 0b1000, "or": 0b1110, "xor": 0b0110, "implies": 0b1011, "iff": 0b1001}
 
 
 @dataclass(frozen=True)
@@ -290,7 +291,7 @@ def canonical_form(expr: BoolExpr, n: int) -> LogicMatrix:
         elif isinstance(e, Not):
             rows.append(rows.pop() ^ mask)
         else:
-            tt = e.row if isinstance(e, Lut) else structural_matrix(e.op).row
+            tt = e.row if isinstance(e, Lut) else _BINARY_OPS[e.op]
             split = len(rows) - len(_children(e))
             operands = rows[split:]
             del rows[split:]

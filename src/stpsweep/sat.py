@@ -8,10 +8,10 @@ The solver is a conventional conflict-driven solver with two watched
 literals per clause, first-UIP clause learning, activity-based
 branching with 0.95 decay, saved polarities, and Luby restarts.  It is
 fully deterministic.  A positive conflict limit turns exhausted queries
-into an undetermined outcome; 0 disables the limit.  Branching reads a
-lazy heap that holds, for every unassigned variable, an entry at the
-variable's current activity (see :class:`Solver`), so a backtrack
-pushes only the variables that have none.
+into an undetermined outcome; 0 disables the limit.  Branching reads
+only a lazy heap that holds, for every unassigned variable, an entry at
+its current activity (see :class:`Solver`): that invariant alone
+guarantees a pick, and a backtrack pushes only variables with no entry.
 
 There is one way to ask: a live :class:`Solver`, with MiniSat's
 assumption interface.  Every clause enters through
@@ -110,7 +110,8 @@ class Solver:
     clear.  So every unassigned variable has a valid entry, and the
     pick, the first valid entry of an unassigned variable, is the
     unassigned variable of maximal activity, ties going to the lowest
-    id.  A rescale scales the keys with the activities.
+    id; nothing else picks, so this invariant alone guarantees one.  A
+    rescale scales the keys with the activities.
     """
 
     _DECAY = 0.95
@@ -265,9 +266,6 @@ class Solver:
                 in_heap[v] = False
                 if value[v] < 0:
                     return v if self.polarity[v] else -v
-        for v in range(1, self.n_vars + 1):
-            if value[v] < 0:
-                return v if self.polarity[v] else -v
         return 0
 
     def _backtrack(self, target_level: int) -> None:
@@ -480,16 +478,19 @@ def solve(solver: Solver, assumptions: Sequence[int] | None = None,
         spent += outcome.conflicts
         if not outcome.is_unsat:
             break
-    outcome.conflicts = spent
-    return outcome
+    return SatOutcome(outcome.status, outcome.model, spent)
 
 
 # ---------------------------------------------------------------------------
 # LUT clauses and the net-bound solver.
 
 
-def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]:
-    """Consistency clauses of one LUT, from irredundant covers of its on-set and off-set.
+def lut_clauses(arity: int, tt: int) -> list[list[int]]:
+    """Consistency clauses of an ``arity``-input LUT, over literal codes.
+
+    Code ``2 * i`` is fanin ``i`` and ``2 * i + 1`` its complement;
+    ``2 * arity`` and ``2 * arity + 1`` are the output and its
+    complement.  :meth:`NetSolver.load` fills a LUT's literals in.
 
     Each cube ``c`` of a Minato-Morreale irredundant sum-of-products
     cover (ISOP) of the on-set gives the clause ``not c or out``, and
@@ -500,13 +501,10 @@ def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]
 
     The cover works on rows 2^j bits wide at level j, fanin 0 first
     (the row's high half is its 1-cofactor), so it recurses at most
-    ``len(fanin_vars)`` deep.  A variable that neither bound of the
-    interval depends on is skipped; the cover found over the halves
-    then holds for the whole row.
+    ``arity`` deep.  A variable that neither bound of the interval
+    depends on is skipped; the cover found over the halves then holds
+    for the whole row.
     """
-    arity = len(fanin_vars)
-    # One int object per literal, shared by all the LUT's clauses.
-    in_lits = [(fv, -fv) for fv in fanin_vars]  # indexed by the input's bit
     clauses: list[list[int]] = []
     cube: list[int] = []  # clause literals of the cube on the current path
 
@@ -524,7 +522,7 @@ def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]
             f = cover(lower0, upper0, j - 1, out_lit)
             return f | f << half
         # An empty lower bound needs no cube, so it gets no call.
-        lit0, lit1 = in_lits[arity - j]
+        lit0, lit1 = 2 * (arity - j), 2 * (arity - j) + 1
         f0 = f1 = fs = 0
         if part := lower0 & ~upper1:  # cubes with the input at 0
             cube.append(lit0)
@@ -541,9 +539,9 @@ def lut_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]
     full = (1 << (1 << arity)) - 1
     on, off = tt & full, ~tt & full
     if on:
-        cover(on, on, arity, out_var)
+        cover(on, on, arity, 2 * arity)
     if off:
-        cover(off, off, arity, -out_var)
+        cover(off, off, arity, 2 * arity + 1)
     return clauses
 
 
@@ -553,8 +551,8 @@ class NetSolver(Solver):
     :meth:`load` gives a node a variable (``node_var``), and a non-PI
     node its :func:`lut_clauses`, the first time the node enters a query
     cone; nothing is encoded twice.  ``lut_clauses`` runs once per
-    distinct ``(arity, tt)``, into a template over fanin positions kept
-    in ``templates``, and each LUT gets the template with its own
+    distinct ``(arity, tt)``, and its template over fanin positions is
+    kept in ``templates``; each LUT gets the template with its own
     variables filled in.  The clauses stay sound while the
     network is swept: a node is substituted only once it is proven equal
     to its replacement, so each variable still equals its node's
@@ -592,16 +590,12 @@ class NetSolver(Solver):
         self.node_var: dict[int, int] = {}
         #: Fanin variables of each variable when it was loaded (PIs: none).
         self.fanin_vars: list[list[int]] = [[]]
-        #: The variables the current query's scope walk met, and those
-        #: of them it may branch on.
+        #: The variables the current query's scope walk met.
         self.scope: set[int] = set()
-        self.scope_vars: list[int] = []
         #: The assumption variables and the level-0 trail length the
         #: scope was walked for.
         self.scope_key: tuple[set[int], int] | None = None
-        #: :func:`lut_clauses` of each ``(arity, tt)`` loaded so far, as
-        #: literal codes: ``2 * i`` is fanin ``i``, ``2 * i + 1`` its
-        #: complement, and ``2 * arity`` and ``2 * arity + 1`` the output's.
+        #: :func:`lut_clauses` of each ``(arity, tt)`` loaded so far.
         self.templates: dict[tuple[int, int], list[list[int]]] = {}
 
     def load(self, roots: list[int]) -> None:
@@ -630,9 +624,7 @@ class NetSolver(Solver):
             arity = len(fanins)
             template = templates.get((arity, node.tt))
             if template is None:
-                template = templates[arity, node.tt] = [
-                    [2 * abs(lit) - 2 + (lit < 0) for lit in clause]
-                    for clause in lut_clauses(arity + 1, list(range(1, arity + 1)), node.tt)]
+                template = templates[arity, node.tt] = lut_clauses(arity, node.tt)
             lits = [lit for fv in fanins for lit in (fv, -fv)]
             lits += (var, -var)
             clauses = [[lits[code] for code in codes] for codes in template]
@@ -688,7 +680,7 @@ class NetSolver(Solver):
             if value[v] < 0:
                 order.append(v)
                 stack.extend(fanin_vars[v])
-        self.scope, self.scope_vars, self.scope_key = scope, order, key
+        self.scope, self.scope_key = scope, key
         activity, in_heap = self.activity, self.in_heap
         self.heap = [(-activity[v], v) for v in order]
         heapq.heapify(self.heap)
@@ -705,9 +697,6 @@ class NetSolver(Solver):
                 in_heap[v] = False
                 if value[v] < 0 and v in scope:
                     return v if self.polarity[v] else -v
-        for v in self.scope_vars:
-            if value[v] < 0:
-                return v if self.polarity[v] else -v
         return 0
 
     def _model(self) -> dict[int, bool]:

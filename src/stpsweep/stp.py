@@ -95,28 +95,3 @@ class LogicMatrix:
             return f"LogicMatrix({self.arity}, '{self.truth_row()}')"
         return f"LogicMatrix(arity={self.arity})"
 
-
-#: Truth rows of the named operators in the package column order.
-_OPERATOR_ROWS = {
-    "not": (1, 0b01),
-    "and": (2, 0b1000),
-    "or": (2, 0b1110),
-    "xor": (2, 0b0110),
-    "implies": (2, 0b1011),
-    "iff": (2, 0b1001),
-}
-
-
-def structural_matrix(op: str) -> LogicMatrix:
-    """Logic matrix of a named Boolean operator or of a raw truth row.
-
-    ``op`` is one of ``not``, ``and``, ``or``, ``xor``, ``implies``,
-    ``iff`` (case-insensitive), or an arbitrary 0/1 row string.
-    """
-    key = op.strip().lower()
-    if key in _OPERATOR_ROWS:
-        arity, row = _OPERATOR_ROWS[key]
-        return LogicMatrix(arity, row)
-    if key and all(c in "01" for c in key):
-        return LogicMatrix.from_truth_row(key)
-    raise ValueError(f"unknown operator: {op!r}")

@@ -245,7 +245,7 @@ def _minority_value(bits: int, n_patterns: int) -> bool | None:
 
 
 def sat_guided_patterns(
-    solver: NetSolver, cfg: SweepConfig, stats: SweepStats | None = None
+    solver: NetSolver, cfg: SweepConfig, stats: SweepStats
 ) -> tuple[PatternSet, list[tuple[int, bool]]]:
     """Two-round SAT-guided pattern generation.
 
@@ -258,8 +258,6 @@ def sat_guided_patterns(
     and the proven ``(node, constant_value)`` pairs.  The gates are those
     of ``solver.net``, and every query goes to ``solver``.
     """
-    if stats is None:
-        stats = SweepStats()
     net = solver.net
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
     patterns = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
@@ -291,19 +289,14 @@ def sat_guided_patterns(
 
 
 def constant_prop(net: Network, constants: list[tuple[int, bool]]) -> int:
-    """Replace proven-constant nodes by one shared constant-0 LUT."""
-    todo = [(nid, val) for nid, val in constants if not net.nodes[nid].dead]
-    if not todo:
+    """Replace proven-constant nodes, distinct and live, by one shared constant-0 LUT."""
+    if not constants:
         return 0
     const0 = net.add_lut([], 0)
-    count = 0
-    for nid, value in todo:
-        if net.nodes[nid].dead:
-            continue
+    for nid, value in constants:
         net.substitute_node(nid, const0, inverted=bool(value))
-        count += 1
     net.remove_dead()
-    return count
+    return len(constants)
 
 
 def _window_refine_classes(mgr: ClassManager, net: Network, cfg: SweepConfig) -> int:
@@ -336,19 +329,16 @@ def refine_classes(
     net: Network,
     ce: dict[int, bool],
     cfg: SweepConfig,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> int:
     """Refine candidate classes with a counter-example.
 
     The counter-example is expanded to ``CE_EXPANSION`` patterns
-    (assigned PIs pinned, the rest random), and only the input cones of
-    the current class members are simulated.  Classes whose support fits
-    the exhaustive window are afterwards split by full truth rows.
-    Returns the number of class splits.
+    (assigned PIs pinned, the rest drawn from ``rng``), and only the
+    input cones of the current class members are simulated.  Classes
+    whose support fits the exhaustive window are afterwards split by
+    full truth rows.  Returns the number of class splits.
     """
-    if rng is None:
-        seed_key = (cfg.seed,) + tuple(sorted(ce.items()))
-        rng = random.Random(hash(seed_key) & 0xFFFFFFFF)
     pats = PatternSet(_ce_rows(net, ce, CE_EXPANSION, rng), CE_EXPANSION)
     sigs = simulate_specified(net, pats, list(mgr.class_of))
     bits = {nid: sig.bits for nid, sig in sigs.items()}

@@ -3,10 +3,12 @@
 The package stores a logic matrix as its top row and evaluates it with
 :func:`stpsweep.simulate.eval_tt_words`.  This module keeps the textbook
 form of the same algebra, with dense numpy matrices: the STP itself,
-the Kronecker product, the swap and power-reducing matrices, the row
-operations each of them realizes on a :class:`~stpsweep.LogicMatrix`,
-and two independent canonicalizations of an expression (enumeration
-and a dense factor chain).  The tests check the package against it.
+the Kronecker product, the structural matrices of the logical
+operators, the swap and power-reducing matrices, the row operations
+each of them realizes on a :class:`~stpsweep.LogicMatrix`, and two
+independent canonicalizations of an expression (enumeration and a
+dense factor chain).  The tests check the package against it; none of
+these matrices is read from the package.
 """
 
 from __future__ import annotations
@@ -16,7 +18,19 @@ import math
 import numpy as np
 
 from stpsweep.bexpr import BinOp, BoolExpr, Not, Var, eval_expr
-from stpsweep.stp import MAX_ARITY, LogicMatrix, structural_matrix
+from stpsweep.stp import MAX_ARITY, LogicMatrix
+
+#: Structural matrix of each logical operator, as the STP literature
+#: writes them (M_n, M_c, M_d, M_p, M_i, M_e): column 0 is the
+#: all-inputs-true assignment, and True is the column (1, 0)^T.
+STRUCTURAL_MATRICES = {
+    "not": np.array([[0, 1], [1, 0]]),
+    "and": np.array([[1, 0, 0, 0], [0, 1, 1, 1]]),
+    "or": np.array([[1, 1, 1, 0], [0, 0, 0, 1]]),
+    "xor": np.array([[0, 1, 1, 0], [1, 0, 0, 1]]),
+    "implies": np.array([[1, 0, 1, 1], [0, 1, 0, 0]]),
+    "iff": np.array([[1, 0, 0, 1], [0, 1, 1, 0]]),
+}
 
 #: 4x4 matrix exchanging two adjacent Boolean factors: W @ (x stp y) = y stp x.
 SWAP22 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -227,9 +241,9 @@ def _flatten_factors(expr: BoolExpr) -> list:
     if isinstance(expr, Var):
         return [expr.index]
     if isinstance(expr, Not):
-        return [dense(structural_matrix("not"))] + _flatten_factors(expr.child)
+        return [STRUCTURAL_MATRICES["not"]] + _flatten_factors(expr.child)
     if isinstance(expr, BinOp):
-        out = [dense(structural_matrix(expr.op))]
+        out = [STRUCTURAL_MATRICES[expr.op]]
         children = (expr.left, expr.right)
     else:
         out = [dense(LogicMatrix(len(expr.children), expr.row))]

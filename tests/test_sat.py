@@ -412,6 +412,23 @@ class TestNetSolver:
             assert out.is_undet or (out.is_unsat and out.conflicts <= limit)
         assert out.is_unsat  # one conflict more than the free run is enough
 
+    def test_each_half_keeps_its_own_outcome(self, monkeypatch):
+        # Held by reference, the outcomes of the two halves still hold
+        # their own counts, and those sum to the pair's: ``solve``
+        # answers with a new outcome rather than editing the last half's.
+        net, g, h = parity_pair()
+        outcomes = []
+        original = Solver.solve
+
+        def recording(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr(Solver, "solve", recording)
+        out = prove_equiv(NetSolver(net), g, h)
+        assert out.is_unsat and len(outcomes) == 2 and outcomes[0].conflicts > 0
+        assert out.conflicts == sum(o.conflicts for o in outcomes)
 
     def test_one_solve_call_per_equivalence(self, monkeypatch):
         # Both halves go through one module-level ``solve`` call, whose
@@ -641,8 +658,7 @@ class TestSearchPinned:
     @staticmethod
     def solve_log(monkeypatch) -> list:
         """``(status, conflicts, model)`` of each ``Solver.solve`` call,
-        taken as the call returns: :func:`solve` later overwrites a
-        second assumption set's conflicts with the pair's."""
+        taken as the call returns."""
         log = []
         original = Solver.solve
 
@@ -724,6 +740,13 @@ def falsified_rows(arity: int, clauses) -> np.ndarray:
     return rows
 
 
+def filled_clauses(out_var: int, fanin_vars: list[int], tt: int) -> list[list[int]]:
+    """The ``lut_clauses`` template of ``tt`` with these variables filled in."""
+    lits = [lit for var in [*fanin_vars, out_var] for lit in (var, -var)]
+    return [[lits[code] for code in codes]
+            for codes in sat_module.lut_clauses(len(fanin_vars), tt)]
+
+
 def parity_tt(arity: int) -> int:
     return sum(1 << v for v in range(1 << arity) if bin(v).count("1") % 2)
 
@@ -769,7 +792,7 @@ class TestLutClauses:
     @staticmethod
     def check_exact(arity: int, tt: int) -> list[list[int]]:
         fanins = list(range(1, arity + 1))
-        clauses = sat_module.lut_clauses(arity + 1, fanins, tt)
+        clauses = filled_clauses(arity + 1, fanins, tt)
         expected = np.array([(tt >> (a >> 1) & 1) == (a & 1) for a in range(1 << (arity + 1))])
         falsified = falsified_rows(arity, clauses)
         assert np.array_equal(~falsified.any(axis=0), expected), (arity, hex(tt))
@@ -797,10 +820,25 @@ class TestLutClauses:
             assert len(self.check_exact(arity, parity_tt(arity))) == 1 << arity
 
     def test_literals_are_shared_objects(self):
-        fanins = [1000 + i for i in range(6)]
-        clauses = sat_module.lut_clauses(2000, fanins, random.Random(4).getrandbits(64))
-        lits = [lit for clause in clauses for lit in clause]
-        assert len({id(lit) for lit in lits}) == len(set(lits)) <= 2 * len(fanins) + 2
+        # NetSolver.load fills each LUT's template with one int object
+        # per literal.  The 300 PIs are loaded first, so the LUTs'
+        # variables are past CPython's small-int cache; the two LUTs
+        # share their fanins and their template.
+        net = Network()
+        pis = [net.add_pi() for _ in range(300)]
+        solver = NetSolver(net)
+        solver.load(pis)
+        fanins = [pid for pid in pis if solver.node_var[pid] > 256][:6]
+        tt = random.Random(4).getrandbits(64)
+        luts = [net.add_lut(fanins, tt) for _ in range(2)]
+        solver.load(luts)
+        clauses = {id(clause): clause for watch in solver.watches for clause in watch}
+        for nid in luts:
+            out = solver.node_var[nid]
+            lits = [lit for clause in clauses.values() if abs(clause[-1]) == out
+                    for lit in clause]
+            assert lits and min(map(abs, lits)) > 256
+            assert len({id(lit) for lit in lits}) == len(set(lits)) <= 2 * 6 + 2
 
 
 class TestLoadAttaches:
@@ -819,7 +857,7 @@ class TestLoadAttaches:
             node = solver.net.nodes[node_of[var]]
             if not node.is_pi:
                 fanin_vars = [solver.node_var[f] for f in node.fanins]
-                for clause in sat_module.lut_clauses(var, fanin_vars, node.tt):
+                for clause in filled_clauses(var, fanin_vars, node.tt):
                     ref.add_clause(clause)
         return ref
 
@@ -861,7 +899,7 @@ class TestLoadAttaches:
         for lits in by_lut.values():
             assert len({id(lit) for lit in lits}) == len(set(lits))
         # Only the constant tables leave units; everything else is attached.
-        expected = sum(len(sat_module.lut_clauses(0, list(range(1, a + 1)), tt))
+        expected = sum(len(sat_module.lut_clauses(a, tt))
                        for a, tt in tables if 0 < tt < (1 << (1 << a)) - 1)
         assert len(clauses) == expected
 
@@ -897,7 +935,9 @@ class TestLoadAttaches:
 class TestBranchPicks:
     """Every branch is an unassigned variable of the query's scope with
     maximal activity, ties going to the lowest id: checked on every
-    pick by a scan of the scope."""
+    pick by a scan of the scope.  The solver picks from its heap alone,
+    so the check that a pick of 0 leaves no scope variable free is the
+    only guard that the heap lost none."""
 
     @staticmethod
     def check_picks(monkeypatch) -> list[int]:
@@ -906,7 +946,7 @@ class TestBranchPicks:
         def checked(original):
             def pick(solver):
                 lit = original(solver)
-                scope = (solver.scope_vars if isinstance(solver, NetSolver)
+                scope = (solver.scope if isinstance(solver, NetSolver)
                          else range(1, solver.n_vars + 1))
                 free = [v for v in scope if solver.value[v] < 0]
                 if lit == 0:

@@ -10,8 +10,6 @@ from stpsweep import (
     PatternSet,
     Signature,
     WindowTooLarge,
-    circuit_cut,
-    cut_truth_tables,
     exhaustive_window_sim,
     gen_random_patterns,
     parse_patterns,
@@ -24,6 +22,8 @@ from stpsweep.simulate import (
     _eval_tt_gather,
     _simulate,
     _var_row,
+    circuit_cut,
+    cut_truth_tables,
     eval_tt_words,
 )
 from helpers import bits_of, exhaustive_tables, random_network, scalar_signatures

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stp_oracle import (
     POWER_REDUCE,
+    STRUCTURAL_MATRICES,
     SWAP22,
     _array_to_row,
     _row_to_array,
@@ -23,8 +24,8 @@ from stp_oracle import (
     swap_adjacent,
 )
 
-from stpsweep import LogicMatrix
-from stpsweep.stp import structural_matrix
+from stpsweep import BinOp, LogicMatrix, Not, Var, canonical_form
+from stpsweep.bexpr import _BINARY_OPS
 
 
 class TestKronecker:
@@ -37,7 +38,7 @@ class TestKronecker:
         assert np.array_equal(kronecker(bool_vec(True), identity(2)), expected)
 
     def test_unit_factor(self):
-        m_not = dense(structural_matrix("not"))
+        m_not = STRUCTURAL_MATRICES["not"]
         assert np.array_equal(kronecker(m_not, np.array([[1]])), m_not)
 
     def test_block_structure(self):
@@ -53,7 +54,7 @@ class TestKronecker:
 
 class TestStp:
     def test_or_after_not_is_implication(self):
-        result = stp(dense(structural_matrix("or")), dense(structural_matrix("not")))
+        result = stp(STRUCTURAL_MATRICES["or"], STRUCTURAL_MATRICES["not"])
         assert np.array_equal(result, np.array([[1, 0, 1, 1], [0, 1, 0, 0]]))
 
     def test_liar_matrix_first_fold(self):
@@ -107,19 +108,32 @@ class TestStructuralMatrices:
         ],
     )
     def test_named_rows(self, op, row):
-        assert structural_matrix(op).truth_row() == row
+        # The oracle's matrix has this row, and the package's operator
+        # computes it: a binary one applies its row of ``_BINARY_OPS``,
+        # and ``Not`` complements its operand.
+        m = from_dense(STRUCTURAL_MATRICES[op])
+        assert m.truth_row() == row
+        if op == "not":
+            assert canonical_form(Not(Var(1)), 1) == m
+        else:
+            assert LogicMatrix(2, _BINARY_OPS[op]) == m
+            assert canonical_form(BinOp(op, Var(1), Var(2)), 2) == m
 
     def test_not_dense(self):
-        assert np.array_equal(dense(structural_matrix("not")), np.array([[0, 1], [1, 0]]))
+        for value in (True, False):
+            assert np.array_equal(stp(STRUCTURAL_MATRICES["not"], bool_vec(value)),
+                                  bool_vec(not value))
 
     def test_raw_truth_row(self):
-        m = structural_matrix("0111")
+        # NAND's row string is the dense product of NOT and AND.
+        m = LogicMatrix.from_truth_row("0111")
         assert m.arity == 2
-        assert m.truth_row() == "0111"
+        assert np.array_equal(dense(m), stp(STRUCTURAL_MATRICES["not"], STRUCTURAL_MATRICES["and"]))
 
     def test_unknown_operator(self):
+        assert set(_BINARY_OPS) == set(STRUCTURAL_MATRICES) - {"not"}
         with pytest.raises(ValueError):
-            structural_matrix("nand3x")
+            BinOp("nand3x", Var(1), Var(2))
 
 
 class TestLogicMatrix:
@@ -153,7 +167,7 @@ class TestLogicMatrix:
                 assert np.array_equal(dense(apply_bool(m, value)), expected)
 
     def test_apply_bool_not(self):
-        m_not = structural_matrix("not")
+        m_not = from_dense(STRUCTURAL_MATRICES["not"])
         assert apply_bool(m_not, True).as_bool() is False
         assert apply_bool(m_not, False).as_bool() is True
 

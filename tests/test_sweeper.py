@@ -11,17 +11,18 @@ from stpsweep import (
     NetSolver,
     Network,
     SweepConfig,
+    SweepStats,
     check_equivalence,
     gen_random_patterns,
     prove_equiv,
-    refine_classes,
-    sat_guided_patterns,
     simulate_all,
     sweep,
     write_blif,
 )
 from stpsweep.sat import SatStatus
-from stpsweep.sweep import _ce_rows, constant_prop, init_equiv_classes, toggle_rate
+from stpsweep.sweep import (
+    _ce_rows, constant_prop, init_equiv_classes, refine_classes, sat_guided_patterns, toggle_rate,
+)
 from helpers import (
     adder_miter, exhaustive_tables, lookup_tables, po_tables, random_network, sweep_fixture,
     undet_network,
@@ -45,7 +46,7 @@ class TestSatGuidedPatterns:
         na = net.add_lut([a], 0b01)
         zero = net.add_lut([a, na], 0b1000)  # a & ~a
         net.add_po(zero)
-        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg())
+        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
         assert (zero, False) in constants
 
     def test_constant_one_found(self):
@@ -54,7 +55,7 @@ class TestSatGuidedPatterns:
         na = net.add_lut([a], 0b01)
         one = net.add_lut([a, na], 0b1110)  # a | ~a
         net.add_po(one)
-        _, constants = sat_guided_patterns(NetSolver(net), tiny_cfg())
+        _, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
         assert (one, True) in constants
 
     def test_wide_and_gets_its_minterm(self):
@@ -65,15 +66,15 @@ class TestSatGuidedPatterns:
         for p in pis[1:]:
             acc = net.add_lut([acc, p], 0b1000)
         net.add_po(acc)
-        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg())
+        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
         assert constants == []
         sigs = simulate_all(net, patterns)
         assert sigs[acc].bits != 0  # some pattern drives the AND to one
 
     def test_patterns_grow_deterministically(self):
         net = sweep_fixture(3)
-        p1, c1 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg())
-        p2, c2 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg())
+        p1, c1 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg(), SweepStats())
+        p2, c2 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg(), SweepStats())
         assert p1.rows == p2.rows and c1 == c2
 
 
@@ -221,7 +222,7 @@ class TestRefine:
         mgr = init_equiv_classes(net, sigs)
         assert mgr.class_of[g_and] == mgr.class_of[g_or]
         cfg = tiny_cfg(window_cap=0)  # isolate the pattern route
-        splits = refine_classes(mgr, net, {a: True, b: False}, cfg)
+        splits = refine_classes(mgr, net, {a: True, b: False}, cfg, random.Random(1))
         assert splits >= 1
         assert mgr.class_of.get(g_and) != mgr.class_of.get(g_or)
 
@@ -233,7 +234,7 @@ class TestRefine:
         mgr = init_equiv_classes(net, sigs)
         cfg = tiny_cfg()
         # A non-distinguishing counter-example: the window does the split.
-        splits = refine_classes(mgr, net, {a: False, b: False}, cfg)
+        splits = refine_classes(mgr, net, {a: False, b: False}, cfg, random.Random(1))
         assert splits >= 1
         # Exact split leaves two singletons, so both leave the manager.
         assert mgr.class_of.get(g_and) is None
