@@ -16,6 +16,7 @@ from .netlist import (
     LutNode,
     NetlistError,
     Network,
+    WindowTooLarge,
     flip_tt_input,
     parse_aiger_ascii,
     parse_blif,
@@ -25,7 +26,6 @@ from .sat import NetSolver, SatOutcome, SatStatus, Solver, prove_equiv, solve
 from .simulate import (
     PatternSet,
     Signature,
-    WindowTooLarge,
     WindowTruths,
     exhaustive_window_sim,
     gen_random_patterns,

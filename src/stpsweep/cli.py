@@ -45,7 +45,7 @@ def load_network(path: str) -> Network:
 
 def _labeler(net: Network):
     """A node's label: the first name it was defined under, else its id."""
-    by_id = {nid: name for name, nid in reversed(net.names.items())}
+    by_id = net.first_names()
     return lambda nid: by_id.get(nid, str(nid))
 
 

@@ -1,5 +1,12 @@
 """k-LUT network data model with BLIF / ASCII-AIGER ingestion.
 
+This module is the one graph layer: every walk of a network's fanins
+is here.  :meth:`Network.cone` gives the targets' input cones in
+topological order, and the simulator, the SAT layer and
+:meth:`Network.remove_dead` read that.  :func:`_build_in_order`
+instantiates parsed definitions in dependency order, for BLIF and
+AIGER alike.
+
 A :class:`Network` is a DAG of LUT nodes.  Primary inputs are nodes with
 no fanins; every other node carries a truth row over its ordered fanins
 in the package convention (``stpsweep.stp``): bit ``v`` of the row is
@@ -14,7 +21,9 @@ tables indexed by id stay valid.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 class NetlistError(Exception):
@@ -23,6 +32,10 @@ class NetlistError(Exception):
 
 class CycleError(NetlistError):
     """The fanin relation is not acyclic."""
+
+
+class WindowTooLarge(Exception):
+    """The targets' combined structural support exceeds the window cap."""
 
 
 def flip_tt_input(tt: int, arity: int, pos: int) -> int:
@@ -157,6 +170,50 @@ class Network:
             raise CycleError("network contains a combinational cycle")
         return order
 
+    def first_names(self) -> dict[int, str]:
+        """The first name in ``names`` of each named node, by id."""
+        return {nid: name for name, nid in reversed(self.names.items())}
+
+    def cone(self, targets: list[int], pi_cap: int | None = None,
+             known: Container[int] = ()) -> list[int]:
+        """The targets' input cones (the targets, every node they read, and
+        PIs) in topological order.
+
+        The walk is an iterative post-order, so every node comes after its
+        fanins and no whole-network sort is needed.  It does not enter
+        ``known`` nodes, so they and what is read only through them are left
+        out.  Raises ``ValueError`` for a dead target, and
+        :class:`WindowTooLarge` as soon as the walk finds more than
+        ``pi_cap`` PIs.
+        """
+        nodes = self.nodes
+        for t in targets:
+            if nodes[t].dead:
+                raise ValueError(f"target {t} is dead")
+        order: list[int] = []
+        seen: set[int] = set()
+        n_pis = 0
+        # ``~nid`` (negative) marks a node whose fanins are already emitted.
+        stack = list(targets)
+        while stack:
+            nid = stack.pop()
+            if nid < 0:
+                order.append(~nid)
+                continue
+            if nid in seen or nid in known:
+                continue
+            seen.add(nid)
+            node = nodes[nid]
+            if node.is_pi:
+                n_pis += 1
+                if pi_cap is not None and n_pis > pi_cap:
+                    raise WindowTooLarge(f"window has more than {pi_cap} leaves")
+                order.append(nid)
+            else:
+                stack.append(~nid)
+                stack.extend(node.fanins)
+        return order
+
     def transitive_fanin(self, nid: int, bound: int) -> list[int]:
         """Non-PI nodes in the input cone of ``nid``, at most ``bound`` of them.
 
@@ -264,13 +321,7 @@ class Network:
     def remove_dead(self) -> int:
         """Mark nodes unreachable from the POs dead; PIs always survive."""
         live = set(self.pis)
-        stack = [d for d, _ in self.pos]
-        while stack:
-            nid = stack.pop()
-            if nid in live:
-                continue
-            live.add(nid)
-            stack.extend(self.nodes[nid].fanins)
+        live.update(self.cone([d for d, _ in self.pos]))
         removed = 0
         for node in self.nodes:
             if node.dead or node.is_pi:
@@ -365,25 +416,57 @@ def _cover_to_tt(covers: list[tuple[int, str, str]], arity: int) -> int:
     return acc if out_vals == {"1"} else acc ^ full
 
 
+def _build_in_order(net: Network, defs: dict, ids: dict, roots: Iterable) -> None:
+    """Add a LUT for each definition the roots reach, fanins first.
+
+    ``defs`` maps a key to ``(line, fanin keys, tt)``, and ``ids`` maps
+    each key already built to its node id; every key this builds is
+    added to ``ids``.  An iterative DFS in root order: a definition is
+    built after those of its fanins that are not built yet, which are
+    visited last-listed first.
+    """
+    expanded = set()  # keys whose fanins are on the stack above them
+    for root in roots:
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            if key in ids:
+                stack.pop()
+                continue
+            if key not in defs:
+                raise NetlistError(f"signal {key!r} is never defined")
+            no, fanin_keys, tt = defs[key]
+            if key in expanded:
+                ids[key] = net.add_lut([ids[f] for f in fanin_keys], tt)
+                stack.pop()
+                continue
+            expanded.add(key)
+            for f in fanin_keys:
+                if f not in ids:
+                    if f in expanded:
+                        raise NetlistError(f"line {no}: cyclic definition through {f!r}")
+                    stack.append(f)
+
+
 def parse_blif(text: str) -> Network:
     """Parse the supported BLIF subset into a network.
 
     A cover row's inputs are the ASCII characters ``0``, ``1`` and
     ``-`` only; any other character, even one that ``int`` reads as a
     digit, is a ``bad cover character``.  PIs take the first ids, in
-    ``.inputs`` order.  The ``.names`` blocks then get theirs by a
-    dependency-ordered DFS in file order: a block is numbered after
-    those of its fanins that are not yet numbered, which are visited
-    last-listed first.
+    ``.inputs`` order.  The ``.names`` blocks then get theirs by
+    :func:`_build_in_order` with the blocks in file order as roots.
     """
     model = "net"
     inputs: list[str] = []
     outputs: list[str] = []
-    defs: dict[str, tuple[int, list[str], list[tuple[int, str, str]]]] = {}
+    defs: dict[str, tuple[int, list[str], int]] = {}
+    offset_buffers: set[str] = set()  # blocks of one row, ``0 0``: a PO alias's form
     rows: list[tuple[int, str, str]] | None = None  # of the open .names block
     arity = 0
 
-    for no, tokens in _blif_logical_lines(text):
+    # An appended ``.end`` closes the last block of a file that has none.
+    for no, tokens in chain(_blif_logical_lines(text), [(0, [".end"])]):
         cmd = tokens[0]
         if cmd[0] != ".":
             if rows is None:
@@ -397,7 +480,11 @@ def parse_blif(text: str) -> Network:
             else:
                 rows.append((no, cmd, tokens[1]))
             continue
-        rows = None
+        if rows is not None:
+            defs[out_name] = (names_no, fanin_names, _cover_to_tt(rows, arity))
+            if arity == 1 and [r[1:] for r in rows] == [("0", "0")]:
+                offset_buffers.add(out_name)
+            rows = None
         if cmd == ".names":
             if len(tokens) < 2:
                 raise NetlistError(f"line {no}: .names needs an output")
@@ -410,7 +497,7 @@ def parse_blif(text: str) -> Network:
                 raise NetlistError(f"line {no}: {out_name!r} defined twice")
             rows = []
             arity = len(fanin_names)
-            defs[out_name] = (no, fanin_names, rows)
+            names_no = no
         elif cmd == ".model":
             model = tokens[1] if len(tokens) > 1 else model
         elif cmd == ".inputs":
@@ -430,46 +517,16 @@ def parse_blif(text: str) -> Network:
             raise NetlistError(f"input {name!r} also defined by .names")
         net.add_pi(name)
 
-    # Instantiate definitions in dependency order (iterative DFS).
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def build(root: str) -> None:
-        stack = [root]
-        while stack:
-            name = stack[-1]
-            if name in net.names:
-                state[name] = 2
-                stack.pop()
-                continue
-            if name not in defs:
-                raise NetlistError(f"signal {name!r} is never defined")
-            no, fanin_names, covers = defs[name]
-            if state.get(name) == 1:
-                fanins = [net.names[f] for f in fanin_names]
-                tt = _cover_to_tt(covers, len(fanins))
-                net.add_lut(fanins, tt, name=name)
-                state[name] = 2
-                stack.pop()
-                continue
-            state[name] = 1
-            for f in fanin_names:
-                if f not in net.names:
-                    if state.get(f) == 1:
-                        raise NetlistError(f"line {no}: cyclic definition through {f!r}")
-                    stack.append(f)
-
     # A PO's buffer in off-set form (``0 0``), as ``write_blif`` writes
     # for a PO whose driver a PI or another PO names, is an alias of its
     # input, not a LUT, unless another signal reads it.
-    alias = {name: defs[name][1][0] for name in outputs if name in defs
-             and len(defs[name][1]) == 1 and [c[1:] for c in defs[name][2]] == [("0", "0")]}
+    alias = {name: defs[name][1][0] for name in outputs if name in offset_buffers}
     if alias:
         read = {f for _, fanin_names, _ in defs.values() for f in fanin_names}
         alias = {name: source for name, source in alias.items() if name not in read}
         for name in alias:
             del defs[name]
-    for name in defs:
-        build(name)
+    _build_in_order(net, defs, net.names, defs)
     for name in outputs:
         source = alias.get(name, name)
         if source not in net.names:
@@ -507,7 +564,7 @@ def write_blif(net: Network) -> str:
             extra.append((driver, name, phase))
         else:
             sig[driver] = name
-    stored = {nid: name for name, nid in reversed(net.names.items())}
+    stored = net.first_names()
     for node in net.nodes:
         if node.dead or node.id in sig:
             continue
@@ -547,9 +604,6 @@ def write_blif(net: Network) -> str:
 # ---------------------------------------------------------------------------
 # ASCII AIGER (combinational aag).
 
-_AND_TT = 0b1000
-
-
 def _aiger_ints(line: str, count: int, kind: str) -> list[int]:
     """The ``count`` integers of one aag body line."""
     parts = line.split()
@@ -566,21 +620,25 @@ def parse_aiger_ascii(text: str) -> Network:
 
     Edge inversions are absorbed into the consuming LUT's truth row (or
     into the PO phase flag); no inverter nodes are created, so the node
-    count equals the AND-gate count.
+    count equals the AND-gate count, plus one constant LUT if any AND
+    or PO reads literal 0 or 1.  PIs take the first ids; the rest come
+    from :func:`_build_in_order` with the ANDs in file order, then the
+    POs, as roots.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(no, line) for no, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip())]
     if not lines:
         raise NetlistError("empty AIGER input")
-    head = lines[0].split()
+    header = lines[0][1]
+    head = header.split()
     if len(head) != 6 or head[0] != "aag":
-        raise NetlistError(f"malformed AIGER header: {lines[0]!r}")
+        raise NetlistError(f"malformed AIGER header: {header!r}")
     try:
         maxvar, n_in, n_latch, n_out, n_and = (int(x) for x in head[1:])
     except ValueError:
-        raise NetlistError(f"malformed AIGER header: {lines[0]!r}") from None
+        raise NetlistError(f"malformed AIGER header: {header!r}") from None
     if min(maxvar, n_in, n_latch, n_out, n_and) < 0:
-        raise NetlistError(f"malformed AIGER header: {lines[0]!r}")
+        raise NetlistError(f"malformed AIGER header: {header!r}")
     if n_latch != 0:
         raise NetlistError("sequential AIGER (latch count != 0) is unsupported")
     if len(lines) < 1 + n_in + n_out + n_and:
@@ -588,84 +646,31 @@ def parse_aiger_ascii(text: str) -> Network:
 
     net = Network("aig")
     lit_node: dict[int, int] = {}
-    const0: int | None = None
-
-    def const_node() -> int:
-        nonlocal const0
-        if const0 is None:
-            const0 = net.add_lut([], 0)
-        return const0
-
-    pos = 1
-    for i in range(n_in):
-        (lit,) = _aiger_ints(lines[pos], 1, "input")
-        pos += 1
+    body = lines[1:]
+    for i, (_, line) in enumerate(body[:n_in]):
+        (lit,) = _aiger_ints(line, 1, "input")
         if lit < 2 or lit & 1 or lit > 2 * maxvar:
             raise NetlistError(f"bad input literal {lit}")
         if lit in lit_node:
             raise NetlistError(f"input literal {lit} listed twice")
         lit_node[lit] = net.add_pi(f"i{i}")
-    out_lits = []
-    for _ in range(n_out):
-        out_lits.extend(_aiger_ints(lines[pos], 1, "output"))
-        pos += 1
-    and_rows = []
-    for _ in range(n_and):
-        lhs, rhs0, rhs1 = _aiger_ints(lines[pos], 3, "AND")
-        pos += 1
+    out_lits = [_aiger_ints(line, 1, "output")[0] for _, line in body[n_in:n_in + n_out]]
+    # The aag body may list gates in any order; resolve by literal.
+    defs: dict[int, tuple[int, list[int], int]] = {}
+    for no, line in body[n_in + n_out:n_in + n_out + n_and]:
+        lhs, rhs0, rhs1 = _aiger_ints(line, 3, "AND")
         if lhs < 2 or lhs & 1 or lhs > 2 * maxvar:
             raise NetlistError(f"bad AND output literal {lhs}")
         if lhs in lit_node:
             raise NetlistError(f"AND output literal {lhs} is an input literal")
-        and_rows.append((lhs, rhs0, rhs1))
-
-    # The aag body may list gates in any order; resolve by literal.
-    and_def = {lhs: (rhs0, rhs1) for lhs, rhs0, rhs1 in and_rows}
-    if len(and_def) != len(and_rows):
+        # An AND's row has one set bit, at v = 3 (both fanins true), with
+        # the bit of each complemented fanin flipped in.
+        defs[lhs] = (no, [rhs0 & ~1, rhs1 & ~1], 1 << (3 ^ 2 * (rhs0 & 1) ^ (rhs1 & 1)))
+    if len(defs) != n_and:
         raise NetlistError("AND output literal defined twice")
-
-    def node_of(lit: int) -> int | None:
-        base = lit & ~1
-        if base == 0:
-            return const_node()
-        return lit_node.get(base)
-
-    def build(root: int) -> None:
-        """Instantiate the AND cone below literal ``root`` (iterative DFS)."""
-        state: dict[int, int] = {}
-        stack = [root & ~1]
-        while stack:
-            base = stack[-1]
-            if base in lit_node or base == 0:
-                stack.pop()
-                continue
-            if base not in and_def:
-                raise NetlistError(f"literal {base} is never defined")
-            rhs0, rhs1 = and_def[base]
-            if state.get(base) == 1:
-                f0 = node_of(rhs0)
-                f1 = node_of(rhs1)
-                tt = _AND_TT
-                if rhs0 & 1:
-                    tt = flip_tt_input(tt, 2, 0)
-                if rhs1 & 1:
-                    tt = flip_tt_input(tt, 2, 1)
-                lit_node[base] = net.add_lut([f0, f1], tt)
-                stack.pop()
-                continue
-            state[base] = 1
-            for rhs in (rhs0, rhs1):
-                b = rhs & ~1
-                if b != 0 and b not in lit_node:
-                    if state.get(b) == 1:
-                        raise NetlistError(f"cyclic AIGER definition through literal {b}")
-                    stack.append(b)
-
-    for lhs, _, _ in and_rows:
-        build(lhs)
+    roots = [*defs, *(lit & ~1 for lit in out_lits)]
+    defs[0] = (0, [], 0)  # literal 0, the constant: a LUT that reads nothing
+    _build_in_order(net, defs, lit_node, roots)
     for j, lit in enumerate(out_lits):
-        if (lit & ~1) != 0 and (lit & ~1) not in lit_node:
-            build(lit)
-        driver = node_of(lit)
-        net.add_po(driver, inverted=bool(lit & 1), name=f"o{j}")
+        net.add_po(lit_node[lit & ~1], inverted=bool(lit & 1), name=f"o{j}")
     return net

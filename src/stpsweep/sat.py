@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .netlist import Network
-from .simulate import _cone
 
 
 class SatStatus(Enum):
@@ -607,7 +606,7 @@ class NetSolver(Solver):
         clause as it is, so they go straight to their watch lists; any
         other LUT's clauses go through :meth:`add_clause`.
         """
-        new = _cone(self.net, roots, known=self.node_var)
+        new = self.net.cone(roots, known=self.node_var)
         if not new:
             return
         nodes, node_var, value, watches = self.net.nodes, self.node_var, self.value, self.watches

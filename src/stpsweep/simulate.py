@@ -38,12 +38,12 @@ rows and its targets'; :func:`simulate_all` keeps every row it returns.
 from __future__ import annotations
 
 import random
-from collections.abc import Collection, Container
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import Network
+from .netlist import Network, WindowTooLarge  # raised through Network.cone
 from .stp import MAX_ARITY, LogicMatrix
 
 
@@ -302,47 +302,6 @@ def simulate_all(net: Network, patterns: PatternSet) -> dict[int, Signature]:
     return {nid: Signature(nid, bits[nid], n) for nid in order}
 
 
-def _cone(net: Network, targets: list[int], pi_cap: int | None = None,
-          known: Container[int] = ()) -> list[int]:
-    """The targets' input cones (the targets, every node they read, and
-    PIs) in topological order.
-
-    The walk is an iterative post-order, so every node comes after its
-    fanins and no whole-network sort is needed.  It does not enter
-    ``known`` nodes, so they and what is read only through them are left
-    out.  Raises ``ValueError`` for a dead target, and
-    :class:`WindowTooLarge` as soon as the walk finds more than
-    ``pi_cap`` PIs.
-    """
-    nodes = net.nodes
-    for t in targets:
-        if nodes[t].dead:
-            raise ValueError(f"target {t} is dead")
-    order: list[int] = []
-    seen: set[int] = set()
-    n_pis = 0
-    # ``~nid`` (negative) marks a node whose fanins are already emitted.
-    stack = list(targets)
-    while stack:
-        nid = stack.pop()
-        if nid < 0:
-            order.append(~nid)
-            continue
-        if nid in seen or nid in known:
-            continue
-        seen.add(nid)
-        node = nodes[nid]
-        if node.is_pi:
-            n_pis += 1
-            if pi_cap is not None and n_pis > pi_cap:
-                raise WindowTooLarge(f"window has more than {pi_cap} leaves")
-            order.append(nid)
-        else:
-            stack.append(~nid)
-            stack.extend(node.fanins)
-    return order
-
-
 def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -> dict[int, Signature]:
     """Signatures of the target nodes only; nothing outside their input cone is simulated.
 
@@ -351,7 +310,7 @@ def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -
     in the cone is evaluated, unless it is a target's.
     """
     bits = _pi_rows(net, patterns)
-    _simulate(net, _cone(net, targets), bits, patterns.mask, targets)
+    _simulate(net, net.cone(targets), bits, patterns.mask, targets)
     n = patterns.n_patterns
     return {t: Signature(t, bits[t], n) for t in targets}
 
@@ -393,7 +352,7 @@ def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone
     if scope not in ("cone", "network"):
         raise ValueError(f"unknown scope {scope!r}")
     tset = set(targets)
-    cone = _cone(net, targets)
+    cone = net.cone(targets)
     order = net.topo_order()
     rank = {nid: i for i, nid in enumerate(order)}
     scope_nodes = {nid for nid in (cone if scope == "cone" else order)
@@ -459,10 +418,6 @@ def cut_truth_tables(net: Network, cutset: CutSet) -> dict[int, LogicMatrix]:
 WINDOW_CAP = 16
 
 
-class WindowTooLarge(Exception):
-    """The targets' combined structural support exceeds the window cap."""
-
-
 def _var_row(position: int, m: int) -> int:
     """Packed exhaustive row of input ``position`` (0 = MSB) over 2**m patterns."""
     step = 1 << (m - 1 - position)
@@ -497,7 +452,7 @@ def exhaustive_window_sim(net: Network, targets: list[int],
     targets = list(dict.fromkeys(targets))
     if not targets:
         raise ValueError("no targets")
-    cone = _cone(net, targets, window_cap)
+    cone = net.cone(targets, window_cap)
     leaves = sorted(nid for nid in cone if net.nodes[nid].is_pi)
     m = len(leaves)
     bits = {leaf: _var_row(j, m) for j, leaf in enumerate(leaves)}

@@ -30,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .netlist import Network
+from .netlist import Network, WindowTooLarge
 # ``encode_cone`` is not called here: the benchmark's tracer
 # (perfbench/tracer.py) patches it, ``solve`` and ``prove_equiv`` in this
 # module by name.
@@ -38,7 +38,6 @@ from .sat import NetSolver, SatOutcome, SatStatus, encode_cone, prove_equiv, sol
 from .simulate import (
     WINDOW_CAP,
     PatternSet,
-    WindowTooLarge,
     exhaustive_window_sim,
     gen_random_patterns,
     simulate_all,

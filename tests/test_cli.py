@@ -11,6 +11,8 @@ from test_simulator import PATTERN_BLOCK, two_target_example
 
 AND_BLIF = ".model a\n.inputs x y\n.outputs o\n.names x y o\n11 1\n.end\n"
 OR_BLIF = ".model b\n.inputs x y\n.outputs o\n.names x y o\n11 1\n01 1\n10 1\n.end\n"
+#: o = ~AND(g, ~g) with g = AND(a, ~b) in ASCII AIGER: the constant 1.
+CHAIN_AAG = "aag 5 3 0 1 2\n2\n4\n6\n11\n8 2 5\n10 8 9\n"
 
 
 @pytest.fixture
@@ -282,6 +284,20 @@ class TestStatsCmd:
         assert capsys.readouterr().out == (
             "name=m\npis=3\npos=4\nluts=5\nlevels=2\n"
             "arities=0:1,1:2,2:1,3:1\nmax_fanout=3\n")
+
+
+class TestAigerInput:
+    def test_stats_sweep_and_cec(self, tmp_path, capsys):
+        src = tmp_path / "t.aag"
+        dst = tmp_path / "t_out.blif"
+        src.write_text(CHAIN_AAG)
+        assert main(["stats", str(src)]) == 0
+        assert "pis=3" in capsys.readouterr().out.splitlines()
+        assert main(["sweep", str(src), str(dst)]) == 0
+        assert parse_blif(dst.read_text()).pi_names == ["i0", "i1", "i2"]
+        capsys.readouterr()
+        assert main(["cec", str(src), str(dst)]) == 0
+        assert capsys.readouterr().out == "equivalent\n"
 
 
 class TestUsage:

@@ -440,6 +440,24 @@ class TestParseAiger:
         with pytest.raises(NetlistError, match="bad input literal 6"):
             parse_aiger_ascii("aag 1 1 0 1 0\n6\n6\n")
 
+    def test_cyclic_definition(self):
+        with pytest.raises(NetlistError, match=r"[Cc]ycl.* 4$"):
+            parse_aiger_ascii("aag 3 1 0 1 2\n2\n4\n4 6 2\n6 4 2\n")
+
+    def test_undefined_and_input(self):
+        with pytest.raises(NetlistError, match=r" 6 is never defined"):
+            parse_aiger_ascii("aag 3 1 0 1 1\n2\n4\n4 6 2\n")
+
+    def test_constant_is_numbered_where_the_walk_reaches_it(self):
+        # AND 6 reads literal 1 as its last fanin, so the walk reaches the
+        # constant before AND 4, which AND 6 lists first.
+        net = parse_aiger_ascii("aag 3 1 0 1 2\n2\n6\n6 4 1\n4 2 2\n")
+        const, and4, and6 = 1, 2, 3
+        assert net.nodes[const].arity == 0 and net.nodes[const].tt == 0
+        assert net.nodes[and4].fanins == [0, 0]
+        assert net.nodes[and6].fanins == [and4, const]
+        assert net.pos == [(and6, False)]
+
     def test_and_defining_an_input_literal(self):
         # The AND would be dropped and its undefined literal 4 never checked.
         with pytest.raises(NetlistError, match="AND output literal 2 is an input"):
@@ -741,6 +759,22 @@ class TestEdits:
         assert net.remove_dead() == 1
         assert net.nodes[unused].dead
         assert not net.nodes[a].dead  # PIs survive
+        # After a chain of merges, what survives is the POs' cone.
+        rng = random.Random(35)
+        net = random_network(rng, 5, 60, po_count=3)
+        merges = 0
+        for _ in range(30):
+            old, new = rng.sample([n.id for n in net.nodes if not n.is_pi and not n.dead], 2)
+            try:
+                net.substitute_node(old, new, inverted=rng.random() < 0.5)
+            except NetlistError:
+                continue
+            merges += 1
+        assert merges > 5
+        net.remove_dead()
+        cone = net.cone([d for d, _ in net.pos])
+        assert [nid for nid in net.live_ids() if not net.nodes[nid].is_pi] == \
+            sorted(nid for nid in cone if not net.nodes[nid].is_pi)
 
     def test_fanout_counts_match_in_edges(self):
         rng = random.Random(31)

@@ -18,7 +18,6 @@ from stpsweep import (
 )
 from stpsweep.simulate import (
     _MUX_MAX_ARITY,
-    _cone,
     _eval_tt_gather,
     _simulate,
     _var_row,
@@ -519,10 +518,10 @@ class TestLiveRows:
         p = gen_random_patterns(2, 64, 5)
         for keep in ([y], [y, 1], [y, 2, 30]):
             bits = dict(zip(net.pis, p.rows))
-            _simulate(net, _cone(net, [y]), bits, p.mask, keep)
+            _simulate(net, net.cone([y]), bits, p.mask, keep)
             assert sorted(bits) == sorted(keep)
         bits = dict(zip(net.pis, p.rows))
-        _simulate(net, _cone(net, [y]), bits, p.mask)
+        _simulate(net, net.cone([y]), bits, p.mask)
         assert sorted(bits) == net.live_ids()
 
 
