@@ -30,9 +30,10 @@ time in proportion to the pattern count, and a held row takes
 ``n_patterns / 8`` bytes.  Up to 4 inputs, a LUT pays only for the
 leaves its table names: an inverter costs one row operation and a
 2-input LUT at most two; a 6-input LUT costs at most 51 (see
-:func:`eval_tt_words`).  :func:`simulate_specified` drops each row once
-its last reader has been evaluated, so it holds at most its cone's live
-rows and its targets'; :func:`simulate_all` keeps every row it returns.
+:func:`eval_tt_words`).  :func:`simulate_specified`, and
+:func:`exhaustive_window_sim` from 12 leaves on, drop each row once its
+last reader has been evaluated, so they hold at most their cone's live
+rows and their targets'; :func:`simulate_all` keeps every row it returns.
 """
 
 from __future__ import annotations
@@ -448,6 +449,11 @@ def exhaustive_window_sim(net: Network, targets: list[int],
     the union cone is walked once and simulated over the ``2**m``
     exhaustive patterns of its ``m`` leaves.  A single target's leaves
     are exactly its own support, so its window row is its truth row.
+
+    From 12 leaves on, a row is at least 512 bytes and only the live
+    rows and the targets' are held.  Below that the whole cone is kept:
+    rows are small, and on 2-leaf windows the last-reader pass was
+    measured to cost more time than the rows it frees.
     """
     targets = list(dict.fromkeys(targets))
     if not targets:
@@ -456,5 +462,5 @@ def exhaustive_window_sim(net: Network, targets: list[int],
     leaves = sorted(nid for nid in cone if net.nodes[nid].is_pi)
     m = len(leaves)
     bits = {leaf: _var_row(j, m) for j, leaf in enumerate(leaves)}
-    _simulate(net, cone, bits, (1 << (1 << m)) - 1)
+    _simulate(net, cone, bits, (1 << (1 << m)) - 1, targets if m >= 12 else None)
     return WindowTruths(leaves, {t: bits[t] for t in targets})

@@ -17,6 +17,16 @@ which answers every query of a sweep, loads each node's clauses once
 and is told of each window merge.  Counter-examples from satisfiable
 queries refine the classes, and the window refines them again.
 
+Each pattern is simulated once per sweep.  :func:`sat_guided_patterns`
+simulates the base patterns over the whole network and keeps one row
+per node; after each round it simulates only that round's
+counter-example patterns and appends their bits to the rows.  Class
+init reads those rows after :func:`constant_prop`, with no simulation
+of its own: a substituted node is *proven* constant, so its readers
+compute the same functions with the constant in its place, and every
+surviving node keeps its row.  The one node that :func:`constant_prop`
+adds is the constant-0 LUT, whose row is 0.
+
 A counter-example is the solver's answer to a satisfiable query: a
 value for each PI in the query's scope, keyed by PI node id, with the
 other PIs free.  :func:`_ce_rows` is the one place it becomes pattern
@@ -177,22 +187,21 @@ class ClassManager:
         return out
 
 
-def init_equiv_classes(net: Network, signatures) -> ClassManager:
-    """Group live nodes by polarity-normalized signature.
+def init_equiv_classes(net: Network, rows: dict[int, int], n_patterns: int) -> ClassManager:
+    """Group live nodes by polarity-normalized simulation row.
 
-    A node whose signature's first bit is 1 gets its phase bit set, so
-    a function and its complement share a class.  The live nodes start
-    as one class, which :meth:`ClassManager.split_class` splits by
-    signature; classes of size one are discarded.
+    ``rows`` maps each node to its packed row of ``n_patterns`` bits.  A
+    node whose row's first bit is 1 gets its phase bit set, so a
+    function and its complement share a class.  The nodes start as one
+    class, which :meth:`ClassManager.split_class` splits by row; classes
+    of size one are discarded.
     """
     rank = {nid: i for i, nid in enumerate(net.topo_order())}
     mgr = ClassManager(rank)
-    rows = {nid: sig.bits for nid, sig in signatures.items()}
     for nid, row in rows.items():
         mgr.phase_of[nid] = row & 1
     if len(rows) >= 2:
-        mask = (1 << next(iter(signatures.values())).n_patterns) - 1
-        mgr.split_class(mgr.new_class(list(rows)), rows, mask)
+        mgr.split_class(mgr.new_class(list(rows)), rows, (1 << n_patterns) - 1)
     return mgr
 
 
@@ -200,7 +209,7 @@ def toggle_rate(bits: int, n_patterns: int) -> float:
     """Adjacent-bit toggle count over the bit-string length."""
     if n_patterns < 2:
         return 0.0
-    toggles = bin((bits ^ (bits >> 1)) & ((1 << (n_patterns - 1)) - 1)).count("1")
+    toggles = ((bits ^ (bits >> 1)) & ((1 << (n_patterns - 1)) - 1)).bit_count()
     return toggles / (n_patterns - 1)
 
 
@@ -240,12 +249,12 @@ def _minority_value(bits: int, n_patterns: int) -> bool | None:
     """The rarer value of a signature that barely toggles; None otherwise."""
     if TOGGLE_THRESHOLD <= toggle_rate(bits, n_patterns) <= 1.0 - TOGGLE_THRESHOLD:
         return None
-    return bin(bits).count("1") * 2 <= n_patterns
+    return bits.bit_count() * 2 <= n_patterns
 
 
 def sat_guided_patterns(
     solver: NetSolver, cfg: SweepConfig, stats: SweepStats
-) -> tuple[PatternSet, list[tuple[int, bool]]]:
+) -> tuple[PatternSet, dict[int, int], list[tuple[int, bool]]]:
     """Two-round SAT-guided pattern generation.
 
     Round one simulates random base patterns and selects every gate whose
@@ -253,25 +262,27 @@ def sat_guided_patterns(
     counter-examples and selects gates whose signatures barely toggle.
     Each selected gate asks the solver for the value it rarely or never
     shows: a SAT answer adds its counter-example as a pattern, an UNSAT
-    answer proves the gate constant.  Returns the enriched pattern set
-    and the proven ``(node, constant_value)`` pairs.  The gates are those
-    of ``solver.net``, and every query goes to ``solver``.
+    answer proves the gate constant.  Returns the enriched pattern set,
+    every live node's row over it, and the proven ``(node,
+    constant_value)`` pairs.  The gates are those of ``solver.net``, and
+    every query goes to ``solver``.  Each round simulates only its own
+    counter-examples, and appends their bits above the rows' earlier ones.
     """
     net = solver.net
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
     patterns = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
+    t0 = time.perf_counter()
+    rows = {nid: sig.bits for nid, sig in simulate_all(net, patterns).items()}
+    stats.sim_time += time.perf_counter() - t0
     constants: dict[int, bool] = {}
     for select in (_never_shown_value, _minority_value):
-        t0 = time.perf_counter()
-        sigs = simulate_all(net, patterns)
-        stats.sim_time += time.perf_counter() - t0
+        n = patterns.n_patterns
         # Row i of the counter-example patterns, and how many there are.
         extra, n_extra = [0] * len(net.pis), 0
-        for nid in net.topo_order():
-            node = net.nodes[nid]
-            if node.arity == 0 or nid in constants:
+        for nid, row in rows.items():
+            if net.nodes[nid].arity == 0 or nid in constants:
                 continue
-            value = select(sigs[nid].bits, patterns.n_patterns)
+            value = select(row, n)
             if value is None:
                 continue
             outcome = _find_value(solver, nid, value, cfg, stats)
@@ -281,10 +292,15 @@ def sat_guided_patterns(
                 n_extra += 1
             elif outcome.is_unsat:
                 constants[nid] = not value
-        n = patterns.n_patterns
+        if not n_extra:
+            continue
+        t0 = time.perf_counter()
+        for nid, sig in simulate_all(net, PatternSet(extra, n_extra)).items():
+            rows[nid] |= sig.bits << n
+        stats.sim_time += time.perf_counter() - t0
         patterns = PatternSet([row | more << n for row, more in zip(patterns.rows, extra)],
                               n + n_extra)
-    return patterns, list(constants.items())
+    return patterns, rows, list(constants.items())
 
 
 def constant_prop(net: Network, constants: list[tuple[int, bool]]) -> int:
@@ -359,13 +375,12 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     rng = random.Random(cfg.seed ^ 0x51AB1E)
 
     solver = NetSolver(net)
-    patterns, constants = sat_guided_patterns(solver, cfg, stats)
+    patterns, rows, constants = sat_guided_patterns(solver, cfg, stats)
     stats.constants = constant_prop(net, constants)
-
-    t0 = time.perf_counter()
-    sigs = simulate_all(net, patterns)
-    stats.sim_time += time.perf_counter() - t0
-    mgr = init_equiv_classes(net, sigs)
+    # Proven constants leave every surviving row valid; the one new node
+    # is the constant-0 LUT (see the module docstring).
+    rows = {nid: rows.get(nid, 0) for nid in net.topo_order()}
+    mgr = init_equiv_classes(net, rows, patterns.n_patterns)
     t0 = time.perf_counter()
     _window_refine_classes(mgr, net, cfg)
     stats.sim_time += time.perf_counter() - t0

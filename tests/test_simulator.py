@@ -497,7 +497,8 @@ def and_under_inverters(depth: int) -> tuple[Network, int]:
 
 
 class TestLiveRows:
-    """``simulate_specified`` holds only the rows still to be read."""
+    """``simulate_specified``, and an exhaustive window of 12 leaves or
+    more, hold only the rows still to be read."""
 
     def test_peak_memory_under_a_deep_chain(self):
         # 2,000 inverters at 65,536 patterns make 16 MB of rows; one or
@@ -512,6 +513,27 @@ class TestLiveRows:
             tracemalloc.stop()
         assert sig[y].bits == p.rows[0] & p.rows[1]
         assert peak < 1 << 20
+
+    def test_peak_memory_of_a_wide_window(self):
+        # A 16-PI AND tree under 2,000 inverters: its whole cone holds
+        # about 17 MB of 65,536-pattern rows, and its live rows under 1 MB.
+        net = Network()
+        level = [net.add_pi() for _ in range(16)]
+        while len(level) > 1:
+            level = [net.add_lut(level[i:i + 2], 0b1000) for i in range(0, len(level), 2)]
+        top = level[0]
+        for _ in range(2000):
+            top = net.add_lut([top], 0b01)
+        net.add_po(top)
+        tracemalloc.start()
+        try:
+            wt = exhaustive_window_sim(net, [top])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Only the all-ones assignment, the last, sets the AND.
+        assert wt.window_rows == {top: 1 << ((1 << 16) - 1)}
+        assert peak < 2 << 20
 
     def test_only_kept_rows_remain(self):
         net, y = and_under_inverters(50)

@@ -21,7 +21,8 @@ from stpsweep import (
 )
 from stpsweep.sat import SatStatus
 from stpsweep.sweep import (
-    _ce_rows, constant_prop, init_equiv_classes, refine_classes, sat_guided_patterns, toggle_rate,
+    TOGGLE_THRESHOLD, _ce_rows, _minority_value, constant_prop, init_equiv_classes,
+    refine_classes, sat_guided_patterns, toggle_rate,
 )
 from helpers import (
     adder_miter, exhaustive_tables, lookup_tables, po_tables, random_network, sweep_fixture,
@@ -31,6 +32,47 @@ from helpers import (
 # The package exports the ``sweep`` function under the module's name.
 sweep_module = importlib.import_module("stpsweep.sweep")
 sat_module = importlib.import_module("stpsweep.sat")
+
+
+def rows_of(sigs) -> dict[int, int]:
+    return {nid: sig.bits for nid, sig in sigs.items()}
+
+
+def record_simulate_all(monkeypatch) -> list[int]:
+    """The pattern count of every ``simulate_all`` call the sweep module makes."""
+    widths = []
+    real = sweep_module.simulate_all
+
+    def recording(net, patterns):
+        widths.append(patterns.n_patterns)
+        return real(net, patterns)
+
+    monkeypatch.setattr(sweep_module, "simulate_all", recording)
+    return widths
+
+
+def wide_and() -> tuple[Network, int]:
+    """An eight-input AND chain and its output node."""
+    net = Network()
+    pis = [net.add_pi() for _ in range(8)]
+    acc = pis[0]
+    for p in pis[1:]:
+        acc = net.add_lut([acc, p], 0b1000)
+    net.add_po(acc)
+    return net, acc
+
+
+def rand_300() -> Network:
+    return random_network(random.Random(7), 64, 300, max_k=6, po_count=32, fresh_bias=0.6)
+
+
+def and_under_inverters(n: int) -> Network:
+    net = Network()
+    s = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
+    for _ in range(n):
+        s = net.add_lut([s], 0b01)
+    net.add_po(s)
+    return net
 
 
 def tiny_cfg(**kw) -> SweepConfig:
@@ -46,7 +88,7 @@ class TestSatGuidedPatterns:
         na = net.add_lut([a], 0b01)
         zero = net.add_lut([a, na], 0b1000)  # a & ~a
         net.add_po(zero)
-        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
+        patterns, _, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
         assert (zero, False) in constants
 
     def test_constant_one_found(self):
@@ -55,27 +97,37 @@ class TestSatGuidedPatterns:
         na = net.add_lut([a], 0b01)
         one = net.add_lut([a, na], 0b1110)  # a | ~a
         net.add_po(one)
-        _, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
+        _, _, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
         assert (one, True) in constants
 
     def test_wide_and_gets_its_minterm(self):
         # Eight-input AND: the single satisfying pattern is found by SAT.
-        net = Network()
-        pis = [net.add_pi() for _ in range(8)]
-        acc = pis[0]
-        for p in pis[1:]:
-            acc = net.add_lut([acc, p], 0b1000)
-        net.add_po(acc)
-        patterns, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
+        net, acc = wide_and()
+        patterns, _, constants = sat_guided_patterns(NetSolver(net), tiny_cfg(), SweepStats())
         assert constants == []
         sigs = simulate_all(net, patterns)
         assert sigs[acc].bits != 0  # some pattern drives the AND to one
 
     def test_patterns_grow_deterministically(self):
         net = sweep_fixture(3)
-        p1, c1 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg(), SweepStats())
-        p2, c2 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg(), SweepStats())
+        p1, _, c1 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg(), SweepStats())
+        p2, _, c2 = sat_guided_patterns(NetSolver(net.clone()), tiny_cfg(), SweepStats())
         assert p1.rows == p2.rows and c1 == c2
+
+    @pytest.mark.parametrize("make, cfg, widths, n_constants", [
+        # Both rounds add counter-examples.
+        (lambda: wide_and()[0], tiny_cfg(), [64, 3, 3], 0),
+        # No counter-example, and constants proven.
+        (rand_300, SweepConfig(), [2048], 69),
+    ], ids=["wide_and", "rand_300"])
+    def test_rows_are_a_fresh_simulation_of_the_patterns(
+            self, monkeypatch, make, cfg, widths, n_constants):
+        net = make()
+        seen = record_simulate_all(monkeypatch)
+        patterns, rows, constants = sat_guided_patterns(NetSolver(net), cfg, SweepStats())
+        assert seen == widths and len(constants) == n_constants
+        assert patterns.n_patterns == sum(widths)
+        assert rows == rows_of(simulate_all(net, patterns))
 
 
 class TestCeRows:
@@ -102,6 +154,29 @@ class TestToggleRate:
     def test_alternating_is_one(self):
         bits = int("10" * 32, 2)
         assert toggle_rate(bits, 64) == 1.0
+
+
+    @pytest.mark.parametrize("width", [1, 2, 63, 64, 2072])
+    def test_bit_counts_match_the_string_count(self, width):
+        def ref_toggle(bits, n):
+            if n < 2:
+                return 0.0
+            return bin((bits ^ (bits >> 1)) & ((1 << (n - 1)) - 1)).count("1") / (n - 1)
+
+        def ref_minority(bits, n):
+            if TOGGLE_THRESHOLD <= ref_toggle(bits, n) <= 1.0 - TOGGLE_THRESHOLD:
+                return None
+            return bin(bits).count("1") * 2 <= n
+
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        # Dense rows toggle; rows with a few ones, or a few zeros, do not.
+        sparse = [sum(1 << rng.randrange(width) for _ in range(k)) for k in (1, 2, 3)]
+        rows = ([0, full] + [rng.getrandbits(width) for _ in range(20)]
+                + sparse + [full ^ r for r in sparse])
+        for bits in rows:
+            assert toggle_rate(bits, width) == ref_toggle(bits, width)
+            assert _minority_value(bits, width) == ref_minority(bits, width)
 
 
 class TestConstantProp:
@@ -163,8 +238,9 @@ class TestClasses:
         g2 = net.add_lut([a, b], 0b0110)
         net.add_po(g1)
         net.add_po(g2)
-        sigs = simulate_all(net, gen_random_patterns(2, 64, 5))
-        mgr = init_equiv_classes(net, sigs)
+        pats = gen_random_patterns(2, 64, 5)
+        sigs = simulate_all(net, pats)
+        mgr = init_equiv_classes(net, rows_of(sigs), pats.n_patterns)
         assert mgr.class_of[g1] == mgr.class_of[g2]
         assert mgr.phase_of[g1] == mgr.phase_of[g2]
 
@@ -174,8 +250,9 @@ class TestClasses:
         g = net.add_lut([a, b], 0b0110)
         inv = net.add_lut([g], 0b01)
         net.add_po(inv)
-        sigs = simulate_all(net, gen_random_patterns(2, 64, 5))
-        mgr = init_equiv_classes(net, sigs)
+        pats = gen_random_patterns(2, 64, 5)
+        sigs = simulate_all(net, pats)
+        mgr = init_equiv_classes(net, rows_of(sigs), pats.n_patterns)
         assert mgr.class_of[g] == mgr.class_of[inv]
         assert mgr.phase_of[g] != mgr.phase_of[inv]
 
@@ -184,7 +261,7 @@ class TestClasses:
         net = random_network(rng, 4, 30, po_count=2)
         pats = gen_random_patterns(4, 16, 3)
         sigs = simulate_all(net, pats)
-        mgr = init_equiv_classes(net, sigs)
+        mgr = init_equiv_classes(net, rows_of(sigs), pats.n_patterns)
         mask = pats.mask
         for nodes in mgr.members.values():
             keys = set()
@@ -196,8 +273,9 @@ class TestClasses:
     def test_topological_member_order(self):
         rng = random.Random(89)
         net = random_network(rng, 4, 30, po_count=2)
-        sigs = simulate_all(net, gen_random_patterns(4, 8, 3))
-        mgr = init_equiv_classes(net, sigs)
+        pats = gen_random_patterns(4, 8, 3)
+        sigs = simulate_all(net, pats)
+        mgr = init_equiv_classes(net, rows_of(sigs), pats.n_patterns)
         rank = mgr.topo_rank
         for nodes in mgr.members.values():
             assert nodes == sorted(nodes, key=rank.__getitem__)
@@ -219,7 +297,7 @@ class TestRefine:
         pats = gen_random_patterns(2, 2, 0)
         pats.rows = [0b10, 0b10]
         sigs = simulate_all(net, pats)
-        mgr = init_equiv_classes(net, sigs)
+        mgr = init_equiv_classes(net, rows_of(sigs), pats.n_patterns)
         assert mgr.class_of[g_and] == mgr.class_of[g_or]
         cfg = tiny_cfg(window_cap=0)  # isolate the pattern route
         splits = refine_classes(mgr, net, {a: True, b: False}, cfg, random.Random(1))
@@ -231,7 +309,7 @@ class TestRefine:
         pats = gen_random_patterns(2, 2, 0)
         pats.rows = [0b10, 0b10]
         sigs = simulate_all(net, pats)
-        mgr = init_equiv_classes(net, sigs)
+        mgr = init_equiv_classes(net, rows_of(sigs), pats.n_patterns)
         cfg = tiny_cfg()
         # A non-distinguishing counter-example: the window does the split.
         splits = refine_classes(mgr, net, {a: False, b: False}, cfg, random.Random(1))
@@ -245,7 +323,7 @@ class TestRefine:
         pats = gen_random_patterns(2, 2, 0)
         pats.rows = [0b10, 0b10]
         sigs = simulate_all(net, pats)
-        mgr = init_equiv_classes(net, sigs)
+        mgr = init_equiv_classes(net, rows_of(sigs), pats.n_patterns)
         cfg = tiny_cfg(window_cap=0)
         rng = random.Random(1)
         splits = refine_classes(mgr, net, {a: False, b: False}, cfg, rng)
@@ -567,6 +645,42 @@ class TestWindowMergeOracle:
             assert set(scalar) == set(looked_up)
             for nid, row in scalar.items():
                 assert row == sum(1 << int(v) for v in np.flatnonzero(looked_up[nid]))
+
+
+class TestPatternsSimulatedOnce:
+    """A sweep simulates each pattern once, and class init reads the rows
+    that pattern generation kept."""
+
+    @pytest.mark.parametrize("make, cfg, widths", [
+        (lambda: and_under_inverters(300), SweepConfig(), [2048]),
+        (lambda: adder_miter(16), SweepConfig(), [2048, 1, 16]),
+        (rand_300, SweepConfig(), [2048]),  # 69 constants
+        (lambda: wide_and()[0], tiny_cfg(), [64, 3, 3]),
+    ], ids=["deep_chain", "adder_miter", "constants", "ce_rounds"])
+    def test_class_init_reads_a_fresh_simulation(self, monkeypatch, make, cfg, widths):
+        seen = {}
+        generate, init = sweep_module.sat_guided_patterns, sweep_module.init_equiv_classes
+
+        def generating(*args):
+            seen["out"] = generate(*args)
+            return seen["out"]
+
+        def initializing(net, rows, n_patterns):
+            patterns = seen["out"][0]
+            assert n_patterns == patterns.n_patterns
+            # The network as constant_prop left it, simulated afresh.
+            assert rows == rows_of(simulate_all(net, patterns))
+            seen["checked"] = True
+            return init(net, rows, n_patterns)
+
+        monkeypatch.setattr(sweep_module, "sat_guided_patterns", generating)
+        monkeypatch.setattr(sweep_module, "init_equiv_classes", initializing)
+        seen_widths = record_simulate_all(monkeypatch)
+        sweep(make(), cfg)
+        assert seen.get("checked")
+        # One call at the base width, then one per round that added
+        # counter-examples, each of that round's patterns alone.
+        assert seen_widths == widths and sum(widths) == seen["out"][0].n_patterns
 
 
 class TestInverterChain:
