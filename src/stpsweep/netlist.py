@@ -16,14 +16,24 @@ the unsigned integer ``v``.
 Node ids are dense indices into the node array and are never reused;
 structural edits mark nodes dead instead of renumbering, so external
 tables indexed by id stay valid.
+
+:func:`parse_blif` reads a file one ``.names`` block at a time: its
+Python work is per block, and each block's rows are checked and decoded
+together by C-level string operations.  Of the errors in a block it
+reports the header's first, then the first malformed row, then mixed
+output values, then the first bad character; errors in the definitions
+(an undefined signal, a cycle) come once the whole file is read.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from itertools import compress, repeat
+from operator import or_
 
 
 class NetlistError(Exception):
@@ -54,7 +64,7 @@ def flip_tt_input(tt: int, arity: int, pos: int) -> int:
     return ((tt & low) << step) | ((tt >> step) & low)
 
 
-@dataclass
+@dataclass(slots=True)
 class LutNode:
     id: int
     fanins: list[int] = field(default_factory=list)
@@ -359,61 +369,138 @@ class Network:
 MAX_BLIF_FANINS = 16
 
 
-def _blif_logical_lines(text: str):
-    """Yield (line_number, tokens) with comments and continuations handled."""
-    pending: list[str] = []
-    pending_no = 0
-    for no, raw in enumerate(text.splitlines(), start=1):
-        if not pending and "#" not in raw and "\\" not in raw:
-            # No comment and no continuation: the common line.
-            tokens = raw.split()
-            if tokens:
-                yield no, tokens
-            continue
-        line = raw.split("#", 1)[0].rstrip()
-        cont = line.endswith("\\")
-        if cont:
-            line = line[:-1]
-        if not pending:
-            pending_no = no
-        pending.append(line)
-        if cont:
-            continue
-        joined = " ".join(pending).strip()
-        pending = []
-        if joined:
-            yield pending_no, joined.split()
-    if pending and any(s.strip() for s in pending):
-        yield pending_no, " ".join(pending).split()
+#: Every line break that ``str.splitlines`` honours, other than ``\n``.
+_ODD_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(r"#[^\n]*")
+#: A ``\`` that ends a line, then each further line that ends in one, then
+#: the line that ends the run.
+_CONTINUED = re.compile(r"\\[^\S\n]*\n(?:[^\n]*\\[^\S\n]*\n)*[^\n]*")
+_LINE_JOIN = re.compile(r"\\[^\S\n]*\n")
+#: A command line: its first token starts with ``.``.
+_COMMAND = re.compile(r"\n[^\S\n]*(\.[^\n]*)")
 
 
-def _cover_to_tt(covers: list[tuple[int, str, str]], arity: int) -> int:
-    """Convert BLIF single-output cover rows to a truth-row integer."""
-    if not covers:
-        return 0
-    out_vals = {val for _, _, val in covers}
-    if len(out_vals) != 1:
-        line = covers[0][0]
-        raise NetlistError(f"line {line}: mixed cover output values")
-    acc = 0
-    full = (1 << (1 << arity)) - 1
-    for line, ins, _ in covers:
-        if not ins.strip("01"):
-            # ASCII 0/1 only, so ``int`` reads the row's one minterm; an
-            # arity-0 row is minterm 0.
-            acc |= 1 << int(ins or "0", 2)
-            continue
-        bad = [c for c in ins if c not in "01-"]
+def _join_continued(run: re.Match) -> str:
+    """One continued line on its first line, and a blank line for each other."""
+    joined = run.group()
+    return _LINE_JOIN.sub(" ", joined) + "\n" * joined.count("\n")
+
+
+def _normalise(text: str) -> str:
+    r"""The text with ``\n`` line ends, no comments and no continuations.
+
+    Each logical line stays on its first physical line, and the lines it
+    continues onto are left blank, so line ``i`` of the result is the
+    logical line that starts on line ``i`` of the input.  The result
+    starts with an extra ``\n``, so that every command line follows one.
+    """
+    if any(c in text for c in _ODD_BREAKS):
+        text = "\n".join(text.splitlines())
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if "\\" in text:
+        text = _CONTINUED.sub(_join_continued, text + "\n")
+    return "\n" + text
+
+
+#: The cover row inputs of each minterm ``v``, at index ``v``, of each
+#: arity up to 8.  :func:`write_blif` formats a wider LUT's rows one by
+#: one, so that no table of 2^16 strings is kept.
+_CUBES = tuple(tuple(format(v, f"0{arity}b") for v in range(1 << arity))
+               for arity in range(9))
+#: The inverse of :data:`_CUBES`: ``1 << v`` for the inputs of minterm
+#: ``v``, and ``1`` for the empty inputs of a constant's row.  Its bit
+#: values grow with the table, to 2^256 at 8 inputs, so a wider LUT's
+#: rows are decoded by :func:`_dont_care_bits`.
+_CUBE_BITS = ({"": 1},) + tuple({cube: 1 << v for v, cube in enumerate(cubes)}
+                                for cubes in _CUBES[1:])
+
+
+def _dont_care_bits(cube: str) -> int:
+    """The minterms of a cube of ``0``, ``1`` and ``-``, as set bits."""
+    if "-" not in cube:
+        return 1 << int(cube, 2)
+    minterms = [int(cube.replace("-", "0"), 2)]
+    for j, c in enumerate(reversed(cube)):
+        if c == "-":
+            bit = 1 << j
+            minterms += [v | bit for v in minterms]
+    return reduce(or_, map((1).__lshift__, minterms))
+
+
+def _rows(body: str, no: int):
+    """Yield (line number, tokens) of each non-blank line of a piece of
+    normalised text whose first line is line ``no``."""
+    for j, line in enumerate(body.split("\n")):
+        tokens = line.split()
+        if tokens:
+            yield no + j, tokens
+
+
+def _no_rows(body: str, no: int) -> None:
+    """Raise for the first row in text outside every ``.names`` block."""
+    if body.strip():
+        line, _ = next(_rows(body, no))
+        raise NetlistError(f"line {line}: cover row outside .names")
+
+
+def _block_error(body: str, arity: int, no: int) -> NetlistError:
+    """The error of a ``.names`` block that the block checks reject.
+
+    Walks its rows only to name the offending line: the first malformed
+    row, else the first row of a block with mixed output values, else
+    the first row with a bad character.
+    """
+    rows = []
+    for line, tokens in _rows(body, no):
+        if arity == 0:
+            if len(tokens) != 1 or tokens[0] not in ("0", "1"):
+                return NetlistError(f"line {line}: bad constant cover row")
+        elif len(tokens) != 2 or len(tokens[0]) != arity or tokens[1] not in ("0", "1"):
+            return NetlistError(f"line {line}: malformed cover row")
+        rows.append((line, tokens))
+    if len({tokens[-1] for _, tokens in rows}) > 1:
+        return NetlistError(f"line {rows[0][0]}: mixed cover output values")
+    for line, tokens in rows:
+        bad = [c for c in tokens[0] if c not in "01-"]
         if bad:
-            raise NetlistError(f"line {line}: bad cover character {bad[0]!r}")
-        minterms = [int(ins.replace("-", "0"), 2)]
-        for j, c in enumerate(ins):
-            if c == "-":
-                bit = 1 << (arity - 1 - j)
-                minterms += [v | bit for v in minterms]
-        for v in minterms:
-            acc |= 1 << v
-    return acc if out_vals == {"1"} else acc ^ full
+            return NetlistError(f"line {line}: bad cover character {bad[0]!r}")
+
+
+def _cover_tt(body: str, arity: int, no: int) -> int:
+    """The truth row of a ``.names`` block whose rows are ``body``.
+
+    ``no`` is the line of the ``.names`` command.  The rows are checked
+    and decoded all at once, in C: one ``split`` of the block, then
+    joins, sets and maps over its tokens, with :data:`_CUBE_BITS` as the
+    decoder.  A cube the table lacks (one with a ``-``, a bad character
+    or the wrong length, or any cube of a LUT wider than the table)
+    sends the block to :func:`_dont_care_bits`, after checks of the
+    cubes' lengths and characters.
+    """
+    tokens = body.split()
+    if not tokens:
+        return 0
+    value = tokens[-1]
+    if arity:
+        cubes, values = tokens[::2], tokens[1::2]
+    else:
+        cubes, values = [""] * len(tokens), tokens
+    # The layout write_blif writes, one ``cube value`` row on each line,
+    # is told at once from the tokens; any other layout takes one
+    # ``split`` per line.
+    well_formed = body == "\n" + f" {value}\n".join(cubes) + f" {value}" or (
+        {*map(len, filter(None, map(str.split, body.split("\n"))))} == {2 if arity else 1}
+        and {*values} == {value})
+    if not well_formed or value not in ("0", "1"):
+        raise _block_error(body, arity, no)
+    try:
+        tt = reduce(or_, map(_CUBE_BITS[arity].__getitem__, cubes))
+    except (IndexError, KeyError):
+        if {*map(len, cubes)} != {arity} or "".join(cubes).strip("01-"):
+            raise _block_error(body, arity, no) from None
+        tt = reduce(or_, map(_dont_care_bits, cubes))
+    return tt if value == "1" else tt ^ ((1 << (1 << arity)) - 1)
 
 
 def _build_in_order(net: Network, defs: dict, ids: dict, roots: Iterable) -> None:
@@ -451,6 +538,23 @@ def _build_in_order(net: Network, defs: dict, ids: dict, roots: Iterable) -> Non
 def parse_blif(text: str) -> Network:
     """Parse the supported BLIF subset into a network.
 
+    The reader works one ``.names`` block at a time, not one line at a
+    time: its Python work is per block, and the rows are decoded in C
+    (see :func:`_cover_tt`).  One pass normalises the text, a regex
+    splits it at command lines, and each block's rows are checked and
+    decoded together; a rejected block is walked row by row only to
+    name the offending line.  Every line break that ``str.splitlines``
+    honours ends a line, ``#`` starts a comment, and a ``\\`` at the end
+    of a line continues it; a line number names the first physical
+    line of a continued line.
+
+    The first error in the file is reported, in the order the lines
+    come; within one ``.names`` block, a header error comes first, then
+    the first malformed row, then mixed output values (named at the
+    block's first row), then the first row with a bad character.
+    Errors in the definitions, such as an undefined signal or a cycle,
+    come after the whole file is read.  Text after ``.end`` is ignored.
+
     A cover row's inputs are the ASCII characters ``0``, ``1`` and
     ``-`` only; any other character, even one that ``int`` reads as a
     digit, is a ``bad cover character``.  PIs take the first ids, in
@@ -462,52 +566,43 @@ def parse_blif(text: str) -> Network:
     outputs: list[str] = []
     defs: dict[str, tuple[int, list[str], int]] = {}
     offset_buffers: set[str] = set()  # blocks of one row, ``0 0``: a PO alias's form
-    rows: list[tuple[int, str, str]] | None = None  # of the open .names block
-    arity = 0
 
-    # An appended ``.end`` closes the last block of a file that has none.
-    for no, tokens in chain(_blif_logical_lines(text), [(0, [".end"])]):
+    # [text before the first command, command, its body, command, ...]
+    pieces = _COMMAND.split(_normalise(text))
+    _no_rows(pieces[0], 0)
+    no = pieces[0].count("\n")
+    for i in range(1, len(pieces), 2):
+        no += 1
+        tokens, body = pieces[i].split(), pieces[i + 1]
         cmd = tokens[0]
-        if cmd[0] != ".":
-            if rows is None:
-                raise NetlistError(f"line {no}: cover row outside .names")
-            if arity == 0:
-                if len(tokens) != 1 or cmd not in ("0", "1"):
-                    raise NetlistError(f"line {no}: bad constant cover row")
-                rows.append((no, "", cmd))
-            elif len(tokens) != 2 or len(cmd) != arity or tokens[1] not in ("0", "1"):
-                raise NetlistError(f"line {no}: malformed cover row")
-            else:
-                rows.append((no, cmd, tokens[1]))
-            continue
-        if rows is not None:
-            defs[out_name] = (names_no, fanin_names, _cover_to_tt(rows, arity))
-            if arity == 1 and [r[1:] for r in rows] == [("0", "0")]:
-                offset_buffers.add(out_name)
-            rows = None
         if cmd == ".names":
             if len(tokens) < 2:
                 raise NetlistError(f"line {no}: .names needs an output")
             fanin_names, out_name = tokens[1:-1], tokens[-1]
-            if len(fanin_names) > MAX_BLIF_FANINS:
+            arity = len(fanin_names)
+            if arity > MAX_BLIF_FANINS:
                 raise NetlistError(
-                    f"line {no}: node {out_name!r} has {len(fanin_names)} fanins, "
+                    f"line {no}: node {out_name!r} has {arity} fanins, "
                     f"limit is {MAX_BLIF_FANINS}")
             if out_name in defs:
                 raise NetlistError(f"line {no}: {out_name!r} defined twice")
-            rows = []
-            arity = len(fanin_names)
-            names_no = no
-        elif cmd == ".model":
-            model = tokens[1] if len(tokens) > 1 else model
-        elif cmd == ".inputs":
-            inputs.extend(tokens[1:])
-        elif cmd == ".outputs":
-            outputs.extend(tokens[1:])
+            tt = _cover_tt(body, arity, no)
+            defs[out_name] = (no, fanin_names, tt)
+            if arity == 1 and tt == 0b10 and body.split() == ["0", "0"]:
+                offset_buffers.add(out_name)
         elif cmd == ".end":
             break
         else:
-            raise NetlistError(f"line {no}: unsupported construct {cmd!r}")
+            if cmd == ".model":
+                model = tokens[1] if len(tokens) > 1 else model
+            elif cmd == ".inputs":
+                inputs.extend(tokens[1:])
+            elif cmd == ".outputs":
+                outputs.extend(tokens[1:])
+            else:
+                raise NetlistError(f"line {no}: unsupported construct {cmd!r}")
+            _no_rows(body, no)
+        no += body.count("\n")
 
     net = Network(model)
     for name in inputs:
@@ -534,6 +629,10 @@ def parse_blif(text: str) -> Network:
         net.names.setdefault(name, net.names[source])
         net.add_po(net.names[source], name=name)
     return net
+
+
+#: ``bytes.translate`` table that turns the digit ``0`` into a false byte.
+_ZERO_FALSE = bytes.maketrans(b"0", b"\0")
 
 
 def write_blif(net: Network) -> str:
@@ -583,16 +682,21 @@ def write_blif(net: Network) -> str:
         node = net.nodes[nid]
         if node.is_pi or node.dead:
             continue
-        lines.append(".names " + " ".join(sig[f] for f in node.fanins) + f" {sig[nid]}")
-        k = node.arity
-        if k == 0:
-            if node.tt & 1:
-                lines.append("1")
+        lines.append(".names " + " ".join(map(sig.__getitem__, node.fanins)) + f" {sig[nid]}")
+        if not node.tt:
             continue
-        for v in range(1 << k):
-            if (node.tt >> v) & 1:
-                bits = format(v, f"0{k}b")
-                lines.append(f"{bits} 1")
+        if not node.fanins:
+            lines.append("1")
+            continue
+        # The rows of the set bits, read off the table's binary digits
+        # from bit 0 up: a ``0`` digit becomes a false selector byte.
+        bits = format(node.tt, "b")[::-1].encode().translate(_ZERO_FALSE)
+        k = node.arity
+        if k < len(_CUBES):
+            rows = compress(_CUBES[k], bits)
+        else:
+            rows = map(format, compress(range(1 << k), bits), repeat(f"0{k}b"))
+        lines.append(" 1\n".join(rows) + " 1")
     # Inverters before buffers: parse_blif reads an inverter back as a
     # LUT, which a rewrite puts ahead of every buffer.
     for driver, name, phase in sorted(extra, key=lambda e: not e[2]):

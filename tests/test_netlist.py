@@ -17,6 +17,7 @@ from stpsweep import (
     write_blif,
 )
 from stpsweep.sweep import constant_prop
+import blif_oracle
 from helpers import eval_assignment, exhaustive_tables, po_tables, random_network
 
 
@@ -138,6 +139,52 @@ class TestParseBlif:
         text = ".model t\n.inputs a\n.outputs y\n.names a y\n1x 1\n.end\n"
         with pytest.raises(NetlistError, match="line 5"):
             parse_blif(text)
+        head = [".model t", ".inputs a b", ".outputs y", ".names a b y"]
+        cases = [
+            # A malformed row after a mixed-value row: the malformed row.
+            (["11 1", "00 0", "1 1"], "line 7: malformed cover row"),
+            # A bad character and mixed values: the mixed values, named
+            # at the block's first row.
+            (["11 1", "1x 0"], "line 5: mixed cover output values"),
+            (["1x 1", "11 1"], "line 5: bad cover character 'x'"),
+            # Rows continued onto later lines: the first physical line.
+            (["11 1", "1x \\", "1"], "line 6: bad cover character 'x'"),
+            (["11 \\", "# a comment", "1 1"], "line 5: malformed cover row"),
+            (["11 \\", "1", "1x 1"], "line 7: bad cover character 'x'"),
+            # Each line holds one row, even if the tokens would pair up.
+            (["11 1 01", "1"], "line 5: malformed cover row"),
+            (["11", "1"], "line 5: malformed cover row"),
+            # A trailing backslash at the end of the file joins nothing.
+            (["11 1", "x \\"], "line 6: malformed cover row"),
+            # Text after .end is ignored.
+            (["11 1", ".end", "1x 1", ".bogus"], None),
+        ]
+        for sep in ["\n", "\r\n", "\r", "\f"]:
+            for rows, message in cases:
+                text = sep.join(head + rows)
+                if message is None:
+                    assert parse_blif(text).nodes[-1].tt == 0b1000
+                    continue
+                with pytest.raises(NetlistError) as exc:
+                    parse_blif(text)
+                assert str(exc.value) == message, (sep, rows)
+                with pytest.raises(NetlistError) as exc:
+                    blif_oracle.parse_blif(text)
+                assert str(exc.value) == message, (sep, rows)
+
+
+def assert_reads_as_the_oracle(text: str) -> None:
+    """``parse_blif`` returns the network the reference reader returns, or
+    raises a NetlistError with the same message."""
+    def outcome(parse):
+        try:
+            net = parse(text)
+        except NetlistError as exc:
+            return str(exc)
+        return ([(n.id, n.fanins, n.tt) for n in net.nodes], net.names, net.pis,
+                net.pi_names, net.po_names, net.pos, net.name)
+
+    assert outcome(parse_blif) == outcome(blif_oracle.parse_blif)
 
 
 def cover_oracle(cubes: list[str], out: str, arity: int) -> int:
@@ -159,7 +206,8 @@ def cover_oracle(cubes: list[str], out: str, arity: int) -> int:
 
 def _noisy_layout(rng: random.Random, lines: list[str]) -> str:
     """Join BLIF lines with comments, continuations, tabs, blank lines
-    and, at random, CRLF line ends, none of which changes the tokens."""
+    and, at random, CRLF, lone CR or form-feed line ends, none of which
+    changes the tokens."""
     out = []
     for line in lines:
         r = rng.random()
@@ -173,7 +221,7 @@ def _noisy_layout(rng: random.Random, lines: list[str]) -> str:
         elif r < 0.4:
             line = line.replace(" ", rng.choice(["\t", " \t ", "   "]))
         out.append(line)
-    return rng.choice(["\n", "\r\n"]).join(out) + "\n"
+    return rng.choice(["\n", "\r\n", "\r", "\f"]).join(out) + "\n"
 
 
 class TestCoverDecoding:
@@ -205,7 +253,9 @@ class TestCoverDecoding:
             lines.append(".names " + " ".join(fanins + [name]))
             lines += [f"{cube} {out}" if fanins else out for cube in cubes]
         lines.append(".end")
-        net = parse_blif(_noisy_layout(rng, lines))
+        text = _noisy_layout(rng, lines)
+        assert_reads_as_the_oracle(text)
+        net = parse_blif(text)
         assert net.n_luts() == len(blocks)
         for name, fanins, cubes, out in blocks:
             node = net.nodes[net.names[name]]
@@ -361,6 +411,21 @@ class TestWriteBlif:
         assert back.po_names == ["y"] and back.n_luts() == 2
         assert po_tables(back) == po_tables(net)
 
+    def test_rows_are_the_set_minterms_in_order(self):
+        # Arities on both sides of the 8-input cube table.
+        rng = random.Random(9)
+        net = Network("wide")
+        pis = [net.add_pi(f"p{i}") for i in range(12)]
+        for k in range(1, 13):
+            net.add_po(net.add_lut(pis[:k], rng.getrandbits(1 << k)), name=f"g{k}")
+        blocks = write_blif(net).removesuffix(".end\n").split(".names ")[1:]
+        for k, block in enumerate(blocks, start=1):
+            tt = net.nodes[net.pos[k - 1][0]].tt
+            rows = [f"{v:0{k}b} 1" for v in range(1 << k) if tt >> v & 1]
+            assert block.rstrip().split("\n")[1:] == rows
+        back = parse_blif(write_blif(net))
+        assert [n.tt for n in back.nodes] == [n.tt for n in net.nodes]
+
     def test_on_set_buffer_stays_a_lut(self):
         text = ".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
         net = parse_blif(text)
@@ -475,7 +540,7 @@ _FUZZ_SEEDS = [
 ]
 
 #: Characters that the parsers give meaning to, mixed into mutations.
-_FUZZ_ALPHABET = st.sampled_from(list("01-.# \\\n\tagx9") + [".names", ".inputs", ".end"])
+_FUZZ_ALPHABET = st.sampled_from(list("01-.# \\\n\r\f\tagx9") + [".names", ".inputs", ".end"])
 
 
 def _parses_or_rejects(parse, text):
@@ -486,12 +551,13 @@ def _parses_or_rejects(parse, text):
 
 
 class TestParserFuzz:
-    """Malformed input raises NetlistError and nothing else."""
+    """Malformed input raises NetlistError and nothing else, and the BLIF
+    reader agrees with the reference reader."""
 
     @given(st.text(max_size=200))
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_text(self, text):
-        _parses_or_rejects(parse_blif, text)
+        assert_reads_as_the_oracle(text)
         _parses_or_rejects(parse_aiger_ascii, text)
         _parses_or_rejects(parse_aiger_ascii, "aag " + text)
 
@@ -510,7 +576,10 @@ class TestParserFuzz:
                 text = text[:pos] + chars + text[pos + 1:]
             else:
                 text = text[:pos] + text[pos + 1:]
-        _parses_or_rejects(parse, text)
+        if parse is parse_blif:
+            assert_reads_as_the_oracle(text)
+        else:
+            _parses_or_rejects(parse, text)
 
 
 class TestTraversal:
