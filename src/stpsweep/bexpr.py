@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .simulate import _var_row, eval_tt_words
+from .netlist import _var_row
+from .simulate import eval_tt_words
 from .stp import MAX_ARITY, LogicMatrix
 
 BoolExpr = Union["Var", "Not", "BinOp", "Lut"]
@@ -70,19 +71,6 @@ def _children(expr: BoolExpr) -> tuple[BoolExpr, ...]:
     if isinstance(expr, BinOp):
         return (expr.left, expr.right)
     return expr.children
-
-
-def variables(expr: BoolExpr) -> set[int]:
-    """Set of variable indices referenced by the expression."""
-    out: set[int] = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Var):
-            out.add(e.index)
-        else:
-            stack.extend(_children(e))
-    return out
 
 
 def eval_expr(expr: BoolExpr, assignment: Sequence[bool]) -> bool:
@@ -267,23 +255,25 @@ def canonical_form(expr: BoolExpr, n: int) -> LogicMatrix:
     operator or :class:`Lut` applies its logic matrix to its operands'
     rows with :func:`~stpsweep.simulate.eval_tt_words`.  Bit ``v`` of the
     root's row is the expression's value under assignment ``v``: the top
-    row of the canonical matrix.  The AST is walked in post-order with an
-    explicit stack; a subexpression shared by several parents is
-    evaluated once per parent.
+    row of the canonical matrix.  The AST is walked once, in post-order
+    with an explicit stack; a subexpression shared by several parents is
+    evaluated once per parent.  Each variable's index is checked, and its
+    row built, where the walk first meets it.
     """
     if n < 0 or n > MAX_ARITY:
         raise ValueError(f"variable count {n} outside [0, {MAX_ARITY}]")
-    vs = variables(expr)
-    if vs and (min(vs) < 1 or max(vs) > n):
-        raise ValueError(f"variable index outside 1..{n}")
     mask = (1 << (1 << n)) - 1
-    var_rows = {v: _var_row(v - 1, n) for v in vs}
+    var_rows: dict[int, int] = {}
     rows: list[int] = []
     # ``(e, True)`` marks a node whose operands' rows are on top of ``rows``.
     stack: list[tuple[BoolExpr, bool]] = [(expr, False)]
     while stack:
         e, ready = stack.pop()
         if isinstance(e, Var):
+            if e.index not in var_rows:
+                if not 1 <= e.index <= n:
+                    raise ValueError(f"variable index outside 1..{n}")
+                var_rows[e.index] = _var_row(e.index - 1, n)
             rows.append(var_rows[e.index])
         elif not ready:
             stack.append((e, True))

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import Network
+from .netlist import Network, _var_row
 from .sat import NetSolver, solve
-from .simulate import PatternSet, _var_row, simulate_all
+from .simulate import PatternSet, simulate_all
 
 EXHAUSTIVE_PI_LIMIT = 14
 

@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .bexpr import ExprSyntaxError, canonical_form, parse_expr, scan_names
+from .bexpr import BinOp, ExprSyntaxError, canonical_form, parse_expr, scan_names
 from .cec import InterfaceMismatch, check_equivalence
 from .netlist import Network, NetlistError, parse_aiger_ascii, parse_blif, write_blif
 from .simulate import (
@@ -75,7 +75,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         windows = {}
     if len({leaf for w in windows.values() for leaf in w.leaves}) > WINDOW_CAP:
         windows = {}
-    sigs = {t: Signature(t, w.window_rows[t], 1 << len(w.leaves))
+    sigs = {t: Signature(w.window_rows[t], 1 << len(w.leaves))
             for t, w in windows.items() if 1 << len(w.leaves) < patterns.n_patterns}
     sigs.update(simulate_specified(net, patterns, [t for t in targets if t not in sigs]))
     for t in targets:
@@ -117,12 +117,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
     expr_a, _ = parse_expr(args.expr_a, var_index)
     expr_b, _ = parse_expr(args.expr_b, var_index)
     n = len(names)
-    ma = canonical_form(expr_a, n)
-    mb = canonical_form(expr_b, n)
-    if ma == mb:
+    # The assignments where the two sides differ: the zeros of ``a <-> b``.
+    diff = canonical_form(BinOp("iff", expr_a, expr_b), n).complement().row
+    if not diff:
         print("proved")
         return EXIT_OK
-    diff = ma.row ^ mb.row
     v = (diff & -diff).bit_length() - 1
     assignment = " ".join(
         f"{name}={(v >> (n - 1 - j)) & 1}" for j, name in enumerate(names)
@@ -140,7 +139,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"levels={net.level()}")
     arities = Counter(node.arity for node in net.nodes if not node.is_pi)
     print("arities=" + ",".join(f"{k}:{arities[k]}" for k in sorted(arities)))
-    print(f"max_fanout={max((node.fanout_count for node in net.nodes), default=0)}")
+    print(f"max_fanout={max((len(node.fanouts) for node in net.nodes), default=0)}")
     return EXIT_OK
 
 

@@ -2,16 +2,19 @@
 
 This module is the one graph layer: every walk of a network's fanins
 is here.  :meth:`Network.cone` gives the targets' input cones in
-topological order, and the simulator, the SAT layer and
-:meth:`Network.remove_dead` read that.  :func:`_build_in_order`
-instantiates parsed definitions in dependency order, for BLIF and
-AIGER alike.
+topological order, and the simulator, the SAT layer,
+:meth:`Network.remove_dead` and :meth:`Network.transitive_fanin` read
+that.  :func:`_build_in_order` instantiates parsed definitions in
+dependency order, for BLIF and AIGER alike.
 
 A :class:`Network` is a DAG of LUT nodes.  Primary inputs are nodes with
 no fanins; every other node carries a truth row over its ordered fanins
 in the package convention (``stpsweep.stp``): bit ``v`` of the row is
 the output when the fanin values, first fanin most significant, spell
-the unsigned integer ``v``.
+the unsigned integer ``v``.  The truth-row helpers are here too:
+:func:`_var_row` is the exhaustive row of one input, from which the
+simulator, CEC and :mod:`stpsweep.bexpr` build their exhaustive
+patterns, and :func:`flip_tt_input` complements one input of a row.
 
 Node ids are dense indices into the node array and are never reused;
 structural edits mark nodes dead instead of renumbering, so external
@@ -48,20 +51,26 @@ class WindowTooLarge(Exception):
     """The targets' combined structural support exceeds the window cap."""
 
 
+def _var_row(position: int, m: int) -> int:
+    """Packed exhaustive row of input ``position`` (0 = MSB) over 2**m patterns."""
+    step = 1 << (m - 1 - position)
+    # One period is ``step`` zeros then ``step`` ones; double it up to 2**m bits.
+    row = ((1 << step) - 1) << step
+    width = step << 1
+    while width < 1 << m:
+        row |= row << width
+        width <<= 1
+    return row
+
+
 def flip_tt_input(tt: int, arity: int, pos: int) -> int:
     """Truth row of the same LUT with input ``pos`` complemented.
 
     ``pos`` is the fanin position, 0 = first = most significant.
     """
-    b = arity - 1 - pos
-    step = 1 << b
-    period = step << 1
-    # Mask of row bits whose assignment has input bit b equal to zero.
-    block = (1 << step) - 1
-    low = 0
-    for off in range(0, 1 << arity, period):
-        low |= block << off
-    return ((tt & low) << step) | ((tt >> step) & low)
+    ones = _var_row(pos, arity)
+    step = 1 << (arity - 1 - pos)
+    return (tt & ones) >> step | (tt & ~ones) << step
 
 
 @dataclass(slots=True)
@@ -77,10 +86,6 @@ class LutNode:
     @property
     def arity(self) -> int:
         return len(self.fanins)
-
-    @property
-    def fanout_count(self) -> int:
-        return len(self.fanouts)
 
 
 class Network:
@@ -225,34 +230,10 @@ class Network:
         return order
 
     def transitive_fanin(self, nid: int, bound: int) -> list[int]:
-        """Non-PI nodes in the input cone of ``nid``, at most ``bound`` of them.
-
-        The cone includes ``nid`` itself (unless it is a PI) and never
-        includes PIs.  Breadth-first from the node, fanins in order, so
-        the truncation at ``bound`` visited nodes is deterministic.
-        """
-        node = self.nodes[nid]
-        if node.dead:
+        """The first ``bound`` non-PI nodes of the :meth:`cone` of ``nid``, from ``nid`` down."""
+        if self.nodes[nid].dead:
             raise NetlistError(f"node {nid} is dead")
-        if bound <= 0 or node.is_pi:
-            return []
-        out = [nid]
-        seen = {nid}
-        queue = [nid]
-        qi = 0
-        while qi < len(queue) and len(out) < bound:
-            cur = queue[qi]
-            qi += 1
-            for f in self.nodes[cur].fanins:
-                fn = self.nodes[f]
-                if f in seen or fn.is_pi or fn.dead:
-                    continue
-                seen.add(f)
-                out.append(f)
-                queue.append(f)
-                if len(out) >= bound:
-                    break
-        return out
+        return [n for n in reversed(self.cone([nid])) if not self.nodes[n].is_pi][:max(bound, 0)]
 
     def is_in_tfo(self, a: int, b: int) -> bool:
         """True iff ``b`` is reachable from ``a`` along fanout edges (reflexively)."""

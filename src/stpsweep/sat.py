@@ -14,8 +14,7 @@ its current activity (see :class:`Solver`): that invariant alone
 guarantees a pick, and a backtrack pushes only variables with no entry.
 
 There is one way to ask: a live :class:`Solver`, with MiniSat's
-assumption interface.  Every clause enters through
-:meth:`Solver.add_clause`; each query decides its assumptions at levels
+assumption interface.  Each query decides its assumptions at levels
 1..k, and the clauses learnt, the activities and the saved phases carry
 over to the next query; variables and clauses may be added between
 queries.  A :class:`NetSolver` is such a solver bound to one network:
@@ -24,6 +23,10 @@ cone, from one clause template per distinct ``(arity, tt)``, and
 branches only on each query's cone.  :func:`prove_equiv` on it asks an
 equivalence as two assumption-only queries in one :func:`solve` call,
 as ABC's fraig does; the two share one scope walk and one heap.
+A clause gets in three ways: through :meth:`Solver.add_clause`;
+straight onto its watch lists in :meth:`NetSolver.load`, for a LUT
+whose fanin variables are distinct and unassigned; and, learnt, onto
+its watch lists in :meth:`Solver.solve`.
 
 A SAT answer of a :class:`NetSolver` is a counter-example: a value for
 each PI in the query's scope, keyed by PI node id.  The PIs outside the
@@ -169,7 +172,7 @@ class Solver:
     def add_clause(self, lits: list[int]) -> None:
         """Add a clause, simplified by the level-0 assignment.
 
-        This is the one way in, at construction and between calls.
+        Callers' clauses come in here, at construction and between calls.
         Literal 0 and literals of undeclared variables raise
         ``ValueError``.  A clause with a true literal, or with a
         literal and its complement, is dropped and false literals are

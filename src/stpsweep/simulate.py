@@ -15,7 +15,8 @@ patterns on its PI support (for one target, its own truth row), and
 patterns on the cut's leaves, which yields the cut's STP logic matrix.
 :func:`stpsweep.bexpr.canonical_form` walks an expression AST instead
 of a network, but evaluates each operator the same way, with
-:func:`eval_tt_words` over exhaustive rows (:func:`_var_row`).
+:func:`eval_tt_words` over exhaustive rows
+(:func:`~stpsweep.netlist._var_row`).
 
 Every row handed to :func:`eval_tt_words` lies within the pattern mask,
 and so does every row it returns.
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import Network, WindowTooLarge  # raised through Network.cone
+from .netlist import Network, WindowTooLarge, _var_row  # cone raises WindowTooLarge
 from .stp import MAX_ARITY, LogicMatrix
 
 
@@ -68,10 +69,6 @@ class PatternSet:
     @property
     def mask(self) -> int:
         return (1 << self.n_patterns) - 1
-
-    def pattern(self, j: int) -> str:
-        """Pattern ``j`` as a 0/1 string, one character per PI, top down."""
-        return "".join(str((r >> j) & 1) for r in self.rows)
 
     def to_text(self) -> str:
         return "\n".join(_bits_to_string(r, self.n_patterns) for r in self.rows) + "\n"
@@ -109,7 +106,6 @@ def parse_patterns(text: str, n_pi: int) -> PatternSet:
 class Signature:
     """Per-node output bits, one bit per pattern."""
 
-    node: int
     bits: int
     n_patterns: int
 
@@ -300,7 +296,7 @@ def simulate_all(net: Network, patterns: PatternSet) -> dict[int, Signature]:
     order = net.topo_order()
     _simulate(net, order, bits, patterns.mask)
     n = patterns.n_patterns
-    return {nid: Signature(nid, bits[nid], n) for nid in order}
+    return {nid: Signature(bits[nid], n) for nid in order}
 
 
 def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -> dict[int, Signature]:
@@ -313,7 +309,7 @@ def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -
     bits = _pi_rows(net, patterns)
     _simulate(net, net.cone(targets), bits, patterns.mask, targets)
     n = patterns.n_patterns
-    return {t: Signature(t, bits[t], n) for t in targets}
+    return {t: Signature(bits[t], n) for t in targets}
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +329,6 @@ class CutSet:
 
     cuts: dict[int, Cut]
     roots: list[int]  # topological order
-    limit: int
-    targets: list[int]
 
 
 def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone") -> CutSet:
@@ -388,7 +382,7 @@ def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone
         cut.leaves = sorted(leaf_sets[root])
         cut.members.sort(key=rank.__getitem__)
     roots = sorted(cuts, key=rank.__getitem__)
-    return CutSet(cuts, roots, limit, sorted(tset))
+    return CutSet(cuts, roots)
 
 
 def cut_truth_tables(net: Network, cutset: CutSet) -> dict[int, LogicMatrix]:
@@ -417,18 +411,6 @@ def cut_truth_tables(net: Network, cutset: CutSet) -> dict[int, LogicMatrix]:
 
 #: Most PIs an exhaustive window may hold (``2**16`` patterns).
 WINDOW_CAP = 16
-
-
-def _var_row(position: int, m: int) -> int:
-    """Packed exhaustive row of input ``position`` (0 = MSB) over 2**m patterns."""
-    step = 1 << (m - 1 - position)
-    # One period is ``step`` zeros then ``step`` ones; double it up to 2**m bits.
-    row = ((1 << step) - 1) << step
-    width = step << 1
-    while width < 1 << m:
-        row |= row << width
-        width <<= 1
-    return row
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpsweep import LogicMatrix, Var, canonical_form, eval_expr, parse_expr
+from stpsweep import MAX_ARITY, LogicMatrix, Var, canonical_form, eval_expr, parse_expr
 from stp_oracle import (
     _array_to_row,
     _canonical_chain_dense,
@@ -16,7 +16,7 @@ from stp_oracle import (
     canonical_form_enum,
 )
 
-from stpsweep.bexpr import BinOp, ExprSyntaxError, Lut, Not, scan_names, variables
+from stpsweep.bexpr import BinOp, ExprSyntaxError, Lut, Not, scan_names
 
 
 def random_expr(rng: random.Random, n_vars: int, depth: int):
@@ -166,8 +166,18 @@ class TestCanonicalForm:
         assert m.truth_row() == "1100"
 
     def test_variable_out_of_range(self):
-        with pytest.raises(ValueError):
-            canonical_form(Var(3), 2)
+        # Var(0) and Var(n + 1), also under 3,000 negations or beside a
+        # valid variable, and a variable count outside [0, MAX_ARITY].
+        for n in range(4):
+            deep = Var(n + 1)
+            for _ in range(3000):
+                deep = Not(deep)
+            for expr in (Var(0), Var(n + 1), deep, BinOp("and", Var(1), Var(0))):
+                with pytest.raises(ValueError, match="variable index outside"):
+                    canonical_form(expr, n)
+        for n in (-1, MAX_ARITY + 1):
+            with pytest.raises(ValueError, match="variable count"):
+                canonical_form(Var(1), n)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)

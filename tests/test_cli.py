@@ -234,10 +234,12 @@ class TestProveCmd:
         assert capsys.readouterr().out.strip() == "proved"
 
     def test_refuted_with_assignment(self, capsys):
-        assert main(["prove", "a&b", "a|b"]) == 1
-        out = capsys.readouterr().out
-        assert "refuted" in out
-        assert "a=1 b=0" in out or "a=0 b=1" in out
+        # The first assignment, counting up from all-zeros, where the
+        # two sides differ.
+        for a, b, line in [("a&b", "a|b", "refuted at a=0 b=1"),
+                           ("(a<->~b)&(b<->~c)", "c&~a", "refuted at a=0 b=0 c=1")]:
+            assert main(["prove", a, b]) == 1
+            assert capsys.readouterr().out == line + "\n"
 
     def test_reflexive(self, capsys):
         assert main(["prove", "a", "a"]) == 0

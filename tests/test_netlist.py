@@ -864,12 +864,22 @@ class TestEdits:
                 for f in net.nodes[nid].fanins:
                     tally[f] += 1
             for nid in net.live_ids():
-                assert net.nodes[nid].fanout_count == tally[nid]
+                assert len(net.nodes[nid].fanouts) == tally[nid]
 
     def test_flip_tt_input(self):
         # AND(a, b) with first input complemented is ~a & b.
         assert flip_tt_input(0b1000, 2, 0) == 0b0010
         assert flip_tt_input(0b1000, 2, 1) == 0b0100
+        # Bit v of the flipped row is bit v ^ (1 << (arity - 1 - pos)) of tt.
+        rng = random.Random(5)
+        for arity in list(range(1, 13)) + [16]:
+            size = 1 << arity
+            tt = rng.getrandbits(size)
+            bits = format(tt, f"0{size}b")[::-1]
+            for pos in range(arity):
+                s = 1 << (arity - 1 - pos)
+                want = int("".join(bits[v ^ s] for v in range(size))[::-1], 2)
+                assert flip_tt_input(tt, arity, pos) == want, (arity, pos)
 
     def test_exhaustive_check_after_random_substitutions(self):
         rng = random.Random(41)

@@ -20,11 +20,11 @@ from stpsweep.simulate import (
     _MUX_MAX_ARITY,
     _eval_tt_gather,
     _simulate,
-    _var_row,
     circuit_cut,
     cut_truth_tables,
     eval_tt_words,
 )
+from stpsweep.netlist import _var_row
 from helpers import bits_of, exhaustive_tables, random_network, scalar_signatures
 
 NAND = 0b0111
@@ -79,7 +79,7 @@ def structural_support(net: Network, target: int) -> list[int]:
 def own_signature(net: Network, target: int) -> str:
     """A target's exhaustive signature over its own support, all-zeros pattern first."""
     wt = exhaustive_window_sim(net, [target])
-    return Signature(target, wt.window_rows[target], 1 << len(wt.leaves)).to_string()
+    return Signature(wt.window_rows[target], 1 << len(wt.leaves)).to_string()
 
 
 class TestPatterns:
@@ -102,7 +102,7 @@ class TestPatterns:
     def test_parse_first_pattern(self):
         p = parse_patterns(PATTERN_BLOCK, 5)
         assert p.n_patterns == 10
-        assert p.pattern(0) == "01100"
+        assert "".join(str(r & 1) for r in p.rows) == "01100"
 
     def test_parse_single(self):
         p = parse_patterns("1\n", 1)
