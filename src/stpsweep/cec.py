@@ -1,6 +1,6 @@
 """Combinational equivalence checking between two networks.
 
-Small interfaces (at most 14 PIs) are compared by exhaustive
+Interfaces of at most ``WINDOW_CAP`` PIs are compared by exhaustive
 simulation; larger ones on a miter network that holds both sides over
 shared PIs.  The miter is structurally hashed: a LUT of either network
 with the same fanins and truth table as an earlier miter LUT is that
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 from .netlist import Network, _var_row
 from .sat import NetSolver, solve
-from .simulate import PatternSet, simulate_all
-
-EXHAUSTIVE_PI_LIMIT = 14
+from .simulate import WINDOW_CAP, PatternSet, simulate_all
 
 
 class InterfaceMismatch(ValueError):
@@ -121,6 +119,6 @@ def check_equivalence(a: Network, b: Network) -> CecResult:
     """Decide whether two networks compute the same PO functions."""
     pi_map = _correspondence("PI", a.pi_names, b.pi_names)
     po_map = _correspondence("PO", a.po_names, b.po_names)
-    if len(a.pis) <= EXHAUSTIVE_PI_LIMIT:
+    if len(a.pis) <= WINDOW_CAP:
         return _exhaustive_cec(a, b, pi_map, po_map)
     return _miter_cec(a, b, pi_map, po_map)

@@ -70,10 +70,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
     # window) when that row is shorter than the pattern signature, unless
     # the targets' supports together exceed the window cap.
     try:
+        net.cone(targets, WINDOW_CAP)
         windows = {t: exhaustive_window_sim(net, [t]) for t in targets}
     except WindowTooLarge:
-        windows = {}
-    if len({leaf for w in windows.values() for leaf in w.leaves}) > WINDOW_CAP:
         windows = {}
     sigs = {t: Signature(w.window_rows[t], 1 << len(w.leaves))
             for t, w in windows.items() if 1 << len(w.leaves) < patterns.n_patterns}
@@ -160,9 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="merge equivalent nodes")
     p_sweep.add_argument("input")
     p_sweep.add_argument("output")
-    p_sweep.add_argument("--conflict-limit", type=int, default=0)
-    p_sweep.add_argument("--base-patterns", type=int, default=2048)
-    p_sweep.add_argument("--seed", type=int, default=1)
+    defaults = SweepConfig()
+    p_sweep.add_argument("--conflict-limit", type=int, default=defaults.conflict_limit)
+    p_sweep.add_argument("--base-patterns", type=int, default=defaults.n_base_patterns)
+    p_sweep.add_argument("--seed", type=int, default=defaults.seed)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cec = sub.add_parser("cec", help="combinational equivalence check")

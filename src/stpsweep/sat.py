@@ -8,25 +8,26 @@ The solver is a conventional conflict-driven solver with two watched
 literals per clause, first-UIP clause learning, activity-based
 branching with 0.95 decay, saved polarities, and Luby restarts.  It is
 fully deterministic.  A positive conflict limit turns exhausted queries
-into an undetermined outcome; 0 disables the limit.  Branching reads
-only a lazy heap that holds, for every unassigned variable, an entry at
-its current activity (see :class:`Solver`): that invariant alone
-guarantees a pick, and a backtrack pushes only variables with no entry.
+into an undetermined outcome; 0 disables the limit.  Each query
+builds its heap from its scope: every variable for a plain solver.  The
+lazy heap holds, for every unassigned scope variable, an entry at its
+current activity (see :class:`Solver`): that invariant alone guarantees
+a pick, and a backtrack pushes only variables with no entry.
 
 There is one way to ask: a live :class:`Solver`, with MiniSat's
 assumption interface.  Each query decides its assumptions at levels
 1..k, and the clauses learnt, the activities and the saved phases carry
 over to the next query; variables and clauses may be added between
-queries.  A :class:`NetSolver` is such a solver bound to one network:
-it loads a node's LUT clauses the first time the node enters a query
-cone, from one clause template per distinct ``(arity, tt)``, and
-branches only on each query's cone.  :func:`prove_equiv` on it asks an
-equivalence as two assumption-only queries in one :func:`solve` call,
-as ABC's fraig does; the two share one scope walk and one heap.
-A clause gets in three ways: through :meth:`Solver.add_clause`;
-straight onto its watch lists in :meth:`NetSolver.load`, for a LUT
-whose fanin variables are distinct and unassigned; and, learnt, onto
-its watch lists in :meth:`Solver.solve`.
+queries.  A :class:`NetSolver` is such a solver bound to one network: it
+loads a node's LUT clauses the first time the node enters a query cone,
+from one clause template per distinct ``(arity, tt)``, and a query's
+scope is the walk of its loaded fanins.  :func:`prove_equiv` asks an
+equivalence as two assumption-only queries in one :func:`solve` call, as
+ABC's fraig does; the two share one scope walk and one heap.  A clause
+gets in three ways: through :meth:`Solver.add_clause`; straight onto its
+watch lists in :meth:`NetSolver.load`, for a LUT whose fanin variables
+are distinct and unassigned; and, learnt, onto its watch lists in
+:meth:`Solver.solve`.
 
 A SAT answer of a :class:`NetSolver` is a counter-example: a value for
 each PI in the query's scope, keyed by PI node id.  The PIs outside the
@@ -38,7 +39,7 @@ and CEC reports one as its witness.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,16 +105,19 @@ class Solver:
     calls, :meth:`add_vars` and :meth:`add_clause` grow the problem.  A
     conflict at level 0 makes the solver UNSAT for good.
 
-    The branching heap is lazy: it holds ``(-activity, var)`` entries,
-    and an entry is valid while its key is its variable's activity.
-    ``in_heap[v]`` says that the heap holds a valid entry of ``v``.  A
-    bump in :meth:`_analyze` clears the flag, as does popping the valid
-    entry; a backtrack pushes a freed variable only if its flag is
-    clear.  So every unassigned variable has a valid entry, and the
-    pick, the first valid entry of an unassigned variable, is the
-    unassigned variable of maximal activity, ties going to the lowest
-    id; nothing else picks, so this invariant alone guarantees one.  A
-    rescale scales the keys with the activities.
+    A query branches only on its scope, here every variable
+    (:meth:`_walk_scope`), and builds its heap from the scope's
+    unassigned variables.  The heap is lazy: it holds
+    ``(-activity, var)`` entries, and an entry is valid while its key
+    is its variable's activity.  ``in_heap[v]`` says that the heap
+    holds a valid entry of ``v``.  A bump in :meth:`_analyze` clears
+    the flag, as does popping the valid entry; a backtrack pushes a
+    freed variable only if its flag is clear.  So every unassigned
+    scope variable has a valid entry, and the pick, the first valid
+    entry of an unassigned scope variable, is the one of maximal
+    activity, ties going to the lowest id; nothing else picks, so this
+    invariant alone guarantees one.  A variable outside the scope is
+    never picked, so its flag and entries do not matter.
     """
 
     _DECAY = 0.95
@@ -133,11 +137,14 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        # Lazy max-activity heap of ``(-activity, var)`` entries; every
-        # activity is 0, so sorted is a heap.
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, n + 1)]
+        #: Lazy max-activity heap of ``(-activity, var)`` entries, built per scope.
+        self.heap: list[tuple[float, int]] = []
         #: ``in_heap[v]``: the heap holds an entry of ``v`` at its current activity.
-        self.in_heap: list[bool] = [True] * (n + 1)
+        self.in_heap: list[bool] = [False] * (n + 1)
+        #: The variables the current query may branch on.
+        self.scope: Container[int] = ()
+        #: The assumption variables and level-0 trail length ``scope`` was walked for.
+        self.scope_key: tuple[set[int], int] | None = None
         self.ok = True
         self.learnts: list[list[int]] = []
         #: Length of the level-0 trail when learnt clauses were last pruned.
@@ -147,14 +154,6 @@ class Solver:
 
     def add_vars(self, count: int) -> int:
         """Add ``count`` fresh variables between calls; returns the first."""
-        first = self._grow(count)
-        for v in range(first, self.n_vars + 1):
-            heapq.heappush(self.heap, (0.0, v))
-            self.in_heap[v] = True
-        return first
-
-    def _grow(self, count: int) -> int:
-        """Add ``count`` variables, none of them on the heap; returns the first."""
         first = self.n_vars + 1
         self.n_vars += count
         # Negative literals sit at the end of the literal-indexed lists,
@@ -167,6 +166,8 @@ class Solver:
         self.polarity += [0] * count
         self.seen += [False] * count
         self.in_heap += [False] * count
+        # A plain solver's scope is every variable: the next query walks anew.
+        self.scope_key = None
         return first
 
     def add_clause(self, lits: list[int]) -> None:
@@ -262,11 +263,12 @@ class Solver:
 
     def _pick_branch(self) -> int:
         value, activity, heap, in_heap = self.value, self.activity, self.heap, self.in_heap
+        scope = self.scope
         while heap:
             act, v = heapq.heappop(heap)
             if -act == activity[v]:
                 in_heap[v] = False
-                if value[v] < 0:
+                if value[v] < 0 and v in scope:
                     return v if self.polarity[v] else -v
         return 0
 
@@ -388,6 +390,11 @@ class Solver:
             watch = self.watches[lit]
             watch[:] = [clause for clause in watch if id(clause) not in dead]
 
+    def _walk_scope(self, assumptions: Sequence[int]) -> tuple[Container[int], list[int]]:
+        """A query's scope and its unassigned variables: here, every variable."""
+        scope = range(1, self.n_vars + 1)
+        return scope, [v for v in scope if self.value[v] < 0]
+
     def _model(self) -> dict[int, bool]:
         value = self.value
         return {v: value[v] == 1 for v in range(1, self.n_vars + 1)}
@@ -398,7 +405,20 @@ class Solver:
         return SatOutcome(status, model, conflicts)
 
     def solve(self, assumptions: Sequence[int] = (), conflict_limit: int = 0) -> SatOutcome:
-        """Search under ``assumptions``; ``conflict_limit`` counts this call only."""
+        """Search under ``assumptions``; ``conflict_limit`` counts this call only.
+
+        A query over the same variables as the last one, with no level-0
+        literal fixed and no variable added since, keeps the last one's
+        scope and heap; any other walks its scope and builds its heap.
+        """
+        key = ({abs(lit) for lit in assumptions}, len(self.trail))
+        if key != self.scope_key:
+            self.scope, order = self._walk_scope(assumptions)
+            self.scope_key = key
+            self.heap = [(-self.activity[v], v) for v in order]
+            heapq.heapify(self.heap)
+            for v in order:
+                self.in_heap[v] = True
         if self.ok and self._propagate() is not None:
             self.ok = False
         if not self.ok:
@@ -560,18 +580,15 @@ class NetSolver(Solver):
     to its replacement, so each variable still equals its node's
     function of the PIs.
 
-    As ABC's fraig prepares its solver with a query's cone, each
-    :meth:`solve` branches only on the scope of its assumptions: their
-    variables and, transitively, the fanin variables each was loaded
-    with (the loaded fanins, not the current ones, since a merge
-    rewires a node but not its clauses), so a query costs time in its
-    own cone, not in all that is loaded.  Its model is the values of the
-    scope's PIs, keyed by PI node id.  A SAT answer stays sound: the
-    scope's clauses mention only scope variables, and every variable
-    outside it is a function of the PIs that the model extends to.
-    Each query that walks a scope builds its heap from the scope's
-    unassigned variables and sets their heap flags.  A variable outside
-    the scope is never picked, so its flag and entries do not matter.
+    As ABC's fraig prepares its solver with a query's cone, a query's
+    scope (:meth:`_walk_scope`) is its assumption variables and,
+    transitively, the fanin variables each was loaded with (the loaded
+    fanins, not the current ones, since a merge rewires a node but not
+    its clauses), so a query costs time in its own cone, not in all
+    that is loaded.  Its model is the values of the scope's PIs, keyed
+    by PI node id.  A SAT answer stays sound: the scope's clauses
+    mention only scope variables, and every variable outside it is a
+    function of the PIs that the model extends to.
     The two halves of an equivalence have one set of variables, so the
     second keeps the first's scope and heap, unless the first fixed new
     level-0 literals: every scope variable the first left unassigned
@@ -592,11 +609,6 @@ class NetSolver(Solver):
         self.node_var: dict[int, int] = {}
         #: Fanin variables of each variable when it was loaded (PIs: none).
         self.fanin_vars: list[list[int]] = [[]]
-        #: The variables the current query's scope walk met.
-        self.scope: set[int] = set()
-        #: The assumption variables and the level-0 trail length the
-        #: scope was walked for.
-        self.scope_key: tuple[set[int], int] | None = None
         #: :func:`lut_clauses` of each ``(arity, tt)`` loaded so far.
         self.templates: dict[tuple[int, int], list[list[int]]] = {}
 
@@ -615,8 +627,7 @@ class NetSolver(Solver):
         nodes, node_var, value, watches = self.net.nodes, self.node_var, self.value, self.watches
         templates = self.templates
         # Post-order: every fanin has its variable before its readers.
-        # The heap gets no entries: the next query builds its own.
-        for var, nid in enumerate(new, self._grow(len(new))):
+        for var, nid in enumerate(new, self.add_vars(len(new))):
             node_var[nid] = var
             node = nodes[nid]
             fanins = [node_var[f] for f in node.fanins]
@@ -658,18 +669,13 @@ class NetSolver(Solver):
         self.add_clause([-va, vb])
         self.add_clause([va, -vb])
 
-    def solve(self, assumptions: Sequence[int] = (), conflict_limit: int = 0) -> SatOutcome:
-        """Search under ``assumptions``, branching only on their scope.
+    def _walk_scope(self, assumptions: Sequence[int]) -> tuple[Container[int], list[int]]:
+        """The assumption variables and, transitively, their loaded fanins.
 
-        The scope walk does not enter variables already fixed (a call
-        starts at level 0): such a node is constant, so any values of
-        its fanins extend to a model.  A query over the same variables
-        as the last one, with no level-0 literal fixed since, has the
-        same scope and keeps the last query's scope and heap.
+        The walk does not enter variables already fixed (a call starts
+        at level 0): such a node is constant, so any values of its
+        fanins extend to a model.
         """
-        key = ({abs(lit) for lit in assumptions}, len(self.trail))
-        if key == self.scope_key:
-            return super().solve(assumptions, conflict_limit)
         value, fanin_vars = self.value, self.fanin_vars
         scope: set[int] = set()
         order: list[int] = []
@@ -682,24 +688,7 @@ class NetSolver(Solver):
             if value[v] < 0:
                 order.append(v)
                 stack.extend(fanin_vars[v])
-        self.scope, self.scope_key = scope, key
-        activity, in_heap = self.activity, self.in_heap
-        self.heap = [(-activity[v], v) for v in order]
-        heapq.heapify(self.heap)
-        for v in order:
-            in_heap[v] = True
-        return super().solve(assumptions, conflict_limit)
-
-    def _pick_branch(self) -> int:
-        value, activity, heap, in_heap = self.value, self.activity, self.heap, self.in_heap
-        scope = self.scope
-        while heap:
-            act, v = heapq.heappop(heap)
-            if -act == activity[v]:
-                in_heap[v] = False
-                if value[v] < 0 and v in scope:
-                    return v if self.polarity[v] else -v
-        return 0
+        return scope, order
 
     def _model(self) -> dict[int, bool]:
         value, node_var, scope = self.value, self.node_var, self.scope

@@ -413,6 +413,11 @@ def cut_truth_tables(net: Network, cutset: CutSet) -> dict[int, LogicMatrix]:
 WINDOW_CAP = 16
 
 
+def check_window_cap(window_cap: int) -> None:
+    if not 0 <= window_cap <= WINDOW_CAP:
+        raise ValueError(f"window_cap must be within [0, {WINDOW_CAP}]")
+
+
 @dataclass
 class WindowTruths:
     """Exhaustive truth rows of a target set over its structural support."""
@@ -427,7 +432,8 @@ def exhaustive_window_sim(net: Network, targets: list[int],
 
     The window's leaves are the union of the targets' PI supports; if it
     holds more than ``window_cap`` leaves a :class:`WindowTooLarge` is
-    raised and the caller falls back to pattern simulation.  Otherwise
+    raised and the caller falls back to pattern simulation; a cap
+    outside ``[0, WINDOW_CAP]`` raises ``ValueError``.  Otherwise
     the union cone is walked once and simulated over the ``2**m``
     exhaustive patterns of its ``m`` leaves.  A single target's leaves
     are exactly its own support, so its window row is its truth row.
@@ -440,6 +446,7 @@ def exhaustive_window_sim(net: Network, targets: list[int],
     targets = list(dict.fromkeys(targets))
     if not targets:
         raise ValueError("no targets")
+    check_window_cap(window_cap)
     cone = net.cone(targets, window_cap)
     leaves = sorted(nid for nid in cone if net.nodes[nid].is_pi)
     m = len(leaves)

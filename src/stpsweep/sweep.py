@@ -48,6 +48,7 @@ from .sat import NetSolver, SatOutcome, SatStatus, encode_cone, prove_equiv, sol
 from .simulate import (
     WINDOW_CAP,
     PatternSet,
+    check_window_cap,
     exhaustive_window_sim,
     gen_random_patterns,
     simulate_all,
@@ -74,8 +75,7 @@ class SweepConfig:
             raise ValueError("conflict_limit must be >= 0 (0 means no limit)")
         if self.n_base_patterns < 1:
             raise ValueError("n_base_patterns must be >= 1")
-        if not 0 <= self.window_cap <= WINDOW_CAP:
-            raise ValueError(f"window_cap must be within [0, {WINDOW_CAP}]")
+        check_window_cap(self.window_cap)
 
 
 @dataclass

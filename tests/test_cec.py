@@ -4,8 +4,17 @@ import random
 
 import pytest
 
+import stpsweep.cec as cec
 from stpsweep import InterfaceMismatch, Network, check_equivalence, parse_blif, write_blif
-from helpers import adder_miter, eval_assignment, po_tables, random_network, sweep_fixture
+from stpsweep.simulate import WINDOW_CAP
+from helpers import (
+    adder_miter, eval_assignment, lookup_tables, po_tables, random_network, sweep_fixture,
+)
+
+
+def miter_cec(a: Network, b: Network):
+    """``a`` against ``b`` on the miter route, PIs and POs matched by position."""
+    return cec._miter_cec(a, b, list(range(len(a.pis))), list(range(len(a.pos))))
 
 
 class TestExhaustiveRoute:
@@ -51,6 +60,33 @@ class TestExhaustiveRoute:
         b = parse_blif(".model b\n.inputs q p\n.outputs o\n.names p q o\n10 1\n.end\n")
         assert check_equivalence(a, b).equivalent
 
+    def test_widest_interface_needs_no_sat_and_gives_the_lowest_witness(self, monkeypatch):
+        def no_sat(*args, **kwargs):
+            raise AssertionError("the exhaustive route asked the solver")
+
+        monkeypatch.setattr(cec, "solve", no_sat)
+        rng = random.Random(5)
+        a = random_network(rng, WINDOW_CAP, 80, max_k=6, po_count=4)
+        b = a.clone()
+        victim = b.nodes[b.pos[-1][0]]
+        victim.tt ^= 1 << rng.randrange(1 << victim.arity)
+        result = check_equivalence(a, b)
+        assert not result.equivalent
+        # The first differing output in PO order, at its lowest differing
+        # assignment (PI 0 most significant), by an independent evaluation.
+        ta, tb = lookup_tables(a), lookup_tables(b)
+        j, diff = next((j, (ta[da] ^ pa) != (tb[db] ^ pb))
+                       for j, ((da, pa), (db, pb)) in enumerate(zip(a.pos, b.pos))
+                       if ((ta[da] ^ pa) != (tb[db] ^ pb)).any())
+        v = int(diff.argmax())
+        assert result.output == a.po_names[j]
+        n = len(a.pis)
+        assert result.counterexample == {name: bool(v >> (n - 1 - i) & 1)
+                                         for i, name in enumerate(a.pi_names)}
+        assignment = {a.names[k]: val for k, val in result.counterexample.items()}
+        (da, pa), (db, pb) = a.pos[j], b.pos[j]
+        assert eval_assignment(a, assignment)[da] ^ pa != eval_assignment(b, assignment)[db] ^ pb
+
     def test_interface_mismatch(self):
         a = parse_blif(".model a\n.inputs x\n.outputs o\n.names x o\n1 1\n.end\n")
         b = parse_blif(".model b\n.inputs x y\n.outputs o\n.names x y o\n11 1\n.end\n")
@@ -65,7 +101,7 @@ class TestMiterRoute:
 
     def test_net_vs_itself_wide(self):
         net = self.wide_net(3)
-        assert len(net.pis) > 14
+        assert len(net.pis) > WINDOW_CAP
         assert check_equivalence(net, net.clone()).equivalent
 
     def test_blif_round_trip_wide(self):
@@ -150,7 +186,7 @@ class TestIncrementalMiter:
         p, q = b.pis[0], b.pis[1]
         xor_and = sum(1 << v for v in range(8) if (v >> 2 & 1) ^ (v >> 1 & v & 1))
         b.pos[-1] = (b.add_lut([d, p, q], xor_and), phase)
-        result = check_equivalence(a, b)
+        result = miter_cec(a, b)
         assert not result.equivalent
         assert result.output == a.po_names[-1]
         assert set(result.counterexample) == set(a.pi_names)
@@ -177,9 +213,8 @@ class TestIncrementalMiter:
             net.add_po(copy[d], not phase)
         original = net.clone()
         swept, stats = sweep(net, SweepConfig(n_base_patterns=256))
-        assert len(original.pis) >= 15
         assert stats.merges > 0 and swept.n_luts() < original.n_luts()
-        assert check_equivalence(original, swept).equivalent
+        assert miter_cec(original, swept).equivalent
 
 
 class TestMiterAgainstExhaustive:
@@ -273,7 +308,7 @@ class TestHashedMiter:
             if expected.equivalent:
                 continue
             found += 1
-            result = check_equivalence(a, b)
+            result = miter_cec(a, b)
             assert not result.equivalent
             assert result.output == expected.output
             self.assert_sound(a, b, result)
@@ -287,13 +322,13 @@ class TestHashedMiter:
         # The same fanins swapped under the same table: q & ~p.
         swapped = a.clone()
         swapped.pos[-1] = (swapped.add_lut([q, p], 0b0010), False)
-        result = check_equivalence(a, swapped)
+        result = miter_cec(a, swapped)
         assert not result.equivalent and result.output == "g"
         self.assert_sound(a, swapped, result)
         # Swapped fanins with the table permuted to match: equal, by SAT.
         permuted = a.clone()
         permuted.pos[-1] = (permuted.add_lut([q, p], 0b0100), False)
-        assert check_equivalence(a, permuted).equivalent
+        assert miter_cec(a, permuted).equivalent
 
     def test_shared_driver_in_opposite_phases_differs(self):
         rng = random.Random(75)
@@ -328,10 +363,7 @@ class TestHashedMiter:
         return out
 
     def count_queries(self, monkeypatch, a: Network, b: Network) -> tuple[int, bool]:
-        """The ``cec.solve`` calls and the verdict of checking ``a`` against ``b``."""
-        import stpsweep.cec as cec
-
-        assert len(a.pis) > cec.EXHAUSTIVE_PI_LIMIT
+        """The ``cec.solve`` calls and the verdict of ``a`` against ``b`` on the miter."""
         calls = []
         solve = cec.solve
 
@@ -341,7 +373,7 @@ class TestHashedMiter:
 
         with monkeypatch.context() as patched:
             patched.setattr(cec, "solve", counting)
-            equivalent = check_equivalence(a, b).equivalent
+            equivalent = miter_cec(a, b).equivalent
         return len(calls), equivalent
 
     def test_one_query_per_pair_that_hashing_leaves(self, monkeypatch):
@@ -381,6 +413,6 @@ class TestHashedMiter:
         # In opposite phases the pair differs on every input, still with no query.
         b.pos[-1] = (reader, True)
         assert self.count_queries(monkeypatch, a, b) == (0, False)
-        result = check_equivalence(a, b)
+        result = miter_cec(a, b)
         assert result.output == "reader"
         self.assert_sound(a, b, result)

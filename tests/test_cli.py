@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from stpsweep import Network, parse_blif, write_blif
+import stpsweep.cli as cli
+from stpsweep import Network, SweepConfig, SweepStats, parse_blif, write_blif
 from stpsweep.cli import main
 from helpers import adder_miter, random_network, sweep_fixture
 from test_simulator import PATTERN_BLOCK, two_target_example
@@ -181,6 +182,19 @@ class TestSweepCmd:
         row = out[out.index("gate,result,sat_calls,total_sat_calls,sim_time_s,total_time_s") + 1]
         gate, result = row.split(",")[:2]
         assert gate == result == "1"
+
+    def test_no_flags_give_the_default_config(self, tmp_path, monkeypatch, capsys):
+        configs = []
+
+        def recording(net, cfg):
+            configs.append(cfg)
+            return net, SweepStats()
+
+        monkeypatch.setattr(cli, "sweep", recording)
+        src = tmp_path / "in.blif"
+        src.write_text(AND_BLIF)
+        assert main(["sweep", str(src), str(tmp_path / "out.blif")]) == 0
+        assert configs == [SweepConfig()]
 
     def test_negative_conflict_limit_is_an_input_error(self, tmp_path, capsys):
         src = tmp_path / "in.blif"

@@ -334,6 +334,17 @@ class TestGrowBetweenCalls:
         solver.add_clause([3])
         assert solve(solver, assumptions=[3]).is_unsat
 
+    def test_variables_added_under_the_same_assumptions_are_searched(self):
+        # The second query has the first one's assumptions and level-0
+        # trail, so only the added variables make it walk its scope anew.
+        solver = Solver(2, [[1, 2]])
+        assert solve(solver, assumptions=[1]).is_sat
+        solver.add_vars(2)
+        solver.add_clause([3, 4])
+        solver.add_clause([-3, -4])
+        out = solve(solver, assumptions=[1])
+        assert out.is_sat and check_model([[1, 2], [3, 4], [-3, -4]], out.model)
+
     def test_new_variables_are_searched(self):
         grown = Solver(0, [])
         first = grown.add_vars(2)

@@ -9,6 +9,7 @@ from stpsweep import (
     Network,
     PatternSet,
     Signature,
+    SweepConfig,
     WindowTooLarge,
     exhaustive_window_sim,
     gen_random_patterns,
@@ -18,6 +19,7 @@ from stpsweep import (
 )
 from stpsweep.simulate import (
     _MUX_MAX_ARITY,
+    WINDOW_CAP,
     _eval_tt_gather,
     _simulate,
     circuit_cut,
@@ -439,6 +441,16 @@ class TestExhaustiveWindow:
         assert len(structural_support(net, wide)) == 17
         with pytest.raises(WindowTooLarge):
             exhaustive_window_sim(net, [wide], 16)
+
+    @pytest.mark.parametrize("cap", [-1, WINDOW_CAP + 1])
+    def test_cap_outside_its_range_is_rejected(self, cap):
+        # The window and the sweep's config share one check and message.
+        net, label = two_target_example()
+        message = rf"^window_cap must be within \[0, {WINDOW_CAP}\]$"
+        with pytest.raises(ValueError, match=message):
+            exhaustive_window_sim(net, [label["6"]], cap)
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(window_cap=cap)
 
     def test_matches_brute_force(self):
         rng = random.Random(9)

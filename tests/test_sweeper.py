@@ -20,6 +20,7 @@ from stpsweep import (
     write_blif,
 )
 from stpsweep.sat import SatStatus
+from stpsweep.simulate import WINDOW_CAP
 from stpsweep.sweep import (
     TOGGLE_THRESHOLD, _ce_rows, _minority_value, constant_prop, init_equiv_classes,
     refine_classes, sat_guided_patterns, toggle_rate,
@@ -558,11 +559,11 @@ class TestOneSatRoute:
 
         monkeypatch.setattr(sat_module, "encode_cone", refuse)
         monkeypatch.setattr(sweep_module, "encode_cone", refuse)
-        net = adder_miter(8)
+        net = adder_miter(9)
         original = net.clone()
         swept, stats = sweep(net, SweepConfig(window_cap=0))
         assert stats.sat_calls_unsat > 0 and stats.merges > 0
-        assert len(original.pis) > 14  # so CEC takes the miter route
+        assert len(original.pis) > WINDOW_CAP  # so CEC takes the miter route
         assert check_equivalence(original, swept).equivalent
 
 
