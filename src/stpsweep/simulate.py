@@ -31,16 +31,21 @@ time in proportion to the pattern count, and a held row takes
 ``n_patterns / 8`` bytes.  Up to 4 inputs, a LUT pays only for the
 leaves its table names: an inverter costs one row operation and a
 2-input LUT at most two; a 6-input LUT costs at most 51 (see
-:func:`eval_tt_words`).  :func:`simulate_specified`, and
-:func:`exhaustive_window_sim` from 12 leaves on, drop each row once its
-last reader has been evaluated, so they hold at most their cone's live
-rows and their targets'; :func:`simulate_all` keeps every row it returns.
+:func:`eval_tt_words`).  Each LUT also pays a fixed interpreter cost,
+which is most of a pass at a few thousand patterns.  LUTs of up to 6
+inputs keep it small: each arity has one straight-line kernel in
+``_LUT_KERNELS`` that does the generic tree's row operations, no more
+and no fewer, with no list, slice or zip per fold.
+:func:`simulate_specified`, and :func:`exhaustive_window_sim` from 12
+leaves on, drop each row once its last reader has been evaluated, so
+they hold at most their cone's live rows and their targets';
+:func:`simulate_all` keeps every row it returns.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,11 +146,136 @@ _LEAF = (
     lambda y, x, m: m,
 )
 
+
+def _leaves(y: int, x: int, m: int) -> tuple[int, ...]:
+    """All 16 functions of ``_LEAF`` at once, in 14 row operations.
+
+    Per LUT at 65,536 patterns this takes 44 µs for 6 inputs where the
+    ``_LEAF`` calls take 53 (24 and 24 for 5 inputs; CPython 3.11, x86).
+    """
+    nx, ny, a, o, e = x ^ m, y ^ m, x & y, x | y, x ^ y
+    return (0, o ^ m, ny & x, ny, y & nx, nx, e, a ^ m,
+            a, e ^ m, x, ny | x, y, y | nx, o, m)
+
+
 #: Byte ``b`` of a truth row holds the two nibbles of one first-fold
 #: pair, ``lo = b & 15`` and ``hi = b >> 4``.  These ``bytes.translate``
 #: tables map each byte of a row to its ``lo`` and to its ``lo ^ hi``.
 _LO = bytes(b & 15 for b in range(256))
 _LO_XOR_HI = bytes((b ^ (b >> 4)) & 15 for b in range(256))
+
+#: Rows by node id (``_simulate``) or by position (``eval_tt_words``).
+_Rows = dict[int, int] | list[int]
+
+# ``_lutK(tt, bits, fanins, mask)`` applies a ``K``-input LUT to the rows
+# ``bits[f]`` of its ``fanins``: the mux tree of ``eval_tt_words`` with
+# its folds written out, so no list, slice or zip is built per fold.
+
+
+def _lut0(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    return mask if tt & 1 else 0
+
+
+def _lut1(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    if tt == 1:
+        return bits[fanins[0]] ^ mask
+    if tt == 2:
+        return bits[fanins[0]]
+    return mask if tt else 0
+
+
+def _lut2(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    f0, f1 = fanins
+    return _LEAF[tt](bits[f0], bits[f1], mask)
+
+
+def _lut3(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    f0, f1, f2 = fanins
+    y = bits[f1]
+    x = bits[f2]
+    lo = tt & 15
+    d = lo ^ (tt >> 4)
+    if d:
+        return _LEAF[lo](y, x, mask) ^ (_LEAF[d](y, x, mask) & bits[f0])
+    return _LEAF[lo](y, x, mask)
+
+
+def _lut4(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    f0, f1, f2, f3 = fanins
+    z = bits[f1]
+    y = bits[f2]
+    x = bits[f3]
+    lo = tt & 15
+    d = lo ^ ((tt >> 4) & 15)
+    p = _LEAF[lo](y, x, mask) ^ (_LEAF[d](y, x, mask) & z) if d else _LEAF[lo](y, x, mask)
+    lo = (tt >> 8) & 15
+    d = lo ^ (tt >> 12)
+    q = _LEAF[lo](y, x, mask) ^ (_LEAF[d](y, x, mask) & z) if d else _LEAF[lo](y, x, mask)
+    return p if p == q else p ^ ((q ^ p) & bits[f0])
+
+
+def _lut5(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    f0, f1, f2, f3, f4 = fanins
+    leaf = _leaves(bits[f3], bits[f4], mask)
+    z = bits[f2]
+    row = tt.to_bytes(4, "little")
+    l0, l1, l2, l3 = row.translate(_LO)
+    d0, d1, d2, d3 = row.translate(_LO_XOR_HI)
+    p0 = leaf[l0] ^ (leaf[d0] & z) if d0 else leaf[l0]
+    p1 = leaf[l1] ^ (leaf[d1] & z) if d1 else leaf[l1]
+    p2 = leaf[l2] ^ (leaf[d2] & z) if d2 else leaf[l2]
+    p3 = leaf[l3] ^ (leaf[d3] & z) if d3 else leaf[l3]
+    w = bits[f1]
+    p0 = p0 if p0 == p1 else p0 ^ ((p1 ^ p0) & w)
+    p2 = p2 if p2 == p3 else p2 ^ ((p3 ^ p2) & w)
+    return p0 if p0 == p2 else p0 ^ ((p2 ^ p0) & bits[f0])
+
+
+def _lut6(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    f0, f1, f2, f3, f4, f5 = fanins
+    leaf = _leaves(bits[f4], bits[f5], mask)
+    z = bits[f3]
+    row = tt.to_bytes(8, "little")
+    l0, l1, l2, l3, l4, l5, l6, l7 = row.translate(_LO)
+    d0, d1, d2, d3, d4, d5, d6, d7 = row.translate(_LO_XOR_HI)
+    p0 = leaf[l0] ^ (leaf[d0] & z) if d0 else leaf[l0]
+    p1 = leaf[l1] ^ (leaf[d1] & z) if d1 else leaf[l1]
+    p2 = leaf[l2] ^ (leaf[d2] & z) if d2 else leaf[l2]
+    p3 = leaf[l3] ^ (leaf[d3] & z) if d3 else leaf[l3]
+    p4 = leaf[l4] ^ (leaf[d4] & z) if d4 else leaf[l4]
+    p5 = leaf[l5] ^ (leaf[d5] & z) if d5 else leaf[l5]
+    p6 = leaf[l6] ^ (leaf[d6] & z) if d6 else leaf[l6]
+    p7 = leaf[l7] ^ (leaf[d7] & z) if d7 else leaf[l7]
+    w = bits[f2]
+    p0 = p0 if p0 == p1 else p0 ^ ((p1 ^ p0) & w)
+    p2 = p2 if p2 == p3 else p2 ^ ((p3 ^ p2) & w)
+    p4 = p4 if p4 == p5 else p4 ^ ((p5 ^ p4) & w)
+    p6 = p6 if p6 == p7 else p6 ^ ((p7 ^ p6) & w)
+    w = bits[f1]
+    p0 = p0 if p0 == p2 else p0 ^ ((p2 ^ p0) & w)
+    p4 = p4 if p4 == p6 else p4 ^ ((p6 ^ p4) & w)
+    return p0 if p0 == p4 else p0 ^ ((p4 ^ p0) & bits[f0])
+
+
+#: ``_LUT_KERNELS[k]`` evaluates a ``k``-input LUT, ``k < 7``; wider
+#: LUTs take ``_lut_wide``.
+_LUT_KERNELS = (_lut0, _lut1, _lut2, _lut3, _lut4, _lut5, _lut6)
+
+
+def _lut_wide(tt: int, bits: _Rows, fanins: Sequence[int], mask: int) -> int:
+    """The generic mux tree up to ``_MUX_MAX_ARITY`` inputs, the gather above."""
+    words = [bits[f] for f in fanins]
+    if len(words) > _MUX_MAX_ARITY:
+        return _eval_tt_gather(tt, words, mask)
+    leaf = _leaves(words[-2], words[-1], mask)
+    z = words[-3]
+    row = tt.to_bytes(1 << (len(words) - 3), "little")
+    level = [leaf[lo] ^ (leaf[d] & z) if d else leaf[lo]
+             for lo, d in zip(row.translate(_LO), row.translate(_LO_XOR_HI))]
+    for w in words[-4::-1]:
+        level = [lo if lo == hi else lo ^ ((hi ^ lo) & w)
+                 for lo, hi in zip(level[::2], level[1::2])]
+    return level[0]
 
 
 def eval_tt_words(tt: int, words: list[int], mask: int) -> int:
@@ -168,6 +298,11 @@ def eval_tt_words(tt: int, words: list[int], mask: int) -> int:
       adjacent entries ``lo`` and ``hi`` into ``lo ^ ((hi ^ lo) & x_j)``.
     - Equal cofactors pass through at every fold.
 
+    LUTs of up to 6 inputs take their arity's kernel in
+    ``_LUT_KERNELS``, which :func:`_simulate` calls too: the same tree
+    with its folds written out.  7 to ``_MUX_MAX_ARITY`` (9) inputs take
+    the generic tree of ``_lut_wide``, which builds one list per fold.
+
     Cost in row operations (one ``&``, ``|`` or ``^`` of two rows): 1
     for an inverter and none for another 1-input table; at most 2 for 2
     inputs (one leaf); for 3 and 4 inputs, at most 2 per leaf that a
@@ -177,57 +312,26 @@ def eval_tt_words(tt: int, words: list[int], mask: int) -> int:
 
     The tree's cost doubles with each input; a numpy gather's hardly
     grows.  Per LUT, tree / gather in µs (CPython 3.11, x86, best of 15
-    over 8 random tables):
+    over 8 random tables, median of three runs):
 
     ======  ===========  ==========  ==========
     inputs  64 patterns  2,048       65,536
     ======  ===========  ==========  ==========
-    8       15 / 36      20 / 79     104 / 902
-    9       25 / 39      32 / 83     183 / 938
-    10      46 / 44      47 / 65     754 / 727
-    11      84 / 47      93 / 77     2284 / 1182
-    12      202 / 76     187 / 97    5032 / 1019
+    7       14 / 43      11 / 68     47 / 796
+    8       14 / 34      15 / 57     86 / 751
+    9       29 / 55      23 / 59     147 / 805
+    10      40 / 41      41 / 65     541 / 834
+    11      75 / 50      85 / 76     1579 / 881
+    12      133 / 48     144 / 74    3431 / 1018
     ======  ===========  ==========  ==========
 
     The gather takes 10 inputs and more.  At 10 the tree is faster at
-    2,048 patterns, and at 64 and 65,536 the two trade places from run
+    2,048 and 65,536 patterns, but at 64 the two trade places from run
     to run; no benchmark net has LUTs of more than 6 inputs to tell them
-    apart.  From 11 on the gather wins at every width.
+    apart.  From 11 on the gather wins or ties at every width.
     """
-    arity = len(words)
-    if arity == 1:
-        if tt == 1:
-            return words[0] ^ mask
-        if tt == 2:
-            return words[0]
-        return mask if tt else 0
-    if arity == 0:
-        return mask if tt & 1 else 0
-    if arity > _MUX_MAX_ARITY:
-        return _eval_tt_gather(tt, words, mask)
-    x = words[-1]
-    y = words[-2]
-    if arity == 2:
-        return _LEAF[tt & 15](y, x, mask)
-    z = words[-3]
-    row = tt.to_bytes(1 << (arity - 3), "little")
-    pairs = zip(row.translate(_LO), row.translate(_LO_XOR_HI))
-    if arity < 5:
-        # Only the leaves that the nibbles name.
-        level = [_LEAF[lo](y, x, mask) ^ (_LEAF[d](y, x, mask) & z) if d
-                 else _LEAF[lo](y, x, mask) for lo, d in pairs]
-    else:
-        # The 16 leaves of ``_LEAF`` at once, sharing subexpressions.  Per
-        # LUT at 65,536 patterns this takes 44 µs for 6 inputs where the
-        # ``_LEAF`` calls take 53 (24 and 24 for 5 inputs; CPython 3.11, x86).
-        nx, ny, a, o, e = x ^ mask, y ^ mask, x & y, x | y, x ^ y
-        leaves = (0, o ^ mask, ny & x, ny, y & nx, nx, e, a ^ mask,
-                  a, e ^ mask, x, ny | x, y, y | nx, o, mask)
-        level = [leaves[lo] ^ (leaves[d] & z) if d else leaves[lo] for lo, d in pairs]
-    for w in words[-4::-1]:
-        level = [lo if lo == hi else lo ^ ((hi ^ lo) & w)
-                 for lo, hi in zip(level[::2], level[1::2])]
-    return level[0]
+    k = len(words)
+    return (_LUT_KERNELS[k] if k < 7 else _lut_wide)(tt, words, range(k), mask)
 
 
 def _int_to_bitarray(x: int, n: int) -> np.ndarray:
@@ -256,6 +360,11 @@ def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int,
     ``bits``.  With ``keep`` given, every row not in ``keep`` leaves
     ``bits`` once its last reader in ``order`` is evaluated, so at most
     the rows still to be read, and those kept, are held at once.
+
+    A LUT of ``k`` inputs is evaluated by ``_LUT_KERNELS[k]`` up to 6
+    inputs and by ``_lut_wide`` above, the evaluators of
+    :func:`eval_tt_words`.  Each is handed ``bits`` and the LUT's fanin
+    ids, so no list of fanin rows is built per LUT below 7 inputs.
     """
     nodes = net.nodes
     # ``dies[r]`` is a row whose last reader is ``r``, and ``also[f]`` the
@@ -276,7 +385,9 @@ def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int,
     for nid in order:
         node = nodes[nid]
         if not node.is_pi:
-            bits[nid] = eval_tt_words(node.tt, [bits[f] for f in node.fanins], mask)
+            fanins = node.fanins
+            k = len(fanins)
+            bits[nid] = (_LUT_KERNELS[k] if k < 7 else _lut_wide)(node.tt, bits, fanins, mask)
             f = dies.get(nid)
             while f is not None:
                 del bits[f]

@@ -173,6 +173,22 @@ class TestEvalTtWords:
         for tt in range(16):
             assert eval_tt_words(tt, words, mask) == scalar_lut_rows(tt, words, 70)
 
+    @pytest.mark.parametrize("arity", range(5))
+    def test_every_table_on_exhaustive_rows_is_itself(self, arity):
+        # Over the exhaustive rows of its inputs a LUT's output row is its
+        # own table, through eval_tt_words and through _simulate alike.
+        mask = (1 << (1 << arity)) - 1
+        rows = [_var_row(i, arity) for i in range(arity)]
+        net = Network()
+        pis = [net.add_pi() for _ in range(arity)]
+        lut = net.add_lut(pis, 0)
+        for tt in range(mask + 1):
+            assert eval_tt_words(tt, rows, mask) == tt, tt
+            net.nodes[lut].tt = tt
+            bits = dict(zip(pis, rows))
+            _simulate(net, [lut], bits, mask)
+            assert bits[lut] == tt, tt
+
     @pytest.mark.parametrize("arity", [3, 4])
     def test_every_table_of_three_and_four_inputs(self, arity):
         # These arities compute only the leaves that their nibbles name.
@@ -223,10 +239,14 @@ class TestSimulateAll:
 
     def test_matches_scalar_reference(self):
         rng = random.Random(77)
-        # LUTs of more than 9 inputs take the numpy gather path.
-        for max_k in [4] * 15 + [7, 8, 9, 10]:
+        # LUTs of more than 9 inputs take the numpy gather path.  Nets of
+        # 5- and 6-input LUTs, which hold most of a 6-LUT net's row
+        # operations, run over rows of more than one machine word.
+        cases = [(max_k, None) for max_k in [4] * 15 + [7, 8, 9, 10]]
+        cases += [(max_k, n) for max_k in (5, 6) for n in (65, 130) for _ in range(3)]
+        for max_k, n in cases:
             net = random_network(rng, rng.randint(2, 6), rng.randint(3, 30), max_k=max_k)
-            p = gen_random_patterns(len(net.pis), rng.randint(1, 70), rng.randrange(99))
+            p = gen_random_patterns(len(net.pis), n or rng.randint(1, 70), rng.randrange(99))
             sigs = simulate_all(net, p)
             ref = scalar_signatures(net, p)
             for nid, seq in ref.items():
