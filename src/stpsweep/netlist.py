@@ -279,35 +279,40 @@ class Network:
         ``rank``, if given, must be a topological rank of the live
         nodes.  When ``new`` ranks before ``old`` there, ``new`` cannot
         lie in ``old``'s fanout cone either, so the walk is skipped.
-        Without the walk, the substitution costs time in ``old``'s
-        readers and fanins only.  The rank then stays topological, since
-        every reader of ``old`` ranks after ``old`` and so after ``new``.
+        Without the walk, the substitution costs time in each slot that
+        reads ``old``, in ``old``'s fanins, and in one scan of the POs.
+        The rank then stays topological, since every reader of ``old``
+        ranks after ``old`` and so after ``new``.
         """
+        nodes = self.nodes
+        old_node, new_node = nodes[old], nodes[new]
         if old == new:
             raise NetlistError("cannot substitute a node by itself")
-        if self.nodes[old].dead or self.nodes[new].dead:
+        if old_node.dead or new_node.dead:
             raise NetlistError("substitution involving a dead node")
-        if (self.nodes[new].fanins and (rank is None or rank[new] >= rank[old])
+        if (new_node.fanins and (rank is None or rank[new] >= rank[old])
                 and self.is_in_tfo(old, new)):
             raise NetlistError(f"substituting {old} by {new} would create a cycle")
-        old_node = self.nodes[old]
-        for reader in dict.fromkeys(old_node.fanouts):
-            rnode = self.nodes[reader]
-            for pos, f in enumerate(rnode.fanins):
-                if f != old:
-                    continue
-                rnode.fanins[pos] = new
-                if inverted:
-                    rnode.tt = flip_tt_input(rnode.tt, rnode.arity, pos)
-                self.nodes[new].fanouts.append(reader)
-        old_node.fanouts.clear()
-        for j, (driver, phase) in enumerate(self.pos):
+        # ``old``'s fanouts hold one entry per slot that reads it: each
+        # entry rewires its reader's first slot still reading ``old``.
+        readers = old_node.fanouts
+        for reader in readers:
+            rnode = nodes[reader]
+            fanins = rnode.fanins
+            pos = fanins.index(old)
+            fanins[pos] = new
+            if inverted:
+                rnode.tt = flip_tt_input(rnode.tt, len(fanins), pos)
+        new_node.fanouts += readers
+        readers.clear()
+        outputs = self.pos
+        for j, (driver, phase) in enumerate(outputs):
             if driver == old:
-                self.pos[j] = (new, phase ^ inverted)
+                outputs[j] = (new, phase ^ inverted)
         # Nothing reads ``old`` now: it dies and leaves its fanins' lists.
         old_node.dead = True
         for f in old_node.fanins:
-            self.nodes[f].fanouts.remove(old)
+            nodes[f].fanouts.remove(old)
 
     def remove_dead(self) -> int:
         """Mark nodes unreachable from the POs dead; PIs always survive."""

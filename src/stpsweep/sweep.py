@@ -27,6 +27,15 @@ compute the same functions with the constant in its place, and every
 surviving node keeps its row.  The one node that :func:`constant_prop`
 adds is the constant-0 LUT, whose row is 0.
 
+Outside SAT, the sweep's work per node is bounded per step.  Each
+simulated round gives one int row per node, straight from the one
+simulator (``_simulate``), with no object around it.  Each round of
+pattern generation selects its gates in one pass over those rows
+(:func:`_stuck`, :func:`_barely_toggling`).  Each merge is one
+substitution: a candidate of a window-refined class goes to the first
+member of its class, and only a candidate that got a SAT answer keeps a
+set of the drivers it tried.
+
 A counter-example is the solver's answer to a satisfiable query: a
 value for each PI in the query's scope, keyed by PI node id, with the
 other PIs free.  :func:`_ce_rows` is the one place it becomes pattern
@@ -45,9 +54,12 @@ from .netlist import Network, WindowTooLarge
 # (perfbench/tracer.py) patches it, ``solve`` and ``prove_equiv`` in this
 # module by name.
 from .sat import NetSolver, SatOutcome, SatStatus, encode_cone, prove_equiv, solve
+# ``simulate_all`` and ``simulate_specified`` are not called here either:
+# the sweep takes int rows from ``_simulate``, and the tracer patches them.
 from .simulate import (
     WINDOW_CAP,
     PatternSet,
+    _simulate,
     check_window_cap,
     exhaustive_window_sim,
     gen_random_patterns,
@@ -198,19 +210,10 @@ def init_equiv_classes(net: Network, rows: dict[int, int], n_patterns: int) -> C
     """
     rank = {nid: i for i, nid in enumerate(net.topo_order())}
     mgr = ClassManager(rank)
-    for nid, row in rows.items():
-        mgr.phase_of[nid] = row & 1
+    mgr.phase_of = {nid: row & 1 for nid, row in rows.items()}
     if len(rows) >= 2:
         mgr.split_class(mgr.new_class(list(rows)), rows, (1 << n_patterns) - 1)
     return mgr
-
-
-def toggle_rate(bits: int, n_patterns: int) -> float:
-    """Adjacent-bit toggle count over the bit-string length."""
-    if n_patterns < 2:
-        return 0.0
-    toggles = ((bits ^ (bits >> 1)) & ((1 << (n_patterns - 1)) - 1)).bit_count()
-    return toggles / (n_patterns - 1)
 
 
 def _ce_rows(net: Network, ce: dict[int, bool], width: int, rng: random.Random) -> list[int]:
@@ -238,18 +241,35 @@ def _find_value(solver: NetSolver, nid: int, value: bool, cfg: SweepConfig,
     return outcome
 
 
-def _never_shown_value(bits: int, n_patterns: int) -> bool | None:
-    """The value a stuck signature never shows; None if it toggles."""
-    if bits == 0:
-        return True
-    return False if bits == (1 << n_patterns) - 1 else None
+def _simulate_rows(net: Network, pi_rows: list[int], mask: int, order: list[int],
+                   keep: list[int] | None = None) -> dict[int, int]:
+    """Int rows of the PIs, given in ``net.pis`` order, and of the LUTs of
+    ``order``, from the one simulator (see ``_simulate`` for ``keep``)."""
+    rows = dict(zip(net.pis, pi_rows))
+    _simulate(net, order, rows, mask, keep)
+    return rows
 
 
-def _minority_value(bits: int, n_patterns: int) -> bool | None:
-    """The rarer value of a signature that barely toggles; None otherwise."""
-    if TOGGLE_THRESHOLD <= toggle_rate(bits, n_patterns) <= 1.0 - TOGGLE_THRESHOLD:
-        return None
-    return bits.bit_count() * 2 <= n_patterns
+def _stuck(rows: dict[int, int], n: int) -> list[tuple[int, bool]]:
+    """Each node whose row is all zeros or all ones, with the value it
+    never shows, in the order of ``rows``."""
+    full = (1 << n) - 1
+    return [(nid, not row) for nid, row in rows.items() if not row or row == full]
+
+
+def _barely_toggling(rows: dict[int, int], n: int) -> list[tuple[int, bool]]:
+    """Each node whose row barely toggles, with its minority value, in the
+    order of ``rows``.
+
+    A row's toggle rate is its count of adjacent bits that differ over
+    ``n - 1`` (0 below two patterns).  A rate below ``TOGGLE_THRESHOLD``,
+    or above one minus it, barely toggles.  The minority value is 1 when
+    at most half of the ``n`` bits are ones, else 0.
+    """
+    low, high = TOGGLE_THRESHOLD, 1.0 - TOGGLE_THRESHOLD
+    pairs, span = (1 << (n - 1)) - 1, max(n - 1, 1)
+    return [(nid, row.bit_count() * 2 <= n) for nid, row in rows.items()
+            if not low <= ((row ^ row >> 1) & pairs).bit_count() / span <= high]
 
 
 def sat_guided_patterns(
@@ -258,32 +278,35 @@ def sat_guided_patterns(
     """Two-round SAT-guided pattern generation.
 
     Round one simulates random base patterns and selects every gate whose
-    signature is all zeros or all ones; round two adds round one's
-    counter-examples and selects gates whose signatures barely toggle.
-    Each selected gate asks the solver for the value it rarely or never
-    shows: a SAT answer adds its counter-example as a pattern, an UNSAT
-    answer proves the gate constant.  Returns the enriched pattern set,
-    every live node's row over it, and the proven ``(node,
-    constant_value)`` pairs.  The gates are those of ``solver.net``, and
-    every query goes to ``solver``.  Each round simulates only its own
-    counter-examples, and appends their bits above the rows' earlier ones.
+    row is all zeros or all ones (:func:`_stuck`); round two adds round
+    one's counter-examples and selects gates whose rows barely toggle
+    (:func:`_barely_toggling`).  Each round selects in one pass over the
+    rows and asks its gates in topological order.  Each selected gate
+    asks the solver for the value it rarely or never shows: a SAT answer
+    adds its counter-example as a pattern, an UNSAT answer proves the
+    gate constant.  Returns the enriched pattern set, every live node's
+    row over it, and the proven ``(node, constant_value)`` pairs.  The
+    gates are those of ``solver.net``, and every query goes to
+    ``solver``.  Each round simulates only its own counter-examples, and
+    appends their bits above the rows' earlier ones.
     """
     net = solver.net
+    nodes = net.nodes
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
     patterns = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
+    order = net.topo_order()
     t0 = time.perf_counter()
-    rows = {nid: sig.bits for nid, sig in simulate_all(net, patterns).items()}
+    rows = _simulate_rows(net, patterns.rows, patterns.mask, order)
     stats.sim_time += time.perf_counter() - t0
     constants: dict[int, bool] = {}
-    for select in (_never_shown_value, _minority_value):
+    for select in (_stuck, _barely_toggling):
         n = patterns.n_patterns
         # Row i of the counter-example patterns, and how many there are.
         extra, n_extra = [0] * len(net.pis), 0
-        for nid, row in rows.items():
-            if net.nodes[nid].arity == 0 or nid in constants:
-                continue
-            value = select(row, n)
-            if value is None:
+        for nid, value in select(rows, n):
+            # PIs and constant LUTs read nothing; round one's constants
+            # are not asked again.
+            if not nodes[nid].fanins or nid in constants:
                 continue
             outcome = _find_value(solver, nid, value, cfg, stats)
             if outcome.is_sat:
@@ -295,8 +318,8 @@ def sat_guided_patterns(
         if not n_extra:
             continue
         t0 = time.perf_counter()
-        for nid, sig in simulate_all(net, PatternSet(extra, n_extra)).items():
-            rows[nid] |= sig.bits << n
+        for nid, row in _simulate_rows(net, extra, (1 << n_extra) - 1, order).items():
+            rows[nid] |= row << n
         stats.sim_time += time.perf_counter() - t0
         patterns = PatternSet([row | more << n for row, more in zip(patterns.rows, extra)],
                               n + n_extra)
@@ -354,10 +377,11 @@ def refine_classes(
     whose support fits the exhaustive window are afterwards split by
     full truth rows.  Returns the number of class splits.
     """
-    pats = PatternSet(_ce_rows(net, ce, CE_EXPANSION, rng), CE_EXPANSION)
-    sigs = simulate_specified(net, pats, list(mgr.class_of))
-    bits = {nid: sig.bits for nid, sig in sigs.items()}
-    splits = sum(mgr.split_class(cid, bits, pats.mask) != [cid] for cid in list(mgr.members))
+    targets = list(mgr.class_of)
+    mask = (1 << CE_EXPANSION) - 1
+    rows = _simulate_rows(net, _ce_rows(net, ce, CE_EXPANSION, rng), mask,
+                          net.cone(targets), targets)
+    splits = sum(mgr.split_class(cid, rows, mask) != [cid] for cid in list(mgr.members))
     return splits + _window_refine_classes(mgr, net, cfg)
 
 
@@ -377,9 +401,11 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     solver = NetSolver(net)
     patterns, rows, constants = sat_guided_patterns(solver, cfg, stats)
     stats.constants = constant_prop(net, constants)
-    # Proven constants leave every surviving row valid; the one new node
-    # is the constant-0 LUT (see the module docstring).
-    rows = {nid: rows.get(nid, 0) for nid in net.topo_order()}
+    if constants:
+        # Proven constants leave every surviving row valid; the one new
+        # node is the constant-0 LUT (see the module docstring).  Without
+        # constants the network is unchanged, and so are its rows.
+        rows = {nid: rows.get(nid, 0) for nid in net.topo_order()}
     mgr = init_equiv_classes(net, rows, patterns.n_patterns)
     t0 = time.perf_counter()
     _window_refine_classes(mgr, net, cfg)
@@ -392,19 +418,24 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     # candidate, which leaves its class at once, so every class member
     # is live.  Each candidate is visited once.
     rank = mgr.topo_rank
-    for candidate in [nid for nid in rank if not net.nodes[nid].is_pi]:
-        tried: set[int] = set()
-        while candidate in mgr.class_of:
-            cid = mgr.class_of[candidate]
+    class_of, members, phase_of = mgr.class_of, mgr.members, mgr.phase_of
+    nodes = net.nodes
+    for candidate in [nid for nid in rank if not nodes[nid].is_pi]:
+        # The drivers that answered SAT; None until one does, so a
+        # candidate that merges at its first try builds no set.
+        tried: set[int] | None = None
+        while (cid := class_of.get(candidate)) is not None:
             # Members are in topological order and the candidate is never
             # tried: the driver, the earliest untried member, ranks before
             # the candidate until it is the candidate itself.  A PI is a
             # driver like any other member; only candidates are never PIs.
-            driver = next(d for d in mgr.members[cid] if d not in tried)
+            if tried is None:
+                driver = members[cid][0]
+            else:
+                driver = next(d for d in members[cid] if d not in tried)
             if driver == candidate:
                 break
-            tried.add(driver)
-            inverted = bool(mgr.phase_of[candidate] ^ mgr.phase_of[driver])
+            inverted = bool(phase_of[candidate] ^ phase_of[driver])
             if cid in mgr.window_refined:
                 # Equal rows over the class's whole support prove the pair.
                 solver.add_equivalence(candidate, driver, inverted=inverted)
@@ -418,6 +449,9 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
                 if outcome.is_undet:
                     break
                 if outcome.is_sat:
+                    if tried is None:
+                        tried = set()
+                    tried.add(driver)
                     stats.ce_refinements += 1
                     t0 = time.perf_counter()
                     refine_classes(mgr, net, outcome.model, cfg, rng)

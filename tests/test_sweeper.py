@@ -10,6 +10,7 @@ import pytest
 from stpsweep import (
     NetSolver,
     Network,
+    PatternSet,
     SweepConfig,
     SweepStats,
     check_equivalence,
@@ -22,8 +23,8 @@ from stpsweep import (
 from stpsweep.sat import SatStatus
 from stpsweep.simulate import WINDOW_CAP
 from stpsweep.sweep import (
-    TOGGLE_THRESHOLD, _ce_rows, _minority_value, constant_prop, init_equiv_classes,
-    refine_classes, sat_guided_patterns, toggle_rate,
+    TOGGLE_THRESHOLD, _barely_toggling, _ce_rows, _stuck, constant_prop, init_equiv_classes,
+    refine_classes, sat_guided_patterns,
 )
 from helpers import (
     adder_miter, exhaustive_tables, lookup_tables, po_tables, random_network, sweep_fixture,
@@ -39,17 +40,46 @@ def rows_of(sigs) -> dict[int, int]:
     return {nid: sig.bits for nid, sig in sigs.items()}
 
 
-def record_simulate_all(monkeypatch) -> list[int]:
-    """The pattern count of every ``simulate_all`` call the sweep module makes."""
+def record_simulations(monkeypatch) -> list[int]:
+    """The pattern count of every simulation the sweep module runs.
+
+    The sweep takes its rows from ``_simulate``; an exhaustive window
+    simulates inside ``simulate.py`` and is not counted.
+    """
     widths = []
-    real = sweep_module.simulate_all
+    real = sweep_module._simulate
 
-    def recording(net, patterns):
-        widths.append(patterns.n_patterns)
-        return real(net, patterns)
+    def recording(net, order, bits, mask, keep=None):
+        widths.append(mask.bit_length())
+        return real(net, order, bits, mask, keep)
 
-    monkeypatch.setattr(sweep_module, "simulate_all", recording)
+    monkeypatch.setattr(sweep_module, "_simulate", recording)
     return widths
+
+
+# The per-node rules of SAT-guided pattern generation: the oracle of the
+# one-pass selection in ``sat_guided_patterns``.
+
+def toggle_rate(bits: int, n_patterns: int) -> float:
+    """Adjacent-bit toggle count over the bit-string length."""
+    if n_patterns < 2:
+        return 0.0
+    toggles = ((bits ^ (bits >> 1)) & ((1 << (n_patterns - 1)) - 1)).bit_count()
+    return toggles / (n_patterns - 1)
+
+
+def never_shown_value(bits: int, n_patterns: int) -> bool | None:
+    """The value a stuck row never shows; None if it toggles."""
+    if bits == 0:
+        return True
+    return False if bits == (1 << n_patterns) - 1 else None
+
+
+def minority_value(bits: int, n_patterns: int) -> bool | None:
+    """The rarer value of a row that barely toggles; None otherwise."""
+    if TOGGLE_THRESHOLD <= toggle_rate(bits, n_patterns) <= 1.0 - TOGGLE_THRESHOLD:
+        return None
+    return bits.bit_count() * 2 <= n_patterns
 
 
 def wide_and() -> tuple[Network, int]:
@@ -124,11 +154,70 @@ class TestSatGuidedPatterns:
     def test_rows_are_a_fresh_simulation_of_the_patterns(
             self, monkeypatch, make, cfg, widths, n_constants):
         net = make()
-        seen = record_simulate_all(monkeypatch)
+        seen = record_simulations(monkeypatch)
         patterns, rows, constants = sat_guided_patterns(NetSolver(net), cfg, SweepStats())
         assert seen == widths and len(constants) == n_constants
         assert patterns.n_patterns == sum(widths)
         assert rows == rows_of(simulate_all(net, patterns))
+
+
+class TestSelection:
+    """Each round asks ``_find_value`` exactly what the per-node rules
+    select, node by node in topological order: round one over the base
+    patterns, round two over those and round one's counter-examples,
+    skipping round one's constants."""
+
+    @pytest.mark.parametrize("make, cfg, n_asked", [
+        (lambda: and_under_inverters(300), SweepConfig(), [0, 0]),
+        (lambda: adder_miter(16), SweepConfig(), [1, 16]),
+        (rand_300, SweepConfig(), [69, 0]),  # 69 constants
+        (lambda: wide_and()[0], tiny_cfg(), [3, 3]),  # both rounds add counter-examples
+    ], ids=["deep_chain", "adder_miter", "constants", "ce_rounds"])
+    def test_queries_follow_the_per_node_rules(self, monkeypatch, make, cfg, n_asked):
+        net = make()
+        asked = []
+        find = sweep_module._find_value
+
+        def finding(solver, nid, value, cfg, stats):
+            outcome = find(solver, nid, value, cfg, stats)
+            asked.append((nid, value, outcome))
+            return outcome
+
+        monkeypatch.setattr(sweep_module, "_find_value", finding)
+        patterns, _, constants = sat_guided_patterns(NetSolver(net), cfg, SweepStats())
+        n, done, proven = cfg.n_base_patterns, 0, {}
+        for rule, expected_count in zip((never_shown_value, minority_value), n_asked):
+            # The patterns of this round are the low ``n`` bits of each row.
+            rows = rows_of(simulate_all(net, PatternSet(
+                [row & ((1 << n) - 1) for row in patterns.rows], n)))
+            expected = [(nid, rule(rows[nid], n)) for nid in net.topo_order()
+                        if net.nodes[nid].arity and nid not in proven
+                        and rule(rows[nid], n) is not None]
+            got = asked[done:done + len(expected)]
+            done += len(expected)
+            assert [(nid, value) for nid, value, _ in got] == expected
+            assert len(expected) == expected_count
+            proven.update((nid, not value) for nid, value, outcome in got if outcome.is_unsat)
+            n += sum(outcome.is_sat for _, _, outcome in got)
+        assert done == len(asked) and n == patterns.n_patterns
+        assert constants == list(proven.items())
+
+    @pytest.mark.parametrize("width", [1, 2, 65, 130, 2072])
+    def test_one_pass_selectors_match_the_rules(self, width):
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        alternating = int("10" * width, 2) & full
+        # One toggle over 64 pairs (at 65 bits) is exactly TOGGLE_THRESHOLD,
+        # and half ones below one toggle (at 130 bits) is a tie.
+        edges = [(1 << k) - 1 for k in {1, width // 2, width - 1}] + [
+            alternating, alternating ^ 1, alternating ^ 3]
+        sparse = [sum(1 << rng.randrange(width) for _ in range(k)) for k in (1, 2, 3)]
+        rows = [0, full] + [rng.getrandbits(width) for _ in range(20)] + sparse + edges
+        rows += [full ^ r for r in rows]
+        table = dict(enumerate(rows))
+        for select, rule in ((_stuck, never_shown_value), (_barely_toggling, minority_value)):
+            assert select(table, width) == [
+                (i, rule(row, width)) for i, row in table.items() if rule(row, width) is not None]
 
 
 class TestCeRows:
@@ -177,7 +266,7 @@ class TestToggleRate:
                 + sparse + [full ^ r for r in sparse])
         for bits in rows:
             assert toggle_rate(bits, width) == ref_toggle(bits, width)
-            assert _minority_value(bits, width) == ref_minority(bits, width)
+            assert minority_value(bits, width) == ref_minority(bits, width)
 
 
 class TestConstantProp:
@@ -676,7 +765,7 @@ class TestPatternsSimulatedOnce:
 
         monkeypatch.setattr(sweep_module, "sat_guided_patterns", generating)
         monkeypatch.setattr(sweep_module, "init_equiv_classes", initializing)
-        seen_widths = record_simulate_all(monkeypatch)
+        seen_widths = record_simulations(monkeypatch)
         sweep(make(), cfg)
         assert seen.get("checked")
         # One call at the base width, then one per round that added
@@ -707,6 +796,66 @@ class TestInverterChain:
         assert stats.sat_calls_total == 0 and walks == []
         assert stats.merges == stats.window_merges == 10_000
         assert check_equivalence(original, swept).equivalent
+
+
+    def test_a_po_on_every_inverter(self):
+        net = Network()
+        top = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
+        s = top
+        for _ in range(1000):
+            s = net.add_lut([s], 0b01)
+            net.add_po(s)
+        original = net.clone()
+        swept, stats = sweep(net, SweepConfig())
+        assert swept.n_luts() == stats.final_luts == 1
+        # Inverter j computes the AND complemented j + 1 times.
+        assert swept.pos == [(top, j % 2 == 0) for j in range(1000)]
+        assert check_equivalence(original, swept).equivalent
+
+
+class TestWindowMerges:
+    """A candidate of a window-refined class merges onto the first member
+    of its class with no SAT call; every other merge follows an UNSAT
+    answer for the same pair."""
+
+    @pytest.mark.parametrize("make, cfg, n_window, n_sat", [
+        (lambda: adder_miter(8), SweepConfig(), 31, 0),
+        (lambda: and_under_inverters(300), SweepConfig(), 300, 0),
+        (undet_network, SweepConfig(n_base_patterns=16), 10, 49),
+    ], ids=["adder_miter", "deep_chain", "undet_network"])
+    def test_window_merges_take_the_first_member(self, monkeypatch, make, cfg, n_window, n_sat):
+        seen, proofs, merges = {}, [], []
+        init, prove = sweep_module.init_equiv_classes, sweep_module.prove_equiv
+        substitute = Network.substitute_node
+
+        def initializing(*args):
+            seen["mgr"] = init(*args)
+            return seen["mgr"]
+
+        def proving(solver, a, b, **kwargs):
+            proofs.append((a, b))
+            return prove(solver, a, b, **kwargs)
+
+        def recording(self, old, new, inverted=False, **kwargs):
+            mgr = seen.get("mgr")
+            # constant_prop substitutes before the classes exist.
+            if mgr is not None:
+                cid = mgr.class_of[old]
+                merges.append((old, new, cid in mgr.window_refined, mgr.members[cid][0],
+                               proofs[-1] if proofs else None))
+            substitute(self, old, new, inverted, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "init_equiv_classes", initializing)
+        monkeypatch.setattr(sweep_module, "prove_equiv", proving)
+        monkeypatch.setattr(Network, "substitute_node", recording)
+        _, stats = sweep(make(), cfg)
+        window = [(old, new, first) for old, new, refined, first, _ in merges if refined]
+        assert len(window) == stats.window_merges == n_window
+        assert all(new == first for _, new, first in window)
+        asked = {a for a, _ in proofs}
+        assert not any(old in asked for old, _, _ in window)
+        assert all(last == (old, new) for old, new, refined, _, last in merges if not refined)
+        assert stats.sat_calls_total == n_sat
 
 
 class TestLimitedBudgetQoR:
