@@ -20,6 +20,7 @@ from .netlist import (
     flip_tt_input,
     parse_aiger_ascii,
     parse_blif,
+    strash,
     write_blif,
 )
 from .sat import NetSolver, SatOutcome, SatStatus, Solver, prove_equiv, solve
@@ -48,6 +49,6 @@ __all__ = [
     "exhaustive_window_sim", "flip_tt_input", "gen_random_patterns",
     "parse_aiger_ascii", "parse_blif",
     "parse_expr", "parse_patterns", "prove_equiv",
-    "simulate_all", "simulate_specified", "solve",
+    "simulate_all", "simulate_specified", "solve", "strash",
     "sweep", "write_blif",
 ]

@@ -15,6 +15,8 @@ the unsigned integer ``v``.  The truth-row helpers are here too:
 :func:`_var_row` is the exhaustive row of one input, from which the
 simulator, CEC and :mod:`stpsweep.bexpr` build their exhaustive
 patterns, and :func:`flip_tt_input` complements one input of a row.
+:func:`strash` hashes a network structurally, reducing each row with a
+few shift-and-mask operations per input (:func:`_reduce_lut`).
 
 Node ids are dense indices into the node array and are never reused;
 structural edits mark nodes dead instead of renumbering, so external
@@ -34,7 +36,7 @@ import heapq
 import re
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import or_
 
@@ -68,9 +70,66 @@ def flip_tt_input(tt: int, arity: int, pos: int) -> int:
 
     ``pos`` is the fanin position, 0 = first = most significant.
     """
-    ones = _var_row(pos, arity)
-    step = 1 << (arity - 1 - pos)
-    return (tt & ones) >> step | (tt & ~ones) << step
+    step, low = _low_halves(arity)[pos]
+    return tt >> step & low | (tt & low) << step
+
+
+@lru_cache(maxsize=None)
+def _low_halves(arity: int) -> tuple[tuple[int, int], ...]:
+    """``(step, low)`` of each input position of an ``arity``-input row:
+    ``low`` selects the rows where that input is 0, and the row ``step``
+    above each of them is the one where it is 1."""
+    full = (1 << (1 << arity)) - 1
+    return tuple((1 << (arity - 1 - p), full ^ _var_row(p, arity)) for p in range(arity))
+
+
+def _drop_input(tt: int, arity: int, pos: int) -> int:
+    """The row over ``arity - 1`` inputs of a row that ignores input ``pos``.
+
+    The rows where the input is 0 are kept, and each round of a
+    shift-and-mask halves the number of gaps between them, one round per
+    input before ``pos``.
+    """
+    halves = _low_halves(arity)
+    shift, low = halves[pos]
+    tt &= low
+    for q in range(pos - 1, -1, -1):
+        tt = (tt | tt >> shift) & halves[q][1]
+        shift <<= 1
+    return tt
+
+
+def _reduce_lut(fanins: list[int], tt: int, const0: int | None) -> tuple[list[int], int]:
+    """The fanin positions a LUT's function needs, and its row over them.
+
+    A fanin that is ``const0`` is read as 0, and a fanin read a second
+    time is read as its first slot; each such input is first made one
+    the row ignores, and then every ignored input is dropped.  Each step
+    is a few shift-and-mask operations on the whole row.
+    """
+    halves = _low_halves(len(fanins))
+    first: dict[int, int] = {}
+    for p, f in enumerate(fanins):
+        step, low = halves[p]
+        if f == const0:
+            zero = tt & low
+            tt = zero | zero << step
+        elif f in first:
+            # Rows where both slots read 0, and rows where both read 1.
+            low_first = halves[first[f]][1]
+            zeros = tt & low & low_first
+            ones = tt & ~(low | low_first)
+            tt = zeros | zeros << step | ones | ones >> step
+        else:
+            first[f] = p
+    keep = [p for p, (step, low) in enumerate(halves) if tt >> step & low != tt & low]
+    arity = len(fanins)
+    if len(keep) < arity:
+        for p in reversed(range(arity)):
+            if p not in keep:
+                tt = _drop_input(tt, arity, p)
+                arity -= 1
+    return keep, tt
 
 
 @dataclass(slots=True)
@@ -346,6 +405,77 @@ class Network:
                         list(n.fanouts))
             out.nodes.append(m)
         return out
+
+
+def strash(net: Network) -> tuple[int, int, int | None]:
+    """Structurally hash ``net`` in place, keeping every PO's function.
+
+    One walk in topological order.  Each LUT first loses the inputs its
+    function does not need (:func:`_reduce_lut`): constant fanins are
+    folded into its row, a fanin read twice is read once, and inputs the
+    row ignores are dropped.  Then a LUT with a constant row is replaced
+    by the shared constant-0 LUT, complemented for a 1; a buffer or an
+    inverter by its fanin, with its readers' rows and PO phases flipped
+    for an inverter; and a LUT with the same fanins and row as an
+    earlier one by that one.  The shared constant-0 LUT is the first LUT
+    whose row reduces to 0, rewritten to read nothing, or a new one if a
+    constant 1 comes first.  Every substitution passes the walk's rank,
+    so none walks a fanout cone.  If a LUT dropped a fanin or turned
+    constant, nodes no PO reads are removed at the end.
+
+    Returns the merges (buffers, inverters and duplicates), the LUTs
+    replaced by the constant, and the constant-0 LUT if it is live.
+    """
+    nodes = net.nodes
+    order = net.topo_order()
+    rank = {nid: i for i, nid in enumerate(order)}
+    table: dict[tuple[tuple[int, ...], int], int] = {}
+    const0: int | None = None
+    merges = constants = 0
+    dropped = False
+    substitute = net.substitute_node
+    for nid in order:
+        node = nodes[nid]
+        if node.is_pi:
+            continue
+        fanins, tt = node.fanins, node.tt
+        if len(fanins) == 1 and (tt == 1 or tt == 2) and fanins[0] != const0:
+            keep = (0,)  # a buffer or an inverter of a node that is not constant
+        else:
+            keep, tt = _reduce_lut(fanins, tt, const0)
+            if len(keep) < len(fanins):
+                dropped = True
+        if not keep:
+            if const0 is None and not tt:
+                for f in fanins:
+                    nodes[f].fanouts.remove(nid)
+                node.fanins, node.tt, const0 = [], 0, nid
+                continue
+            if const0 is None:
+                const0 = net.add_lut([], 0)
+            substitute(nid, const0, inverted=bool(tt), rank=rank)
+            constants += 1
+            continue
+        if len(keep) == 1:
+            # A row that needs its one input is a buffer or an inverter.
+            substitute(nid, fanins[keep[0]], inverted=tt == 1, rank=rank)
+            merges += 1
+            continue
+        kept = fanins if len(keep) == len(fanins) else [fanins[p] for p in keep]
+        rep = table.setdefault((tuple(kept), tt), nid)
+        if rep != nid:
+            substitute(nid, rep, rank=rank)
+            merges += 1
+        elif kept is not fanins:
+            for p, f in enumerate(fanins):
+                if p not in keep:
+                    nodes[f].fanouts.remove(nid)
+            node.fanins, node.tt = kept, tt
+    if dropped or constants:
+        net.remove_dead()
+    if const0 is not None and nodes[const0].dead:
+        const0 = None
+    return merges, constants, const0
 
 
 # ---------------------------------------------------------------------------

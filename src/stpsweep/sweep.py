@@ -1,21 +1,35 @@
 """SAT sweeping: merge functionally equivalent LUT nodes.
 
-The engine follows the classic simulate-then-prove loop.  SAT-guided
-initial patterns detect true constants and enrich the pattern set,
-signatures group candidate nodes into polarity-normalized equivalence
-classes, and candidates are visited from the inputs to the outputs.
-As in a FRAIG, each candidate is merged into a class member that comes
-earlier in topological order, tried earliest first; an earlier member
-cannot lie in the candidate's fanout, so neither picking it nor the
-substitution needs a cycle check.  Every merge is certified, in one of
-two ways.  Classes whose combined input support fits an exhaustive
-window are refined with full truth rows over that support; their
-surviving members are proven equal, and they merge without a SAT call
-(``SweepStats.window_merges``).  Every other pair is certified by an
-UNSAT answer from one incremental :class:`~stpsweep.sat.NetSolver`,
-which answers every query of a sweep, loads each node's clauses once
-and is told of each window merge.  Counter-examples from satisfiable
-queries refine the classes, and the window refines them again.
+The engine follows the FRAIG recipe: hash first, then simulate, then
+prove.  A sweep runs these steps in order:
+
+1. **Strash** (:func:`~stpsweep.netlist.strash`): one walk in
+   topological order folds constant fanins, collapses repeated fanins,
+   drops inputs a table ignores, absorbs buffers and inverters, merges
+   LUTs with equal fanins and tables, and sends constant tables to one
+   constant-0 LUT (``SweepStats.strash_merges``,
+   ``SweepStats.strash_constants``).  No simulation or SAT call is
+   needed for what the structure already shows.
+2. **Patterns**: SAT-guided initial patterns (:func:`sat_guided_patterns`)
+   detect true constants and enrich the pattern set.
+3. **Constants**: :func:`constant_prop` replaces the proven constants by
+   the constant-0 LUT.
+4. **Classes**: signatures group the live nodes into
+   polarity-normalized equivalence classes (:func:`init_equiv_classes`).
+5. **Window**: classes whose combined input support fits an exhaustive
+   window are refined with full truth rows over that support; their
+   surviving members are proven equal.
+6. **Proving**: candidates are visited from the inputs to the outputs.
+   As in a FRAIG, each candidate is merged into a class member that
+   comes earlier in topological order, tried earliest first; an earlier
+   member cannot lie in the candidate's fanout, so neither picking it
+   nor the substitution needs a cycle check.  A window-proven pair
+   merges without a SAT call (``SweepStats.window_merges``).  Every
+   other pair is certified by an UNSAT answer from one incremental
+   :class:`~stpsweep.sat.NetSolver`, which answers every query of a
+   sweep, loads each node's clauses once and is told of each window
+   merge.  Counter-examples from satisfiable queries refine the
+   classes, and the window refines them again.
 
 Each pattern is simulated once per sweep.  :func:`sat_guided_patterns`
 simulates the base patterns over the whole network and keeps one row
@@ -25,16 +39,18 @@ init reads those rows after :func:`constant_prop`, with no simulation
 of its own: a substituted node is *proven* constant, so its readers
 compute the same functions with the constant in its place, and every
 surviving node keeps its row.  The one node that :func:`constant_prop`
-adds is the constant-0 LUT, whose row is 0.
+may add is the constant-0 LUT, whose row is 0; it reuses strash's
+constant-0 LUT if that one is live.
 
 Outside SAT, the sweep's work per node is bounded per step.  Each
 simulated round gives one int row per node, straight from the one
 simulator (``_simulate``), with no object around it.  Each round of
 pattern generation selects its gates in one pass over those rows
-(:func:`_stuck`, :func:`_barely_toggling`).  Each merge is one
-substitution: a candidate of a window-refined class goes to the first
-member of its class, and only a candidate that got a SAT answer keeps a
-set of the drivers it tried.
+(:func:`_stuck`, :func:`_barely_toggling`).  Class init ranks and
+groups the nodes in one pass over the topological order that pattern
+generation simulated.  Each merge is one substitution: a candidate of
+a window-refined class goes to the first member of its class, and only
+a candidate that got a SAT answer keeps a set of the drivers it tried.
 
 A counter-example is the solver's answer to a satisfiable query: a
 value for each PI in the query's scope, keyed by PI node id, with the
@@ -49,7 +65,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .netlist import Network, WindowTooLarge
+from .netlist import Network, WindowTooLarge, strash
 # ``encode_cone`` is not called here: the benchmark's tracer
 # (perfbench/tracer.py) patches it, ``solve`` and ``prove_equiv`` in this
 # module by name.
@@ -100,7 +116,13 @@ class SweepStats:
     #: Merges of window-proven classes, made without a SAT call; a part
     #: of ``merges`` that the kv and CSV lines do not print.
     window_merges: int = 0
+    #: Buffers, inverters and duplicate LUTs merged by :func:`strash`; a
+    #: part of ``merges`` that the kv and CSV lines do not print.
+    strash_merges: int = 0
     constants: int = 0
+    #: LUTs whose own rows :func:`strash` found constant; a part of
+    #: ``constants`` that the kv and CSV lines do not print.
+    strash_constants: int = 0
     ce_refinements: int = 0
     sim_time: float = 0.0
     total_time: float = 0.0
@@ -161,9 +183,10 @@ class ClassManager:
         self._next_id = 0
 
     def new_class(self, nodes: list[int]) -> int:
+        """A class of ``nodes``, given in topological order."""
         cid = self._next_id
         self._next_id += 1
-        self.members[cid] = sorted(nodes, key=self.topo_rank.__getitem__)
+        self.members[cid] = nodes
         for nid in nodes:
             self.class_of[nid] = cid
         return cid
@@ -199,20 +222,34 @@ class ClassManager:
         return out
 
 
-def init_equiv_classes(net: Network, rows: dict[int, int], n_patterns: int) -> ClassManager:
+def init_equiv_classes(net: Network, rows: dict[int, int], n_patterns: int,
+                       order: list[int] | None = None) -> ClassManager:
     """Group live nodes by polarity-normalized simulation row.
 
     ``rows`` maps each node to its packed row of ``n_patterns`` bits.  A
     node whose row's first bit is 1 gets its phase bit set, so a
-    function and its complement share a class.  The nodes start as one
-    class, which :meth:`ClassManager.split_class` splits by row; classes
-    of size one are discarded.
+    function and its complement share a class.  ``order`` is the live
+    nodes in topological order, ``net.topo_order()`` if not given; one
+    pass over it ranks the nodes and groups them by normalized row, so
+    each class lists its members in that order.  Classes of size one are
+    discarded.
     """
-    rank = {nid: i for i, nid in enumerate(net.topo_order())}
+    if order is None:
+        order = net.topo_order()
+    mask = (1 << n_patterns) - 1
+    rank: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
+    for i, nid in enumerate(order):
+        rank[nid] = i
+        row = rows[nid]
+        groups.setdefault(row ^ mask if row & 1 else row, []).append(nid)
     mgr = ClassManager(rank)
-    mgr.phase_of = {nid: row & 1 for nid, row in rows.items()}
-    if len(rows) >= 2:
-        mgr.split_class(mgr.new_class(list(rows)), rows, (1 << n_patterns) - 1)
+    phase_of = mgr.phase_of
+    for nodes in groups.values():
+        if len(nodes) >= 2:
+            mgr.new_class(nodes)
+            for nid in nodes:
+                phase_of[nid] = rows[nid] & 1
     return mgr
 
 
@@ -273,7 +310,7 @@ def _barely_toggling(rows: dict[int, int], n: int) -> list[tuple[int, bool]]:
 
 
 def sat_guided_patterns(
-    solver: NetSolver, cfg: SweepConfig, stats: SweepStats
+    solver: NetSolver, cfg: SweepConfig, stats: SweepStats, order: list[int] | None = None
 ) -> tuple[PatternSet, dict[int, int], list[tuple[int, bool]]]:
     """Two-round SAT-guided pattern generation.
 
@@ -288,13 +325,15 @@ def sat_guided_patterns(
     row over it, and the proven ``(node, constant_value)`` pairs.  The
     gates are those of ``solver.net``, and every query goes to
     ``solver``.  Each round simulates only its own counter-examples, and
-    appends their bits above the rows' earlier ones.
+    appends their bits above the rows' earlier ones.  ``order`` is the
+    network's topological order, ``net.topo_order()`` if not given.
     """
     net = solver.net
     nodes = net.nodes
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
     patterns = gen_random_patterns(len(net.pis), cfg.n_base_patterns, cfg.seed)
-    order = net.topo_order()
+    if order is None:
+        order = net.topo_order()
     t0 = time.perf_counter()
     rows = _simulate_rows(net, patterns.rows, patterns.mask, order)
     stats.sim_time += time.perf_counter() - t0
@@ -326,11 +365,14 @@ def sat_guided_patterns(
     return patterns, rows, list(constants.items())
 
 
-def constant_prop(net: Network, constants: list[tuple[int, bool]]) -> int:
-    """Replace proven-constant nodes, distinct and live, by one shared constant-0 LUT."""
+def constant_prop(net: Network, constants: list[tuple[int, bool]],
+                  const0: int | None = None) -> int:
+    """Replace proven-constant nodes, distinct and live, by one shared
+    constant-0 LUT: ``const0`` if given, else a new one."""
     if not constants:
         return 0
-    const0 = net.add_lut([], 0)
+    if const0 is None:
+        const0 = net.add_lut([], 0)
     for nid, value in constants:
         net.substitute_node(nid, const0, inverted=bool(value))
     net.remove_dead()
@@ -398,15 +440,21 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     stats.initial_luts = net.n_luts()
     rng = random.Random(cfg.seed ^ 0x51AB1E)
 
+    stats.strash_merges, stats.strash_constants, const0 = strash(net)
+    stats.merges, stats.constants = stats.strash_merges, stats.strash_constants
+
     solver = NetSolver(net)
-    patterns, rows, constants = sat_guided_patterns(solver, cfg, stats)
-    stats.constants = constant_prop(net, constants)
+    order = net.topo_order()
+    patterns, rows, constants = sat_guided_patterns(solver, cfg, stats, order)
+    stats.constants += constant_prop(net, constants, const0)
     if constants:
-        # Proven constants leave every surviving row valid; the one new
-        # node is the constant-0 LUT (see the module docstring).  Without
-        # constants the network is unchanged, and so are its rows.
-        rows = {nid: rows.get(nid, 0) for nid in net.topo_order()}
-    mgr = init_equiv_classes(net, rows, patterns.n_patterns)
+        # Proven constants leave every surviving row valid; the one node
+        # that may be new is the constant-0 LUT (see the module
+        # docstring).  Without constants the network is unchanged, and so
+        # are its order and its rows.
+        order = net.topo_order()
+        rows = {nid: rows.get(nid, 0) for nid in order}
+    mgr = init_equiv_classes(net, rows, patterns.n_patterns, order)
     t0 = time.perf_counter()
     _window_refine_classes(mgr, net, cfg)
     stats.sim_time += time.perf_counter() - t0

@@ -157,12 +157,14 @@ def random_network(
 
 
 def undet_network() -> Network:
-    """24 PIs and 275 LUTs.  Swept with 16 base patterns, its one
-    equivalence query that is not a constant's is SAT at no conflict
-    limit and UNDET at a limit of 1."""
-    rng = random.Random(27)
-    return random_network(rng, rng.randint(4, 24), rng.randint(30, 300),
-                          max_k=rng.choice([3, 4, 6]), po_count=rng.randint(1, 8))
+    """21 PIs and 262 LUTs, whose constants and duplicates structural
+    hashing settles, but not all of its candidates.  Swept with 16 base
+    patterns, its proving loop gets four SAT answers at no conflict
+    limit, each a counter-example that refines the classes, and at a
+    limit of 1 one of its queries is UNDET."""
+    rng = random.Random(2061)
+    return random_network(rng, rng.randint(16, 24), rng.randint(100, 300),
+                          max_k=rng.choice([3, 4]), po_count=rng.randint(1, 8))
 
 
 def blif_roundtrip(net: Network) -> Network:
@@ -175,8 +177,31 @@ def blif_roundtrip(net: Network) -> Network:
 # Sweep fixtures: redundancy-seeded networks.
 
 
-def _copy_cone(net: Network, root: int, depth_left: int, mapping: dict[int, int]) -> int:
-    """Duplicate the cone under ``root`` down to ``depth_left`` levels."""
+MUX = 0b11001010  # over [s, a, b]: a if s else b
+
+
+def resynthesize(net: Network, fanins: list[int], tt: int) -> int:
+    """A new node computing LUT ``(fanins, tt)``.
+
+    A LUT of three or more inputs becomes a multiplexer on its first
+    fanin over LUTs of its two cofactors, so no structural hash finds it
+    equal to the original.  A smaller one is copied as it is: its
+    cofactors would be buffers, inverters or constants, which structural
+    hashing folds back into the original.
+    """
+    if len(fanins) < 3:
+        return net.add_lut(fanins, tt)
+    half = 1 << (len(fanins) - 1)  # the rows where the first fanin is 0
+    low = net.add_lut(fanins[1:], tt & ((1 << half) - 1))
+    high = net.add_lut(fanins[1:], tt >> half)
+    return net.add_lut([fanins[0], high, low], MUX)
+
+
+def _copy_cone(net: Network, root: int, depth_left: int, mapping: dict[int, int],
+               invert: bool = False) -> int:
+    """Rebuild the cone under ``root`` down to ``depth_left`` levels, each
+    LUT by :func:`resynthesize`; with ``invert``, the root computes the
+    complement."""
     if root in mapping:
         return mapping[root]
     node = net.nodes[root]
@@ -184,34 +209,37 @@ def _copy_cone(net: Network, root: int, depth_left: int, mapping: dict[int, int]
         mapping[root] = root
         return root
     fanins = [_copy_cone(net, f, depth_left - 1, mapping) for f in node.fanins]
-    nid = net.add_lut(fanins, node.tt)
+    tt = node.tt ^ ((1 << (1 << node.arity)) - 1) if invert else node.tt
+    nid = resynthesize(net, fanins, tt)
     mapping[root] = nid
     return nid
 
 
 def sweep_fixture(seed: int) -> Network:
-    """Random net seeded with duplicate, complemented and near-duplicate
-    cones plus an injected constant pair; every redundancy drives a PO."""
+    """Random net seeded with equal, complemented and near-equal cones
+    plus a constant; every redundancy drives a PO.
+
+    The equal and complemented cones compute their originals' functions
+    through other structures (:func:`resynthesize`), and the constant is
+    one only by function, so structural hashing leaves them to
+    simulation and SAT.
+    """
     rng = random.Random(seed)
     n_pi = rng.randint(10, 14)
     net = random_network(rng, n_pi, rng.randint(16, 26), max_k=4, po_count=3)
 
     gates = [n.id for n in net.nodes if not n.is_pi and not n.dead]
-    # Duplicate cone.
+    # Equal cone.
     root = gates[rng.randrange(len(gates))]
-    dup = _copy_cone(net, root, rng.randint(1, 3), {})
-    if dup == root:
-        dup = net.add_lut(list(net.nodes[root].fanins), net.nodes[root].tt)
-    net.add_po(dup)
-    # Complemented duplicate of another cone.
+    net.add_po(_copy_cone(net, root, rng.randint(1, 3), {}))
+    # Complemented cone under an inverter, which equals the original.
     root2 = gates[rng.randrange(len(gates))]
-    dup2 = _copy_cone(net, root2, rng.randint(1, 2), {})
-    inv = net.add_lut([dup2], 0b01)
+    inv = net.add_lut([_copy_cone(net, root2, rng.randint(1, 2), {}, invert=True)], 0b01)
     net.add_po(inv)
-    # Constant pair: x & ~x feeding an OR, keeps a cone alive around it.
-    x = net.pis[rng.randrange(len(net.pis))]
-    nx = net.add_lut([x], 0b01)
-    zero = net.add_lut([x, nx], 0b1000)
+    # Constant: t & ~x for t = x & y, kept alive by an OR above it.
+    i = rng.randrange(len(net.pis))
+    x, y = net.pis[i], net.pis[i - 1]
+    zero = net.add_lut([net.add_lut([x, y], 0b1000), x], 0b0100)
     keeper = net.add_lut([zero, gates[rng.randrange(len(gates))]], 0b1110)
     net.add_po(keeper)
     # Near-duplicate pair: two LUTs over the same skewed signals whose

@@ -14,11 +14,16 @@ from stpsweep import (
     flip_tt_input,
     parse_aiger_ascii,
     parse_blif,
+    strash,
     write_blif,
 )
+from stpsweep.netlist import _reduce_lut
 from stpsweep.sweep import constant_prop
 import blif_oracle
-from helpers import eval_assignment, exhaustive_tables, po_tables, random_network
+from helpers import (
+    adder_miter, eval_assignment, exhaustive_tables, lookup_tables, po_tables, random_network,
+    sweep_fixture,
+)
 
 
 def heap_topo_order(net: Network) -> list[int]:
@@ -902,3 +907,165 @@ class TestEdits:
                     break
             net.remove_dead()
             assert po_tables(net) == before
+
+
+def decorated_network(seed: int, n_pi: int, n_gates: int, max_k: int) -> Network:
+    """A random net, then constants, buffers, inverters, copies of LUTs and
+    LUTs that read one node twice, each read by a new LUT that drives a
+    PO: every case that strash folds, next to logic that it keeps."""
+    rng = random.Random(seed)
+    net = random_network(rng, n_pi, n_gates, max_k=max_k, po_count=rng.randint(1, 4))
+    for _ in range(rng.randint(0, 12)):
+        live = net.live_ids()
+        kind = rng.randrange(5)
+        if kind == 0:
+            nid = net.add_lut([], rng.getrandbits(1))
+        elif kind == 1:
+            nid = net.add_lut([rng.choice(live)], rng.choice([0b01, 0b10]))
+        elif kind == 2:
+            node = net.nodes[rng.choice(live)]
+            if node.is_pi:
+                continue
+            nid = net.add_lut(list(node.fanins), node.tt)
+        else:
+            x = rng.choice(live)
+            fanins = [x, x] if kind == 3 else [x, rng.choice(live), x]
+            nid = net.add_lut(fanins, rng.getrandbits(1 << len(fanins)))
+        top = net.add_lut([nid, rng.choice(live)], rng.getrandbits(4))
+        net.add_po(top, inverted=bool(rng.getrandbits(1)))
+    return net
+
+
+def strash_checked(net: Network) -> tuple[int, int, int | None]:
+    """Strash ``net``, and check that every PO keeps its exhaustive table
+    and that nothing is left to fold or merge.  Returns strash's result."""
+    tables = lookup_tables(net)
+    before = [tables[d] ^ phase for d, phase in net.pos]
+    n_luts, n_nodes = net.n_luts(), len(net.nodes)
+    merges, constants, const0 = strash(net)
+    tables = lookup_tables(net)
+    for want, (d, phase) in zip(before, net.pos, strict=True):
+        assert (tables[d] ^ phase == want).all()
+    # Each merge and each constant kills a LUT; one constant-0 LUT may be new.
+    assert net.n_luts() <= n_luts - merges - constants + len(net.nodes) - n_nodes
+    keys, readers = set(), {nid: [] for nid in net.live_ids()}
+    for nid in net.topo_order():
+        node = net.nodes[nid]
+        for f in node.fanins:
+            readers[f].append(nid)
+        if node.is_pi:
+            continue
+        if not node.fanins:
+            assert (nid, node.tt) == (const0, 0)
+            continue
+        assert len(node.fanins) >= 2 and len(set(node.fanins)) == len(node.fanins)
+        assert const0 not in node.fanins
+        assert _reduce_lut(node.fanins, node.tt, None) == (list(range(node.arity)), node.tt)
+        assert (tuple(node.fanins), node.tt) not in keys
+        keys.add((tuple(node.fanins), node.tt))
+    for nid, reading in readers.items():
+        assert sorted(net.nodes[nid].fanouts) == reading
+    assert strash(net) == (0, 0, const0)
+    return merges, constants, const0
+
+
+def reduced_by_minterms(fanins, tt, const0):
+    """The oracle of :func:`_reduce_lut`: the needed positions, found and
+    tabulated one assignment of the distinct non-constant fanins at a
+    time."""
+    signals = sorted({f for f in fanins if f != const0})
+
+    def value(assignment):
+        v = 0
+        for f in fanins:
+            v = v << 1 | (0 if f == const0 else assignment[f])
+        return tt >> v & 1
+
+    def table(over):
+        rows = 0
+        for v in range(1 << len(signals)):
+            assignment = {f: v >> (len(signals) - 1 - i) & 1 for i, f in enumerate(signals)}
+            rows |= value(assignment) << sum(assignment[f] << (len(over) - 1 - i)
+                                             for i, f in enumerate(over))
+        return rows
+
+    full = table(signals)
+    needed = {f for i, f in enumerate(signals)
+              if any(full >> v & 1 != full >> (v ^ 1 << (len(signals) - 1 - i)) & 1
+                     for v in range(1 << len(signals)))}
+    keep = [p for p, f in enumerate(fanins) if f in needed and fanins.index(f) == p]
+    return keep, table([fanins[p] for p in keep])
+
+
+class TestStrash:
+    """Strash keeps every PO's exhaustive table, leaves no LUT to fold or
+    merge, and finds nothing on a second pass."""
+
+    def test_reduction_matches_the_minterm_oracle(self):
+        rng = random.Random(3)
+        for _ in range(3000):
+            arity = rng.randint(0, 6)
+            fanins = [rng.randrange(4) for _ in range(arity)]
+            tt = rng.getrandbits(1 << arity)
+            const0 = rng.choice([None, 0, 1])
+            assert _reduce_lut(fanins, tt, const0) == reduced_by_minterms(fanins, tt, const0)
+
+    def test_sweep_fixtures_and_adder_miters(self):
+        for seed in range(20):
+            strash_checked(sweep_fixture(seed))
+        for width in range(3, 9):
+            # The two adders share each bit's propagate and generate LUT.
+            merges, constants, _ = strash_checked(adder_miter(width))
+            assert merges >= 2 * width and constants == 0
+
+    @given(st.integers(0, 2 ** 32), st.integers(1, 12), st.integers(1, 60), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_nets(self, seed, n_pi, n_gates, max_k):
+        strash_checked(decorated_network(seed, n_pi, n_gates, max_k))
+
+    def test_inverter_chain_folds_into_po_phases(self):
+        net = Network()
+        top = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
+        s = top
+        for j in range(7):
+            s = net.add_lut([s], 0b01)
+            net.add_po(s)
+        assert strash_checked(net) == (7, 0, None)
+        assert net.pos == [(top, j % 2 == 0) for j in range(7)]
+
+    def test_the_first_constant_0_is_the_shared_one(self):
+        net = Network()
+        a, b = net.add_pi(), net.add_pi()
+        one = net.add_lut([a], 0b11)
+        zero = net.add_lut([a, b], 0b0000)
+        net.add_po(net.add_lut([one, b], 0b1000))  # = b
+        net.add_po(zero)
+        net.add_po(one, inverted=True)
+        n_nodes = len(net.nodes)
+        # The constant 1 comes first, so a new constant-0 LUT is added,
+        # and the 0 that follows merges onto it.
+        merges, constants, const0 = strash_checked(net)
+        assert (merges, constants, const0) == (1, 2, n_nodes)
+        assert net.pos == [(b, False), (const0, False), (const0, False)]
+        net = Network()
+        a = net.add_pi()
+        zero = net.add_lut([a], 0b00)
+        one = net.add_lut([], 1)
+        net.add_po(net.add_lut([zero, a], 0b0010))  # ~zero & a = a
+        net.add_po(one)
+        # A 0 first: that LUT becomes the shared one, reading nothing.
+        assert strash_checked(net) == (1, 1, zero)
+        assert net.nodes[zero].fanins == [] and net.pos == [(a, False), (zero, True)]
+
+    def test_duplicates_merge_onto_the_earliest(self):
+        net = Network()
+        a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
+        g1 = net.add_lut([a, b], 0b0110)
+        h = net.add_lut([g1, c], 0b1000)
+        g2 = net.add_lut([a, b], 0b0110)
+        g3 = net.add_lut([a, b, a], 0b01100110)  # reads a twice: a ^ b
+        net.add_po(h)
+        net.add_po(net.add_lut([g2, c], 0b1000))
+        net.add_po(g3)
+        assert strash_checked(net) == (3, 0, None)
+        assert net.pos == [(h, False), (h, False), (g1, False)]

@@ -18,7 +18,9 @@ from stpsweep import (
     sweep,
 )
 import stpsweep.sat as sat_module
-from helpers import adder_miter, eval_assignment, exhaustive_tables, random_network, sweep_fixture
+from helpers import (
+    adder_miter, eval_assignment, exhaustive_tables, random_network, sweep_fixture, undet_network,
+)
 
 
 def enumerate_satisfiable(n_vars: int, clauses) -> bool:
@@ -684,38 +686,43 @@ class TestSearchPinned:
     @classmethod
     def sweep_log(cls, monkeypatch, cfg: SweepConfig):
         log = cls.solve_log(monkeypatch)
-        _, stats = sweep(sweep_fixture(0), cfg)
+        _, stats = sweep(undet_network(), cfg)
         return [(status, conflicts) for status, conflicts, _ in log], stats
 
     def test_every_query_of_a_sweep(self, monkeypatch):
-        # Recorded from the sweep on one NetSolver with the window off:
-        # three constant queries, then five merges asked as two halves each.
-        log, _ = self.sweep_log(monkeypatch, SweepConfig(window_cap=0))
-        unsat = SatStatus.UNSAT
-        assert log == [(unsat, 0), (unsat, 0), (unsat, 1),
-                       (unsat, 0), (unsat, 1), (unsat, 0), (unsat, 0), (unsat, 0),
-                       (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0), (unsat, 0)]
+        # Recorded from the sweep on one NetSolver with the window off and
+        # 16 base patterns, after strash: three pattern-generation queries
+        # answered SAT, one merge asked as two UNSAT halves, and four
+        # merge queries answered SAT, the third in its second half.
+        log, stats = self.sweep_log(monkeypatch, SweepConfig(n_base_patterns=16, window_cap=0))
+        sat, unsat = SatStatus.SAT, SatStatus.UNSAT
+        assert log == [(sat, 0), (sat, 0), (sat, 0), (unsat, 0), (unsat, 1),
+                       (sat, 0), (sat, 1), (unsat, 1), (sat, 0), (sat, 0)]
+        assert stats.merges - stats.strash_merges == 1 and stats.ce_refinements == 4
 
     def test_window_proves_every_merge_of_a_sweep(self, monkeypatch):
-        # The same sweep with the window on: the three constant queries
-        # are left, and the window proves all five merges.
-        log, stats = self.sweep_log(monkeypatch, SweepConfig())
-        unsat = SatStatus.UNSAT
-        assert log == [(unsat, 0), (unsat, 0), (unsat, 1)]
-        assert stats.merges == stats.window_merges == 5
+        # The same sweep with the window on: the window proves the one
+        # merge, and the pattern-generation queries and the
+        # counter-examples are left.
+        log, stats = self.sweep_log(monkeypatch, SweepConfig(n_base_patterns=16))
+        sat, unsat = SatStatus.SAT, SatStatus.UNSAT
+        assert log == [(sat, 0), (sat, 0), (sat, 0), (sat, 0), (sat, 1), (unsat, 1),
+                       (sat, 0), (sat, 0)]
+        assert stats.merges - stats.strash_merges == stats.window_merges == 1
+        assert stats.ce_refinements == 4
 
     #: ``sweep(adder_miter(12), SweepConfig(window_cap=0))``, then
     #: ``check_equivalence`` of its input and output: the status of each
     #: ``Solver.solve`` call (S or U), its conflicts, and the SHA-1 of the
     #: SAT answers' models.  Many queries take several conflicts, so a
-    #: changed decision, learnt clause or restart shows here.
-    ADDER_STATUSES = "S" * 8 + "U" * 114
+    #: changed decision, learnt clause or restart shows here.  Strash has
+    #: merged the 24 propagate and generate LUTs the two adders share, so
+    #: the queries left are the carries' and the sums'.
+    ADDER_STATUSES = "S" * 8 + "U" * 58
     ADDER_CONFLICTS = [
-        0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
-        2, 2, 2, 2, 2, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1,
-        0, 1, 0, 1, 0, 1, 2, 0, 3, 1, 3, 1, 4, 1, 3, 1, 4, 1, 3, 1, 5, 1, 4, 1, 6, 1,
-        4, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2, 3, 2, 5, 5,
-        11, 8, 8, 9, 9, 8, 10, 8, 13, 9, 18, 8, 14, 8, 11, 10, 5, 1,
+        0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 1, 3, 1, 4, 1, 3, 1, 4, 1, 4, 1, 5, 1, 4, 1,
+        5, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 5, 5, 11, 8, 8, 9,
+        9, 8, 10, 8, 13, 9, 18, 8, 14, 8, 11, 10, 5, 1,
     ]
     ADDER_MODELS_SHA1 = "30009fd796ab7d43b46306697a79e412c429921a"
 

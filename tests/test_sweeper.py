@@ -106,6 +106,19 @@ def and_under_inverters(n: int) -> Network:
     return net
 
 
+def and_under_xor_pairs(n: int) -> Network:
+    """An AND of two PIs under ``n`` pairs of XORs with its first PI.  The
+    second XOR of each pair equals the AND only by function, so strash
+    leaves the chain to the window."""
+    net = Network()
+    x, y = net.add_pi(), net.add_pi()
+    s = net.add_lut([x, y], 0b1000)
+    for _ in range(n):
+        s = net.add_lut([net.add_lut([s, x], 0b0110), x], 0b0110)
+    net.add_po(s)
+    return net
+
+
 def tiny_cfg(**kw) -> SweepConfig:
     kw.setdefault("n_base_patterns", 64)
     kw.setdefault("seed", 7)
@@ -304,7 +317,8 @@ class TestConstantProp:
 
     def test_constants_need_no_cycle_walk(self, monkeypatch):
         # Counted, not timed: the constant-0 LUT has no fanins, so it lies
-        # in no fanout cone, and no substitution onto it walks one.
+        # in no fanout cone, and no substitution onto it walks one, be it
+        # of a constant that strash sees or of one that SAT proves.
         net = sweep_fixture(1)
         original = net.clone()
         walks = []
@@ -316,7 +330,7 @@ class TestConstantProp:
 
         monkeypatch.setattr(Network, "is_in_tfo", counting)
         swept, stats = sweep(net, SweepConfig())
-        assert stats.constants == 20 and walks == []
+        assert stats.constants == 21 and stats.strash_constants == 20 and walks == []
         assert check_equivalence(original, swept).equivalent
 
 
@@ -421,12 +435,15 @@ class TestRefine:
         assert mgr.class_of[g_and] == mgr.class_of[g_or]
 
 
-def duplicate_cones() -> Network:
+def equal_cones() -> Network:
+    """Two cones of ``(a ^ b) & c``: one reads an XOR LUT, the other an OR
+    of ``a & ~b`` and ``~a & b``, so only their functions are equal."""
     net = Network()
     pis = [net.add_pi() for _ in range(3)]
     g1 = net.add_lut([pis[0], pis[1]], 0b0110)
     h1 = net.add_lut([g1, pis[2]], 0b1000)
-    g2 = net.add_lut([pis[0], pis[1]], 0b0110)
+    g2 = net.add_lut([net.add_lut([pis[0], pis[1]], 0b0100),
+                      net.add_lut([pis[0], pis[1]], 0b0010)], 0b1110)
     h2 = net.add_lut([g2, pis[2]], 0b1000)
     net.add_po(h1)
     net.add_po(h2)
@@ -450,9 +467,10 @@ def parity_trees() -> Network:
 
 
 def lut_equal_to_a_pi() -> tuple[Network, int]:
+    """``(a & b) | (a & ~b)``, which is ``a`` only by function."""
     net = Network()
     a, b = net.add_pi("a"), net.add_pi("b")
-    g = net.add_lut([a, b], 0b1100)  # = a
+    g = net.add_lut([net.add_lut([a, b], 0b1000), net.add_lut([a, b], 0b0100)], 0b1110)
     net.add_po(g, name="o")
     return net, a
 
@@ -460,7 +478,7 @@ def lut_equal_to_a_pi() -> tuple[Network, int]:
 class TestSweep:
     # The SAT path: with the window off, every merge is proven by SAT.
     def test_duplicate_cones_merged(self):
-        net = duplicate_cones()
+        net = equal_cones()
         original = net.clone()
         net, stats = sweep(net, tiny_cfg(window_cap=0))
         assert stats.merges >= 1
@@ -469,7 +487,7 @@ class TestSweep:
         assert check_equivalence(original, net).equivalent
 
     def test_duplicate_cones_merged_by_the_window(self):
-        net = duplicate_cones()
+        net = equal_cones()
         original = net.clone()
         net, stats = sweep(net, tiny_cfg())
         assert stats.sat_calls_total == 0
@@ -670,8 +688,10 @@ def oracle_corpus() -> list[Network]:
 
 def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
     """Sweep ``net`` and check every merge against the input's exhaustive
-    tables.  Returns the stats."""
+    tables, and every PO of the result against the input's.  Returns the
+    stats."""
     tables = lookup_tables(net)
+    po_before = [tables[d] ^ phase for d, phase in net.pos]
     n_input = len(net.nodes)
     # Pairs proven by SAT: UNSAT equivalences, and the constants that
     # constant_prop merges onto its constant-0 LUT.
@@ -686,9 +706,9 @@ def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
             proven.add((a, b))
         return out
 
-    def propagating(net, constants):
+    def propagating(net, constants, const0=None):
         first = len(merges)
-        count = propagate(net, constants)
+        count = propagate(net, constants, const0)
         proven.update((old, new) for old, new, _ in merges[first:])
         return count
 
@@ -703,23 +723,31 @@ def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
     monkeypatch.undo()
     zero = np.zeros(1 << len(net.pis), dtype=bool)
     for old, new, inverted in merges:
-        # A node the input lacks is the constant-0 LUT of constant_prop.
-        target = tables[new] if new < n_input else zero
-        assert np.array_equal(tables[old], target ^ inverted), (old, new, inverted)
+        # A node the input lacks is a constant-0 LUT that strash or
+        # constant_prop added.
+        source, target = (tables[nid] if nid < n_input else zero for nid in (old, new))
+        assert np.array_equal(source, target ^ inverted), (old, new, inverted)
+    # Strash and the window merge without SAT; strash's constants count
+    # as merges onto the constant-0 LUT here.
     without_sat = [(old, new) for old, new, _ in merges if (old, new) not in proven]
-    assert len(without_sat) == stats.window_merges
+    assert len(without_sat) == stats.window_merges + stats.strash_merges + stats.strash_constants
+    after = lookup_tables(swept)
+    for before, (d, phase) in zip(po_before, swept.pos, strict=True):
+        assert np.array_equal(after[d] ^ phase, before)
     return stats
 
 
 class TestWindowMergeOracle:
-    """A merge made without SAT must join nodes that exhaustive tables of
-    the input call equal.  Few base patterns leave false candidates for
-    counter-examples to split, and a window of 6 leaves some classes to
-    SAT; with 16, every class of these nets fits the window."""
+    """A merge made without SAT, by strash or by a window, must join nodes
+    that exhaustive tables of the input call equal, and the swept POs
+    must keep their tables.  Few base patterns leave false candidates
+    for counter-examples to split, and a window of 6 leaves some classes
+    to SAT; with 16, every class of these nets fits the window."""
 
     @pytest.mark.parametrize("conflict_limit", [0, 1, 2, 3])
     def test_every_merge_without_sat_is_right(self, conflict_limit, monkeypatch):
-        totals = dict(window_merges=0, sat_calls_total=0, ce_refinements=0)
+        totals = dict(window_merges=0, strash_merges=0, strash_constants=0,
+                      sat_calls_total=0, ce_refinements=0)
         for i, net in enumerate(oracle_corpus()):
             for window_cap in (16, 6):
                 cfg = SweepConfig(conflict_limit=conflict_limit, n_base_patterns=16,
@@ -744,7 +772,8 @@ class TestPatternsSimulatedOnce:
     @pytest.mark.parametrize("make, cfg, widths", [
         (lambda: and_under_inverters(300), SweepConfig(), [2048]),
         (lambda: adder_miter(16), SweepConfig(), [2048, 1, 16]),
-        (rand_300, SweepConfig(), [2048]),  # 69 constants
+        # One constant proven by SAT, after the 20 that strash folds.
+        (lambda: sweep_fixture(1), SweepConfig(), [2048]),
         (lambda: wide_and()[0], tiny_cfg(), [64, 3, 3]),
     ], ids=["deep_chain", "adder_miter", "constants", "ce_rounds"])
     def test_class_init_reads_a_fresh_simulation(self, monkeypatch, make, cfg, widths):
@@ -755,13 +784,15 @@ class TestPatternsSimulatedOnce:
             seen["out"] = generate(*args)
             return seen["out"]
 
-        def initializing(net, rows, n_patterns):
+        def initializing(net, rows, n_patterns, order):
             patterns = seen["out"][0]
             assert n_patterns == patterns.n_patterns
-            # The network as constant_prop left it, simulated afresh.
+            # The network as constant_prop left it, simulated afresh, and
+            # its topological order.
             assert rows == rows_of(simulate_all(net, patterns))
+            assert order == net.topo_order()
             seen["checked"] = True
-            return init(net, rows, n_patterns)
+            return init(net, rows, n_patterns, order)
 
         monkeypatch.setattr(sweep_module, "sat_guided_patterns", generating)
         monkeypatch.setattr(sweep_module, "init_equiv_classes", initializing)
@@ -775,7 +806,8 @@ class TestPatternsSimulatedOnce:
 
 class TestInverterChain:
     def test_ten_thousand_inverters(self, monkeypatch):
-        # Counted, not timed: no SAT call and no cycle walk per merge.
+        # Counted, not timed: no SAT call and no cycle walk per merge, and
+        # strash absorbs every inverter before any simulation.
         net = Network()
         x, y = net.add_pi(), net.add_pi()
         s = net.add_lut([x, y], 0b1000)
@@ -794,7 +826,8 @@ class TestInverterChain:
         swept, stats = sweep(net, SweepConfig())
         assert swept.n_luts() == stats.final_luts == 1
         assert stats.sat_calls_total == 0 and walks == []
-        assert stats.merges == stats.window_merges == 10_000
+        assert stats.merges == stats.strash_merges == 10_000
+        assert stats.window_merges == 0
         assert check_equivalence(original, swept).equivalent
 
 
@@ -813,16 +846,51 @@ class TestInverterChain:
         assert check_equivalence(original, swept).equivalent
 
 
+class TestStrashAtSweepEntry:
+    """Strash runs before any simulation or SAT query, and the structure
+    it settles leaves the sweep few queries.  Counted, not timed."""
+
+    def test_adder_duplicates_merge_before_simulation(self, monkeypatch):
+        events = []
+        simulate, substitute = sweep_module._simulate, Network.substitute_node
+
+        def simulating(*args):
+            events.append("simulate")
+            return simulate(*args)
+
+        def recording(self, old, new, inverted=False, **kwargs):
+            events.append("merge")
+            substitute(self, old, new, inverted, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "_simulate", simulating)
+        monkeypatch.setattr(Network, "substitute_node", recording)
+        _, stats = sweep(adder_miter(8), SweepConfig())
+        assert stats.strash_merges == 20 and stats.sat_calls_total == 0
+        assert events[:21] == ["merge"] * 20 + ["simulate"]
+
+    def test_random_net_needs_few_queries(self):
+        # rand(2,000, 6): without strash the sweep made 786 SAT calls and
+        # ended at 392 LUTs.
+        net = random_network(random.Random(7), 64, 2000, max_k=6, po_count=32,
+                             fresh_bias=0.6)
+        _, stats = sweep(net, SweepConfig())
+        assert stats.sat_calls_total <= 20
+        assert stats.final_luts <= 392
+
+
 class TestWindowMerges:
     """A candidate of a window-refined class merges onto the first member
-    of its class with no SAT call; every other merge follows an UNSAT
-    answer for the same pair."""
+    of its class with no SAT call; every other merge of the proving loop
+    follows an UNSAT answer for the same pair.  Strash merges come first,
+    before the classes exist.  The deep chain is of XOR pairs, which
+    strash leaves to the window; it absorbs an inverter chain at once."""
 
     @pytest.mark.parametrize("make, cfg, n_window, n_sat", [
-        (lambda: adder_miter(8), SweepConfig(), 31, 0),
-        (lambda: and_under_inverters(300), SweepConfig(), 300, 0),
-        (undet_network, SweepConfig(n_base_patterns=16), 10, 49),
-    ], ids=["adder_miter", "deep_chain", "undet_network"])
+        (lambda: adder_miter(8), SweepConfig(), 11, 0),
+        (lambda: adder_miter(8), SweepConfig(window_cap=0), 0, 11),
+        (lambda: and_under_xor_pairs(150), SweepConfig(), 299, 0),
+        (undet_network, SweepConfig(n_base_patterns=16), 1, 7),
+    ], ids=["adder_miter", "adder_miter_sat", "deep_chain", "undet_network"])
     def test_window_merges_take_the_first_member(self, monkeypatch, make, cfg, n_window, n_sat):
         seen, proofs, merges = {}, [], []
         init, prove = sweep_module.init_equiv_classes, sweep_module.prove_equiv
@@ -838,7 +906,7 @@ class TestWindowMerges:
 
         def recording(self, old, new, inverted=False, **kwargs):
             mgr = seen.get("mgr")
-            # constant_prop substitutes before the classes exist.
+            # strash and constant_prop substitute before the classes exist.
             if mgr is not None:
                 cid = mgr.class_of[old]
                 merges.append((old, new, cid in mgr.window_refined, mgr.members[cid][0],
@@ -879,33 +947,41 @@ class TestLimitedBudgetQoR:
 def golden(sha1: str, *counts: int) -> tuple[str, dict[str, int]]:
     """A recorded sweep: the SHA-1 of its BLIF and its count fields."""
     fields = ("sat_calls_total", "sat_calls_sat", "sat_calls_unsat", "sat_calls_undet",
-              "merges", "window_merges", "constants", "ce_refinements",
-              "initial_luts", "final_luts")
+              "merges", "window_merges", "strash_merges", "constants", "strash_constants",
+              "ce_refinements", "initial_luts", "final_luts")
     return sha1, dict(zip(fields, counts))
 
 
 class TestGoldenSweeps:
     """Recorded results of whole sweeps.  A change that only removes
     code must leave each BLIF and every count but the timings as it is.
-    The UNDET network's sweep refines its classes by a counter-example
-    at no conflict limit and gets an UNDET answer at a limit of 1."""
+    The UNDET network's sweep refines its classes by four counter-examples
+    at no conflict limit, and at a limit of 1 one of those queries is
+    UNDET instead."""
 
     CASES = [
         ("adder_miter(8)", lambda: adder_miter(8), SweepConfig(),
-         golden("1394aa57d80bb997305045bb09ded70e07e17dd6", 0, 0, 0, 0, 31, 31, 0, 0, 104, 37)),
+         golden("1394aa57d80bb997305045bb09ded70e07e17dd6",
+                0, 0, 0, 0, 31, 11, 20, 0, 0, 0, 104, 37)),
         ("sweep_fixture(0)", lambda: sweep_fixture(0), SweepConfig(),
-         golden("b64ba59133ba774bdafc6f23f333cfcb0b449e65", 3, 0, 3, 0, 5, 5, 3, 0, 33, 11)),
+         golden("a8386c072645b83b1a0fd853a4899bb8715fee34",
+                1, 0, 1, 0, 14, 1, 13, 3, 2, 0, 35, 10)),
         ("sweep_fixture(1)", lambda: sweep_fixture(1), SweepConfig(),
-         golden("2dacae3c36c8bcf866eb13499d96025f066ec604", 20, 0, 20, 0, 1, 1, 20, 0, 37, 7)),
+         golden("a9d94283fa2339a07daa837df81e70eac7677a32",
+                1, 0, 1, 0, 5, 1, 4, 21, 20, 0, 39, 7)),
         ("sweep_fixture(2)", lambda: sweep_fixture(2), SweepConfig(),
-         golden("e2201fe526ff403cde867d44a65b364da6be81b3", 5, 0, 5, 0, 4, 4, 5, 0, 28, 14)),
+         golden("8e53ca42f4b3270fd5a5731db7f5c640b9ea08eb",
+                1, 0, 1, 0, 8, 2, 6, 7, 6, 0, 32, 14)),
         ("sweep_fixture(3)", lambda: sweep_fixture(3), SweepConfig(),
-         golden("df2a1c3c49d312b55894added134eb8fe79c92b3", 9, 0, 9, 0, 4, 4, 9, 0, 36, 9)),
+         golden("ec407cd2951391711855b983ef176782de518249",
+                2, 0, 2, 0, 10, 1, 9, 9, 7, 0, 38, 11)),
         ("undet_network, no limit", undet_network, SweepConfig(n_base_patterns=16),
-         golden("aaa7e280af4d7aebbb40938f31a80ca0ec626278", 49, 1, 48, 0, 10, 10, 48, 1, 275, 81)),
+         golden("1ffacc3b840f6ea9b38fd9978adc6eb5c8e9c40e",
+                7, 7, 0, 0, 63, 1, 62, 40, 40, 4, 262, 57)),
         ("undet_network, limit 1", undet_network,
          SweepConfig(conflict_limit=1, n_base_patterns=16),
-         golden("aaa7e280af4d7aebbb40938f31a80ca0ec626278", 49, 0, 48, 1, 10, 10, 48, 0, 275, 81)),
+         golden("1ffacc3b840f6ea9b38fd9978adc6eb5c8e9c40e",
+                7, 6, 0, 1, 63, 1, 62, 40, 40, 3, 262, 57)),
     ]
 
     @pytest.mark.parametrize("make, cfg, expected", [c[1:] for c in CASES],
