@@ -2,12 +2,14 @@
 
 Interfaces of at most ``WINDOW_CAP`` PIs are compared by exhaustive
 simulation; larger ones on a miter network that holds both sides over
-shared PIs.  The miter is structurally hashed: a LUT of either network
-with the same fanins and truth table as an earlier miter LUT is that
-LUT, so an output pair whose drivers hash together needs no SAT query.
+shared PIs, with each output pair as two miter POs.  The miter is swept
+(:func:`~stpsweep.sweep.sweep` at its default config), which proves
+its internal equivalences from the inputs up, as a FRAIG-based CEC
+does, and keeps every PO's function.  Every merge is certified by
+strash, an exhaustive window or an UNSAT answer.  An output pair whose
+swept POs share a driver is decided by their phases, with no query.
 The other pairs are asked in output order on one cone-scoped
-:class:`~stpsweep.sat.NetSolver`, so each query branches only on its
-own cones and what one query learns speeds up the next.  A SAT answer
+:class:`~stpsweep.sat.NetSolver` over the swept miter.  A SAT answer
 is a counter-example: a value for each miter PI in the query's scope,
 keyed by PI node id.  The PIs outside the scope are free, and the
 witness that :class:`CecResult` reports sets them to 0.  PI and PO
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from .netlist import Network, _var_row
 from .sat import NetSolver, solve
 from .simulate import WINDOW_CAP, PatternSet, simulate_all
+from .sweep import SweepConfig, sweep
 
 
 class InterfaceMismatch(ValueError):
@@ -71,31 +74,28 @@ def _exhaustive_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]
 
 
 def _miter_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]) -> CecResult:
-    # The miter: both networks over shared PIs, structurally hashed
-    # through one table.  Each LUT is keyed by its table and its fanins
-    # as mapped into the miter (none sorted or permuted, so nothing the
-    # sweep did is trusted); a LUT whose key is taken is that miter node.
-    # ``a`` goes first, each side in topological order, so equal LUTs
-    # keep the earliest, as a sweep does.
+    # The miter: both networks over shared PIs, ``a`` first, and each
+    # output pair as two POs in a row.  Its sweep proves the internal
+    # equivalences from the inputs up and keeps every PO's function, so
+    # a pair whose swept POs share a driver is decided by their phases.
     miter = Network()
     to_a: dict[int, int] = {}
     to_b: dict[int, int] = {}
     for i, pid in enumerate(a.pis):
         to_a[pid] = to_b[b.pis[pi_map[i]]] = miter.add_pi()
-    table: dict[tuple[tuple[int, ...], int], int] = {}
     for net, to_m in ((a, to_a), (b, to_b)):
         for nid in net.topo_order():
             node = net.nodes[nid]
             if not node.is_pi:
-                fanins = [to_m[f] for f in node.fanins]
-                key = (tuple(fanins), node.tt)
-                if key not in table:
-                    table[key] = miter.add_lut(fanins, node.tt)
-                to_m[nid] = table[key]
-    solver = NetSolver(miter)
+                to_m[nid] = miter.add_lut([to_m[f] for f in node.fanins], node.tt)
     for j, (da, pa) in enumerate(a.pos):
         db, pb = b.pos[po_map[j]]
-        da, db = to_a[da], to_b[db]
+        miter.add_po(to_a[da], pa)
+        miter.add_po(to_b[db], pb)
+    sweep(miter, SweepConfig())
+    solver = NetSolver(miter)
+    for j in range(len(a.pos)):
+        (da, pa), (db, pb) = miter.pos[2 * j:2 * j + 2]
         if da == db:
             # One shared driver: the outputs differ, for every input
             # alike, exactly when the phases do.

@@ -48,15 +48,23 @@ simulator (``_simulate``), with no object around it.  Each round of
 pattern generation selects its gates in one pass over those rows
 (:func:`_stuck`, :func:`_barely_toggling`).  Class init ranks and
 groups the nodes in one pass over the topological order that pattern
-generation simulated.  Each merge is one substitution: a candidate of
-a window-refined class goes to the first member of its class, and only
-a candidate that got a SAT answer keeps a set of the drivers it tried.
+generation simulated, with the constant-0 LUT moved to the front, so
+that a class holding it merges onto it.  Each merge is one
+substitution: a candidate of a window-refined class goes to the first
+member of its class, and only a candidate that got a SAT answer keeps
+a set of the drivers it tried.
 
 A counter-example is the solver's answer to a satisfiable query: a
 value for each PI in the query's scope, keyed by PI node id, with the
 other PIs free.  :func:`_ce_rows` is the one place it becomes pattern
 rows: one pattern each for :func:`sat_guided_patterns`, and
 ``CE_EXPANSION`` patterns each for :func:`refine_classes`.
+
+CEC runs this sweep too: above ``WINDOW_CAP`` PIs,
+:func:`~stpsweep.cec.check_equivalence` sweeps the miter of its two
+networks at the default config.  A wrong merge certified here could
+then pass CEC as well, so CEC's independent checks are the exhaustive
+route and the tests' exhaustive oracles of every merge.
 """
 
 from __future__ import annotations
@@ -231,11 +239,18 @@ def init_equiv_classes(net: Network, rows: dict[int, int], n_patterns: int,
     function and its complement share a class.  ``order`` is the live
     nodes in topological order, ``net.topo_order()`` if not given; one
     pass over it ranks the nodes and groups them by normalized row, so
-    each class lists its members in that order.  Classes of size one are
-    discarded.
+    each class lists its members in that order.  A LUT that reads
+    nothing, the constant-0 LUT, is ranked first: the rank stays
+    topological, and a class that holds it merges onto it.  Classes of
+    size one are discarded.
     """
     if order is None:
         order = net.topo_order()
+    nodes = net.nodes
+    consts = [nid for nid in order if not nodes[nid].fanins and not nodes[nid].is_pi]
+    if consts:
+        first = set(consts)
+        order = consts + [nid for nid in order if nid not in first]
     mask = (1 << n_patterns) - 1
     rank: dict[int, int] = {}
     groups: dict[int, list[int]] = {}

@@ -216,14 +216,37 @@ class TestIncrementalMiter:
         assert stats.merges > 0 and swept.n_luts() < original.n_luts()
         assert miter_cec(original, swept).equivalent
 
+    def test_random_net_vs_its_sweep_asks_no_output_query(self, monkeypatch):
+        # Counted, not timed: rand(2,000, 6) against its sweep.  The
+        # miter's sweep proves the internal equivalences from the inputs
+        # up, so every output pair coincides.  Asked as one whole-cone
+        # query per pair, rand(400, 6) had no answer after 120 s.
+        from stpsweep import SweepConfig, sweep
+
+        net = random_network(random.Random(7), 64, 2000, max_k=6, po_count=32, fresh_bias=0.6)
+        original = net.clone()
+        swept, _ = sweep(net, SweepConfig())
+        calls = []
+        solve = cec.solve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cec, "solve", counting)
+        assert check_equivalence(original, swept).equivalent
+        assert calls == []
+
 
 class TestMiterAgainstExhaustive:
     """The miter route against the exhaustive route on the same pairs.
 
-    Sweep and CEC share the CNF encoding of LUTs, so an encoding that
-    excludes real assignments could hide a wrong merge from the miter
-    route.  Simulation does not read that encoding.  The differing
-    pairs are checked against the scalar oracle too.
+    The miter route sweeps the miter, so it shares strash, the exhaustive
+    window and the solver with the sweep whose result it checks: a wrong
+    merge that one of them certifies could pass both.  Simulation on the
+    exhaustive route reads none of them, so it is the one independent
+    check.  The differing pairs are checked against the scalar oracle
+    too.
     """
 
     def test_routes_agree_on_random_pairs(self):
@@ -273,7 +296,10 @@ class TestMiterAgainstExhaustive:
 
 
 class TestHashedMiter:
-    """The miter route hashes ``b``'s LUTs onto ``a``'s by exact fanins and table."""
+    """The miter route sweeps the miter.  The sweep's strash hashes
+    ``b``'s LUTs onto ``a``'s by exact fanins and table, and its proving
+    loop merges the rest from the inputs up, so only an output pair whose
+    swept POs keep two drivers is asked on the solver."""
 
     @staticmethod
     def assert_sound(a: Network, b: Network, result) -> None:
@@ -325,7 +351,7 @@ class TestHashedMiter:
         result = miter_cec(a, swapped)
         assert not result.equivalent and result.output == "g"
         self.assert_sound(a, swapped, result)
-        # Swapped fanins with the table permuted to match: equal, by SAT.
+        # Swapped fanins with the table permuted to match: equal, by the sweep.
         permuted = a.clone()
         permuted.pos[-1] = (permuted.add_lut([q, p], 0b0100), False)
         assert miter_cec(a, permuted).equivalent
@@ -362,36 +388,58 @@ class TestHashedMiter:
             out.append(cls)
         return out
 
-    def count_queries(self, monkeypatch, a: Network, b: Network) -> tuple[int, bool]:
-        """The ``cec.solve`` calls and the verdict of ``a`` against ``b`` on the miter."""
-        calls = []
-        solve = cec.solve
+    def count_queries(self, monkeypatch, a: Network, b: Network):
+        """``a`` against ``b`` on the miter: the ``cec.solve`` calls, the
+        result, and the output pairs whose swept POs keep two drivers."""
+        calls, swept = [], []
+        solve, sweep = cec.solve, cec.sweep
 
         def counting(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
+        def sweeping(net, cfg):
+            swept.append(net)
+            return sweep(net, cfg)
+
         with monkeypatch.context() as patched:
             patched.setattr(cec, "solve", counting)
-            equivalent = miter_cec(a, b).equivalent
-        return len(calls), equivalent
+            patched.setattr(cec, "sweep", sweeping)
+            result = miter_cec(a, b)
+        pos = swept[0].pos
+        apart = [j for j in range(len(a.pos)) if pos[2 * j][0] != pos[2 * j + 1][0]]
+        return len(calls), result, apart
 
     def test_one_query_per_pair_that_hashing_leaves(self, monkeypatch):
         from stpsweep import SweepConfig, sweep
+        from stpsweep.cec import _exhaustive_cec
 
-        width = 8
-        a = adder_miter(width)
+        a = adder_miter(8)
         swept, _ = sweep(a.clone(), SweepConfig(n_base_patterns=64))
-        ca, cs = self.hashed_classes(a, swept)
-        left = [j for j, ((da, _), (ds, _)) in enumerate(zip(a.pos, swept.pos))
-                if ca[da] != cs[ds]]
-        # The sweep keeps the whole ripple-carry half, so its outputs hash
-        # onto ``a``'s.  Each of the width + 1 Kogge-Stone outputs of ``a``
-        # now reads a ripple-carry driver in ``swept``; three of the
-        # Kogge-Stone drivers hash onto theirs, because ``a`` is hashed
-        # onto itself, which leaves six pairs to SAT.
-        assert len(left) == 6 < width + 1
-        assert self.count_queries(monkeypatch, a, swept) == (len(left), True)
+        # Each of the nine Kogge-Stone outputs of ``a`` reads a
+        # ripple-carry driver in ``swept``.  Hashing alone left six of
+        # these pairs apart; the miter's sweep merges every one of them.
+        queries, result, apart = self.count_queries(monkeypatch, a, swept)
+        assert (queries, result.equivalent, apart) == (0, True, [])
+        # One flipped table bit below a reader: a carry or a sum bit of
+        # the ripple-carry adder, seen at some output.  With no conflict
+        # limit the sweep merges every equal pair, so each pair it leaves
+        # apart differs, and the first one, asked once, is the answer.
+        drivers = {d for d, _ in swept.pos}
+        cone = sorted({n for d in drivers if not swept.nodes[d].is_pi
+                       for n in swept.transitive_fanin(d, len(swept.nodes)) if n not in drivers})
+        rng = random.Random(79)
+        for nid in rng.sample(cone, 6):
+            b = swept.clone()
+            victim = b.nodes[nid]
+            victim.tt ^= 1 << rng.randrange(1 << victim.arity)
+            identity = list(range(len(a.pis)))
+            expected = _exhaustive_cec(a, b, identity, list(range(len(a.pos))))
+            queries, result, apart = self.count_queries(monkeypatch, a, b)
+            assert not result.equivalent and not expected.equivalent
+            assert result.output == expected.output == a.po_names[apart[0]]
+            assert queries == 1
+            self.assert_sound(a, b, result)
 
     def test_duplicate_driver_of_a_hashes_onto_the_earlier_lut(self, monkeypatch):
         rng = random.Random(77)
@@ -409,10 +457,11 @@ class TestHashedMiter:
         b.pos[-2:] = [(g, False), (reader, False)]
         ca, cb = self.hashed_classes(a, b)
         assert all(ca[da] == cb[db] for (da, _), (db, _) in zip(a.pos, b.pos))
-        assert self.count_queries(monkeypatch, a, b) == (0, True)
+        queries, result, apart = self.count_queries(monkeypatch, a, b)
+        assert (queries, result.equivalent, apart) == (0, True, [])
         # In opposite phases the pair differs on every input, still with no query.
         b.pos[-1] = (reader, True)
-        assert self.count_queries(monkeypatch, a, b) == (0, False)
-        result = miter_cec(a, b)
+        queries, result, apart = self.count_queries(monkeypatch, a, b)
+        assert (queries, result.equivalent, apart) == (0, False, [])
         assert result.output == "reader"
         self.assert_sound(a, b, result)

@@ -384,6 +384,41 @@ class TestClasses:
         for nodes in mgr.members.values():
             assert nodes == sorted(nodes, key=rank.__getitem__)
 
+    def test_constant_lut_ranks_first_and_leads_its_class(self):
+        net = Network()
+        a, b = net.add_pi(), net.add_pi()
+        g = net.add_lut([a, b], 0b1000)
+        zero = net.add_lut([], 0)
+        net.add_po(g)
+        net.add_po(zero)
+        # Two patterns that leave the AND at 0, as the constant.
+        pats = PatternSet([0b01, 0b10], 2)
+        mgr = init_equiv_classes(net, rows_of(simulate_all(net, pats)), pats.n_patterns)
+        assert list(mgr.topo_rank) == [zero, a, b, g]
+        assert mgr.members[mgr.class_of[g]] == [zero, g]
+
+    def test_constant_lut_drives_its_class_in_a_sweep(self, monkeypatch):
+        # A query left UNDET puts a 3-input LUT in one class with strash's
+        # constant-0 LUT, and the window proves the class.  When the
+        # constant ranked after that LUT by id, it merged onto the LUT,
+        # whose cone then survived: the sweep ended at 14 LUTs.
+        old_sides = []
+        substitute = Network.substitute_node
+
+        def recording(self, old, new, inverted=False, **kwargs):
+            node = self.nodes[old]
+            old_sides.append(not node.fanins and not node.is_pi)
+            substitute(self, old, new, inverted, **kwargs)
+
+        monkeypatch.setattr(Network, "substitute_node", recording)
+        net = sweep_fixture(3)
+        original = net.clone()
+        swept, stats = sweep(net, SweepConfig(conflict_limit=1, n_base_patterns=16, seed=3))
+        assert stats.sat_calls_undet > 0 and stats.window_merges > 0
+        assert old_sides and not any(old_sides)
+        assert swept.n_luts() == stats.final_luts < 14
+        assert check_equivalence(original, swept).equivalent
+
 
 class TestRefine:
     def build_and_or(self):
