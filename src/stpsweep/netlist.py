@@ -15,8 +15,9 @@ the unsigned integer ``v``.  The truth-row helpers are here too:
 :func:`_var_row` is the exhaustive row of one input, from which the
 simulator, CEC and :mod:`stpsweep.bexpr` build their exhaustive
 patterns, and :func:`flip_tt_input` complements one input of a row.
-:func:`strash` hashes a network structurally, reducing each row with a
-few shift-and-mask operations per input (:func:`_reduce_lut`).
+:func:`strash` hashes a network structurally in one walk by
+representatives, reducing each row with a few shift-and-mask operations
+per input (:func:`_reduce_lut`).
 
 Node ids are dense indices into the node array and are never reused;
 structural edits mark nodes dead instead of renumbering, so external
@@ -384,14 +385,18 @@ class Network:
             if node.id not in live:
                 node.dead = True
                 removed += 1
-        for node in self.nodes:
-            node.fanouts.clear()
-        for node in self.nodes:
-            if node.dead:
-                continue
-            for f in node.fanins:
-                self.nodes[f].fanouts.append(node.id)
+        self._rebuild_fanouts()
         return removed
+
+    def _rebuild_fanouts(self) -> None:
+        """Rebuild every fanout list from the live nodes' fanins, readers by id."""
+        nodes = self.nodes
+        for node in nodes:
+            node.fanouts.clear()
+        for node in nodes:
+            if not node.dead:
+                for f in node.fanins:
+                    nodes[f].fanouts.append(node.id)
 
     def clone(self) -> "Network":
         out = Network(self.name)
@@ -410,72 +415,105 @@ class Network:
 def strash(net: Network) -> tuple[int, int, int | None]:
     """Structurally hash ``net`` in place, keeping every PO's function.
 
-    One walk in topological order.  Each LUT first loses the inputs its
-    function does not need (:func:`_reduce_lut`): constant fanins are
-    folded into its row, a fanin read twice is read once, and inputs the
-    row ignores are dropped.  Then a LUT with a constant row is replaced
-    by the shared constant-0 LUT, complemented for a 1; a buffer or an
-    inverter by its fanin, with its readers' rows and PO phases flipped
-    for an inverter; and a LUT with the same fanins and row as an
-    earlier one by that one.  The shared constant-0 LUT is the first LUT
-    whose row reduces to 0, rewritten to read nothing, or a new one if a
-    constant 1 comes first.  Every substitution passes the walk's rank,
-    so none walks a fanout cone.  If a LUT dropped a fanin or turned
-    constant, nodes no PO reads are removed at the end.
+    One walk in topological order, by representatives as in a FRAIG.
+    Each LUT first reads its fanins through the representatives of the
+    LUTs merged before it, complementing its row's input for an inverted
+    one.  Then it loses the inputs its function does not need
+    (:func:`_reduce_lut`): constant fanins are folded into its row, a
+    fanin read twice is read once, and inputs the row ignores are
+    dropped.  A LUT with a constant row is then represented by the
+    shared constant-0 LUT, complemented for a 1; a buffer or an inverter
+    by its fanin, complemented for an inverter; and a LUT with the same
+    fanins and row as an earlier one by that one.  A represented LUT
+    dies where it is, and its readers are not rewired.  The shared
+    constant-0 LUT is the first LUT whose row reduces to 0, rewritten to
+    read nothing, or a new one if a constant 1 comes first.  Every
+    representative is a live node with none of its own, so one lookup
+    resolves a fanin.  After the walk the POs are read through the
+    representatives and the fanout lists are rebuilt, once each; if a
+    LUT dropped a fanin or turned constant, nodes no PO reads are
+    removed as well.  So a merge costs nothing in its readers or in the
+    POs.
 
     Returns the merges (buffers, inverters and duplicates), the LUTs
     replaced by the constant, and the constant-0 LUT if it is live.
     """
+    rep, merges, const0 = _strash(net)
+    return merges, len(rep) - merges, const0
+
+
+def _strash(net: Network) -> tuple[dict[int, tuple[int, bool]], int, int | None]:
+    """:func:`strash`, returning its record of merges in place of the count
+    of constants: each merged LUT's representative and phase, in walk
+    order."""
     nodes = net.nodes
-    order = net.topo_order()
-    rank = {nid: i for i, nid in enumerate(order)}
+    rep: dict[int, tuple[int, bool]] = {}
     table: dict[tuple[tuple[int, ...], int], int] = {}
     const0: int | None = None
-    merges = constants = 0
+    merges = 0
     dropped = False
-    substitute = net.substitute_node
-    for nid in order:
+    for nid in net.topo_order():
         node = nodes[nid]
         if node.is_pi:
             continue
         fanins, tt = node.fanins, node.tt
-        if len(fanins) == 1 and (tt == 1 or tt == 2) and fanins[0] != const0:
-            keep = (0,)  # a buffer or an inverter of a node that is not constant
+        if len(fanins) == 1:
+            f = fanins[0]
+            if f in rep:
+                f, inverted = rep[f]
+                fanins[0] = f
+                if inverted:
+                    # Complementing the one input swaps the row's two bits.
+                    node.tt = tt = (tt & 1) << 1 | tt >> 1
+            if (tt == 1 or tt == 2) and f != const0:
+                # A buffer or an inverter of a node that is not constant.
+                rep[nid] = (f, tt == 1)
+                merges += 1
+                node.dead = True
+                continue
         else:
-            keep, tt = _reduce_lut(fanins, tt, const0)
-            if len(keep) < len(fanins):
-                dropped = True
+            for p, f in enumerate(fanins):
+                if f in rep:
+                    fanins[p], inverted = rep[f]
+                    if inverted:
+                        tt = flip_tt_input(tt, len(fanins), p)
+            node.tt = tt
+        keep, tt = _reduce_lut(fanins, tt, const0)
+        if len(keep) < len(fanins):
+            dropped = True
         if not keep:
             if const0 is None and not tt:
-                for f in fanins:
-                    nodes[f].fanouts.remove(nid)
                 node.fanins, node.tt, const0 = [], 0, nid
                 continue
             if const0 is None:
                 const0 = net.add_lut([], 0)
-            substitute(nid, const0, inverted=bool(tt), rank=rank)
-            constants += 1
-            continue
-        if len(keep) == 1:
+            rep[nid] = (const0, bool(tt))
+        elif len(keep) == 1:
             # A row that needs its one input is a buffer or an inverter.
-            substitute(nid, fanins[keep[0]], inverted=tt == 1, rank=rank)
+            rep[nid] = (fanins[keep[0]], tt == 1)
             merges += 1
-            continue
-        kept = fanins if len(keep) == len(fanins) else [fanins[p] for p in keep]
-        rep = table.setdefault((tuple(kept), tt), nid)
-        if rep != nid:
-            substitute(nid, rep, rank=rank)
+        else:
+            kept = fanins if len(keep) == len(fanins) else [fanins[p] for p in keep]
+            first = table.setdefault((tuple(kept), tt), nid)
+            if first == nid:
+                node.fanins, node.tt = kept, tt
+                continue
+            rep[nid] = (first, False)
             merges += 1
-        elif kept is not fanins:
-            for p, f in enumerate(fanins):
-                if p not in keep:
-                    nodes[f].fanouts.remove(nid)
-            node.fanins, node.tt = kept, tt
-    if dropped or constants:
+        node.dead = True
+    if rep:
+        outputs = net.pos
+        for j, (driver, phase) in enumerate(outputs):
+            if driver in rep:
+                new, inverted = rep[driver]
+                outputs[j] = (new, phase ^ inverted)
+    if dropped or len(rep) > merges:
         net.remove_dead()
+    elif rep:
+        net._rebuild_fanouts()
     if const0 is not None and nodes[const0].dead:
         const0 = None
-    return merges, constants, const0
+    return rep, merges, const0
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ The engine follows the FRAIG recipe: hash first, then simulate, then
 prove.  A sweep runs these steps in order:
 
 1. **Strash** (:func:`~stpsweep.netlist.strash`): one walk in
-   topological order folds constant fanins, collapses repeated fanins,
-   drops inputs a table ignores, absorbs buffers and inverters, merges
-   LUTs with equal fanins and tables, and sends constant tables to one
-   constant-0 LUT (``SweepStats.strash_merges``,
-   ``SweepStats.strash_constants``).  No simulation or SAT call is
-   needed for what the structure already shows.
+   topological order reads each LUT's fanins through the
+   representatives of the LUTs already merged, folds constant fanins,
+   collapses repeated fanins, drops inputs a table ignores, absorbs
+   buffers and inverters, merges LUTs with equal fanins and tables, and
+   sends constant tables to one constant-0 LUT
+   (``SweepStats.strash_merges``, ``SweepStats.strash_constants``).  A
+   merged LUT records its representative and phase and dies, with no
+   substitution; the POs and the fanout lists are rewritten once, after
+   the walk.  No simulation or SAT call is needed for what the
+   structure already shows.
 2. **Patterns**: SAT-guided initial patterns (:func:`sat_guided_patterns`)
    detect true constants and enrich the pattern set.
 3. **Constants**: :func:`constant_prop` replaces the proven constants by

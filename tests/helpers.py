@@ -167,6 +167,16 @@ def undet_network() -> Network:
                           max_k=rng.choice([3, 4]), po_count=rng.randint(1, 8))
 
 
+def and_under_inverters(n: int) -> Network:
+    """An AND of two PIs under ``n`` one-input inverters, driving one PO."""
+    net = Network()
+    s = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
+    for _ in range(n):
+        s = net.add_lut([s], 0b01)
+    net.add_po(s)
+    return net
+
+
 def blif_roundtrip(net: Network) -> Network:
     from stpsweep import parse_blif, write_blif
 

@@ -17,12 +17,13 @@ from stpsweep import (
     strash,
     write_blif,
 )
-from stpsweep.netlist import _reduce_lut
+from stpsweep.netlist import _reduce_lut, _strash
 from stpsweep.sweep import constant_prop
 import blif_oracle
+import strash_oracle
 from helpers import (
-    adder_miter, eval_assignment, exhaustive_tables, lookup_tables, po_tables, random_network,
-    sweep_fixture,
+    adder_miter, and_under_inverters, eval_assignment, exhaustive_tables, lookup_tables,
+    po_tables, random_network, sweep_fixture,
 )
 
 
@@ -936,13 +937,42 @@ def decorated_network(seed: int, n_pi: int, n_gates: int, max_k: int) -> Network
     return net
 
 
+def strash_as_the_oracle(net: Network) -> tuple[int, int, int | None]:
+    """Strash ``net``, and check that it leaves the network the
+    substituting reference leaves on a copy: every node's fanins, table,
+    dead flag and readers, the POs and the result.  Strash's record of
+    merges must be the reference's substitutions, in order.  Returns
+    strash's result."""
+    expected = net.clone()
+    substitutions = []
+    substitute = Network.substitute_node
+
+    def recording(self, old, new, inverted=False, **kwargs):
+        substitutions.append((old, new, inverted))
+        substitute(self, old, new, inverted, **kwargs)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Network, "substitute_node", recording)
+        result = strash_oracle.strash(expected)
+    rep, merges, const0 = _strash(net)
+    assert (merges, len(rep) - merges, const0) == result
+    assert [(old, new, inverted) for old, (new, inverted) in rep.items()] == substitutions
+    assert net.pos == expected.pos
+    assert len(net.nodes) == len(expected.nodes)
+    for node, want in zip(net.nodes, expected.nodes):
+        assert (node.fanins, node.tt, node.dead) == (want.fanins, want.tt, want.dead), node.id
+        assert sorted(node.fanouts) == sorted(want.fanouts), node.id
+    return result
+
+
 def strash_checked(net: Network) -> tuple[int, int, int | None]:
-    """Strash ``net``, and check that every PO keeps its exhaustive table
-    and that nothing is left to fold or merge.  Returns strash's result."""
+    """Strash ``net``, and check that it strashes as the oracle, that
+    every PO keeps its exhaustive table and that nothing is left to fold
+    or merge.  Returns strash's result."""
     tables = lookup_tables(net)
     before = [tables[d] ^ phase for d, phase in net.pos]
     n_luts, n_nodes = net.n_luts(), len(net.nodes)
-    merges, constants, const0 = strash(net)
+    merges, constants, const0 = strash_as_the_oracle(net)
     tables = lookup_tables(net)
     for want, (d, phase) in zip(before, net.pos, strict=True):
         assert (tables[d] ^ phase == want).all()
@@ -998,8 +1028,9 @@ def reduced_by_minterms(fanins, tt, const0):
 
 
 class TestStrash:
-    """Strash keeps every PO's exhaustive table, leaves no LUT to fold or
-    merge, and finds nothing on a second pass."""
+    """Strash leaves the network the substituting oracle leaves, keeps
+    every PO's exhaustive table, leaves no LUT to fold or merge, and
+    finds nothing on a second pass."""
 
     def test_reduction_matches_the_minterm_oracle(self):
         rng = random.Random(3)
@@ -1022,6 +1053,31 @@ class TestStrash:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_random_nets(self, seed, n_pi, n_gates, max_k):
         strash_checked(decorated_network(seed, n_pi, n_gates, max_k))
+
+    def test_large_nets_strash_as_the_oracle(self):
+        assert strash_checked(and_under_inverters(300)) == (300, 0, None)
+        # 64 PIs each, too many for exhaustive tables: the oracle alone.
+        strash_as_the_oracle(adder_miter(32))
+        strash_as_the_oracle(random_network(random.Random(7), 64, 2000, max_k=6, po_count=32,
+                                            fresh_bias=0.6))
+
+    def test_a_po_on_every_absorbed_inverter(self, monkeypatch):
+        # Counted, not timed: no merge rewires its readers or scans the
+        # POs, so 20,000 inverters that each drive a PO take one walk.
+        def refuse(*args, **kwargs):
+            raise AssertionError("substitute_node called")
+
+        net = Network()
+        top = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
+        s = top
+        for _ in range(20_000):
+            s = net.add_lut([s], 0b01)
+            net.add_po(s)
+        monkeypatch.setattr(Network, "substitute_node", refuse)
+        assert strash(net) == (20_000, 0, None)
+        # Inverter j computes the AND complemented j + 1 times.
+        assert net.pos == [(top, j % 2 == 0) for j in range(20_000)]
+        assert strash(net) == (0, 0, None)
 
     def test_inverter_chain_folds_into_po_phases(self):
         net = Network()

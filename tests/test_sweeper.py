@@ -27,13 +27,14 @@ from stpsweep.sweep import (
     refine_classes, sat_guided_patterns,
 )
 from helpers import (
-    adder_miter, exhaustive_tables, lookup_tables, po_tables, random_network, sweep_fixture,
-    undet_network,
+    adder_miter, and_under_inverters, exhaustive_tables, lookup_tables, po_tables,
+    random_network, sweep_fixture, undet_network,
 )
 
 # The package exports the ``sweep`` function under the module's name.
 sweep_module = importlib.import_module("stpsweep.sweep")
 sat_module = importlib.import_module("stpsweep.sat")
+netlist_module = importlib.import_module("stpsweep.netlist")
 
 
 def rows_of(sigs) -> dict[int, int]:
@@ -55,6 +56,21 @@ def record_simulations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(sweep_module, "_simulate", recording)
     return widths
+
+
+def on_strash_merges(monkeypatch, merged) -> None:
+    """Call ``merged(old, new, inverted)`` for every merge of every strash,
+    in strash's order, from strash's own record of its merges as it
+    returns.  Strash calls no ``substitute_node``."""
+    walk = netlist_module._strash
+
+    def recording(net):
+        rep, merges, const0 = walk(net)
+        for old, (new, inverted) in rep.items():
+            merged(old, new, inverted)
+        return rep, merges, const0
+
+    monkeypatch.setattr(netlist_module, "_strash", recording)
 
 
 # The per-node rules of SAT-guided pattern generation: the oracle of the
@@ -95,15 +111,6 @@ def wide_and() -> tuple[Network, int]:
 
 def rand_300() -> Network:
     return random_network(random.Random(7), 64, 300, max_k=6, po_count=32, fresh_bias=0.6)
-
-
-def and_under_inverters(n: int) -> Network:
-    net = Network()
-    s = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
-    for _ in range(n):
-        s = net.add_lut([s], 0b01)
-    net.add_po(s)
-    return net
 
 
 def and_under_xor_pairs(n: int) -> Network:
@@ -679,10 +686,14 @@ class TestAdderMiterQoR:
         merges = []
         substitute = Network.substitute_node
 
-        def recording(self, old, new, inverted=False, **kwargs):
+        def merged(old, new, inverted):
             merges.append((old, new))
+
+        def recording(self, old, new, inverted=False, **kwargs):
+            merged(old, new, inverted)
             substitute(self, old, new, inverted, **kwargs)
 
+        on_strash_merges(monkeypatch, merged)
         monkeypatch.setattr(Network, "substitute_node", recording)
         swept, stats = sweep(net, SweepConfig())
         assert swept.n_luts() == stats.final_luts == rca_luts
@@ -747,10 +758,14 @@ def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
         proven.update((old, new) for old, new, _ in merges[first:])
         return count
 
-    def recording(self, old, new, inverted=False, **kwargs):
+    def merged(old, new, inverted):
         merges.append((old, new, inverted))
+
+    def recording(self, old, new, inverted=False, **kwargs):
+        merged(old, new, inverted)
         substitute(self, old, new, inverted, **kwargs)
 
+    on_strash_merges(monkeypatch, merged)
     monkeypatch.setattr(sweep_module, "prove_equiv", proving)
     monkeypatch.setattr(sweep_module, "constant_prop", propagating)
     monkeypatch.setattr(Network, "substitute_node", recording)
@@ -893,10 +908,14 @@ class TestStrashAtSweepEntry:
             events.append("simulate")
             return simulate(*args)
 
-        def recording(self, old, new, inverted=False, **kwargs):
+        def merged(old, new, inverted):
             events.append("merge")
+
+        def recording(self, old, new, inverted=False, **kwargs):
+            merged(old, new, inverted)
             substitute(self, old, new, inverted, **kwargs)
 
+        on_strash_merges(monkeypatch, merged)
         monkeypatch.setattr(sweep_module, "_simulate", simulating)
         monkeypatch.setattr(Network, "substitute_node", recording)
         _, stats = sweep(adder_miter(8), SweepConfig())
