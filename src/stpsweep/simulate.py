@@ -36,10 +36,14 @@ which is most of a pass at a few thousand patterns.  LUTs of up to 6
 inputs keep it small: each arity has one straight-line kernel in
 ``_LUT_KERNELS`` that does the generic tree's row operations, no more
 and no fewer, with no list, slice or zip per fold.
-:func:`simulate_specified`, and :func:`exhaustive_window_sim` from 12
-leaves on, drop each row once its last reader has been evaluated, so
-they hold at most their cone's live rows and their targets';
-:func:`simulate_all` keeps every row it returns.
+Freeing a row costs time too, so one rule in :func:`_simulate` decides
+where it pays.  A caller names the rows it reads afterwards (``keep``).
+From ``_FREE_FROM`` (2^14) patterns on, 2 KB a row, every other row is
+freed once its last reader is evaluated, so only the live rows and the
+kept ones are held; below that the whole cone stays, at most 1 KB a
+row.  :func:`simulate_specified`, :func:`exhaustive_window_sim` and the
+sweep's counter-example refinement name their targets;
+:func:`simulate_all` and :func:`cut_truth_tables` keep every row.
 """
 
 from __future__ import annotations
@@ -350,6 +354,10 @@ def _eval_tt_gather(tt: int, words: list[int], mask: int) -> int:
     return int.from_bytes(np.packbits(table[idx], bitorder="little").tobytes(), "little")
 
 
+#: Fewest patterns per row at which :func:`_simulate` frees rows.
+_FREE_FROM = 1 << 14
+
+
 def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int,
               keep: Collection[int] | None = None) -> None:
     """Evaluate the LUTs of ``order`` into ``bits``.
@@ -357,9 +365,31 @@ def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int,
     This is the only simulator.  ``order`` is topologically sorted, and
     each fanin of a LUT in it is either earlier in ``order`` or already
     in ``bits``.  PIs in ``order`` are skipped: their rows come in
-    ``bits``.  With ``keep`` given, every row not in ``keep`` leaves
+    ``bits``.  ``keep`` names the rows the caller reads afterwards; the
+    rest may leave ``bits``.  This is the one place that decides whether
+    they do, and every row is simulated the same either way.  From
+    ``_FREE_FROM`` (2^14) patterns on, every row not in ``keep`` leaves
     ``bits`` once its last reader in ``order`` is evaluated, so at most
-    the rows still to be read, and those kept, are held at once.
+    the rows still to be read, and those kept, are held at once.  Below
+    that, and with no ``keep``, every row stays.
+
+    Freeing costs a pass that finds each row's last reader and a delete
+    per row, and it pays only once rows are wide.  Per call over the
+    8,064-node cone of the benchmark's ``sim_bulk`` net, freeing / keeping
+    every row in ms, and their ratio (CPython 3.11, x86, thread CPU,
+    median of 21 interleaved calls):
+
+    ========  ===========  =====
+    patterns  ms           ratio
+    ========  ===========  =====
+    2^6       15.4 / 11.2  1.38
+    2^11      17.1 / 13.1  1.31
+    2^12      22.9 / 20.3  1.13
+    2^13      27.7 / 27.3  1.01
+    2^14      35.3 / 36.9  0.96
+    2^15      53.2 / 58.6  0.91
+    2^16      83.2 / 97.3  0.85
+    ========  ===========  =====
 
     A LUT of ``k`` inputs is evaluated by ``_LUT_KERNELS[k]`` up to 6
     inputs and by ``_lut_wide`` above, the evaluators of
@@ -373,7 +403,7 @@ def _simulate(net: Network, order: list[int], bits: dict[int, int], mask: int,
     # garbage collections per call on an 8,000-LUT cone.
     dies: dict[int, int] = {}
     also: dict[int, int] = {}
-    if keep is not None:
+    if keep is not None and mask.bit_length() >= _FREE_FROM:
         # Later readers overwrite earlier ones: each row's last reader.
         last = {f: nid for nid in order for f in nodes[nid].fanins}
         for nid in keep:
@@ -413,9 +443,10 @@ def simulate_all(net: Network, patterns: PatternSet) -> dict[int, Signature]:
 def simulate_specified(net: Network, patterns: PatternSet, targets: list[int]) -> dict[int, Signature]:
     """Signatures of the target nodes only; nothing outside their input cone is simulated.
 
-    Bit-identical to ``simulate_all`` restricted to the targets.  It holds
-    at most its cone's live rows: a row is dropped once its last reader
-    in the cone is evaluated, unless it is a target's.
+    Bit-identical to ``simulate_all`` restricted to the targets.  It
+    keeps only the targets' rows, so by ``_simulate``'s rule it holds at
+    most its cone's live rows from 2^14 patterns on, and below that its
+    whole cone, at most 1 KB a row.
     """
     bits = _pi_rows(net, patterns)
     _simulate(net, net.cone(targets), bits, patterns.mask, targets)
@@ -549,10 +580,9 @@ def exhaustive_window_sim(net: Network, targets: list[int],
     exhaustive patterns of its ``m`` leaves.  A single target's leaves
     are exactly its own support, so its window row is its truth row.
 
-    From 12 leaves on, a row is at least 512 bytes and only the live
-    rows and the targets' are held.  Below that the whole cone is kept:
-    rows are small, and on 2-leaf windows the last-reader pass was
-    measured to cost more time than the rows it frees.
+    It keeps only the targets' rows, so by ``_simulate``'s rule a window
+    of 14 leaves or more holds only its live rows and the targets', and
+    a narrower one its whole cone, at most 1 KB a row.
     """
     targets = list(dict.fromkeys(targets))
     if not targets:
@@ -562,5 +592,5 @@ def exhaustive_window_sim(net: Network, targets: list[int],
     leaves = sorted(nid for nid in cone if net.nodes[nid].is_pi)
     m = len(leaves)
     bits = {leaf: _var_row(j, m) for j, leaf in enumerate(leaves)}
-    _simulate(net, cone, bits, (1 << (1 << m)) - 1, targets if m >= 12 else None)
+    _simulate(net, cone, bits, (1 << (1 << m)) - 1, targets)
     return WindowTruths(leaves, {t: bits[t] for t in targets})

@@ -300,7 +300,9 @@ def _find_value(solver: NetSolver, nid: int, value: bool, cfg: SweepConfig,
 def _simulate_rows(net: Network, pi_rows: list[int], mask: int, order: list[int],
                    keep: list[int] | None = None) -> dict[int, int]:
     """Int rows of the PIs, given in ``net.pis`` order, and of the LUTs of
-    ``order``, from the one simulator (see ``_simulate`` for ``keep``)."""
+    ``order``, from the one simulator.  With ``keep``, only its rows are
+    sure to be there: ``_simulate`` frees the rest from 2^14 patterns on
+    and keeps them below."""
     rows = dict(zip(net.pis, pi_rows))
     _simulate(net, order, rows, mask, keep)
     return rows

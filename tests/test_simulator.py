@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpsweep import (
     Network,
@@ -382,6 +384,26 @@ class TestSimulateSpecified:
             for t in targets:
                 assert spec[t].bits == full[t].bits
 
+    @given(st.integers(0, 2 ** 32), st.sampled_from([6, 11, 13, 14, 16]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_simulate_all_on_either_side_of_the_freeing_width(self, seed, log_n):
+        # ``_simulate`` frees rows from 2^14 patterns on and keeps them
+        # below; either way every target's row is simulate_all's, for a
+        # repeated target, a PI target and a target that another reads.
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(2, 12), rng.randint(4, 80),
+                             max_k=rng.choice([4, 6, 8]))
+        luts = [n.id for n in net.nodes if not n.is_pi and not n.dead]
+        targets = rng.sample(luts, rng.randint(1, min(len(luts), 4)))
+        targets += [targets[0], rng.choice(net.pis), *net.nodes[targets[0]].fanins[:1]]
+        rng.shuffle(targets)
+        p = gen_random_patterns(len(net.pis), 1 << log_n, rng.randrange(9999))
+        spec = simulate_specified(net, p, targets)
+        full = simulate_all(net, p)
+        assert sorted(spec) == sorted(set(targets))
+        for t in targets:
+            assert spec[t].bits == full[t].bits, (targets, t)
+
     def test_orders_the_cone_without_sorting_the_network(self, monkeypatch):
         # The cone's own post-order is the simulation order; a whole-net
         # topological sort per call would cost one sort per window class.
@@ -529,22 +551,24 @@ def and_under_inverters(depth: int) -> tuple[Network, int]:
 
 
 class TestLiveRows:
-    """``simulate_specified``, and an exhaustive window of 12 leaves or
-    more, hold only the rows still to be read."""
+    """From 2^14 patterns on, ``simulate_specified`` and an exhaustive
+    window of 14 leaves or more hold only the rows still to be read;
+    below that they keep their whole cone."""
 
     def test_peak_memory_under_a_deep_chain(self):
-        # 2,000 inverters at 65,536 patterns make 16 MB of rows; one or
-        # two of them are live at any time.
+        # 2,000 inverters make 4 MB of rows at 16,384 patterns and 16 MB
+        # at 65,536; one or two of them are live at any time.
         net, y = and_under_inverters(2000)
-        p = gen_random_patterns(2, 1 << 16, 5)
-        tracemalloc.start()
-        try:
-            sig = simulate_specified(net, p, [y])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sig[y].bits == p.rows[0] & p.rows[1]
-        assert peak < 1 << 20
+        for n in (1 << 14, 1 << 16):
+            p = gen_random_patterns(2, n, 5)
+            tracemalloc.start()
+            try:
+                sig = simulate_specified(net, p, [y])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sig[y].bits == p.rows[0] & p.rows[1]
+            assert peak < 1 << 20, n
 
     def test_peak_memory_of_a_wide_window(self):
         # A 16-PI AND tree under 2,000 inverters: its whole cone holds
@@ -568,8 +592,9 @@ class TestLiveRows:
         assert peak < 2 << 20
 
     def test_only_kept_rows_remain(self):
+        # From 2^14 patterns on, every row outside ``keep`` is freed.
         net, y = and_under_inverters(50)
-        p = gen_random_patterns(2, 64, 5)
+        p = gen_random_patterns(2, 1 << 14, 5)
         for keep in ([y], [y, 1], [y, 2, 30]):
             bits = dict(zip(net.pis, p.rows))
             _simulate(net, net.cone([y]), bits, p.mask, keep)
@@ -577,6 +602,18 @@ class TestLiveRows:
         bits = dict(zip(net.pis, p.rows))
         _simulate(net, net.cone([y]), bits, p.mask)
         assert sorted(bits) == net.live_ids()
+
+    def test_every_row_stays_below_2_to_the_14(self):
+        # Below 2^14 patterns freeing costs more than it saves, so a run
+        # with ``keep`` leaves every row, as a run without it does.
+        net, y = and_under_inverters(50)
+        p = gen_random_patterns(2, 1 << 13, 5)
+        full = dict(zip(net.pis, p.rows))
+        _simulate(net, net.cone([y]), full, p.mask)
+        for keep in ([y], [y, 1], [y, 2, 30]):
+            bits = dict(zip(net.pis, p.rows))
+            _simulate(net, net.cone([y]), bits, p.mask, keep)
+            assert bits == full
 
 
 class TestDeepChain:
