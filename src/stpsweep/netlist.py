@@ -5,7 +5,8 @@ is here.  :meth:`Network.cone` gives the targets' input cones in
 topological order, and the simulator, the SAT layer,
 :meth:`Network.remove_dead` and :meth:`Network.transitive_fanin` read
 that.  :func:`_build_in_order` instantiates parsed definitions in
-dependency order, for BLIF and AIGER alike.
+dependency order: every AIGER file's, and the blocks a BLIF file lists
+before their fanins.
 
 A :class:`Network` is a DAG of LUT nodes.  Primary inputs are nodes with
 no fanins; every other node carries a truth row over its ordered fanins
@@ -25,10 +26,14 @@ tables indexed by id stay valid.
 
 :func:`parse_blif` reads a file one ``.names`` block at a time: its
 Python work is per block, and each block's rows are checked and decoded
-together by C-level string operations.  Of the errors in a block it
-reports the header's first, then the first malformed row, then mixed
-output values, then the first bad character; errors in the definitions
-(an undefined signal, a cycle) come once the whole file is read.
+together by C-level string operations.  It decodes each distinct cover
+once per call, through a table that lives only in that call, and it
+builds each block as it reads it, for as long as every block comes
+after its fanins; what the file leaves out of order is built once it
+is read.  Of the errors in a block it reports the header's first, then
+the first malformed row, then mixed output values, then the first bad
+character; errors in the definitions (an undefined signal, a cycle)
+come once the whole file is read.
 """
 
 from __future__ import annotations
@@ -664,7 +669,10 @@ def _build_in_order(net: Network, defs: dict, ids: dict, roots: Iterable) -> Non
     each key already built to its node id; every key this builds is
     added to ``ids``.  An iterative DFS in root order: a definition is
     built after those of its fanins that are not built yet, which are
-    visited last-listed first.
+    visited last-listed first.  A root already in ``ids`` costs one
+    lookup.  :func:`parse_aiger_ascii` builds every AND by this walk;
+    :func:`parse_blif` builds only the blocks its read left unbuilt,
+    from the names the read built.
     """
     expanded = set()  # keys whose fanins are on the stack above them
     for root in roots:
@@ -697,10 +705,11 @@ def parse_blif(text: str) -> Network:
     (see :func:`_cover_tt`).  One pass normalises the text, a regex
     splits it at command lines, and each block's rows are checked and
     decoded together; a rejected block is walked row by row only to
-    name the offending line.  Every line break that ``str.splitlines``
-    honours ends a line, ``#`` starts a comment, and a ``\\`` at the end
-    of a line continues it; a line number names the first physical
-    line of a continued line.
+    name the offending line.  Each distinct ``(arity, cover body)`` is
+    decoded once, through a table that lives only in this call.  Every
+    line break that ``str.splitlines`` honours ends a line, ``#`` starts
+    a comment, and a ``\\`` at the end of a line continues it; a line
+    number names the first physical line of a continued line.
 
     The first error in the file is reported, in the order the lines
     come; within one ``.names`` block, a header error comes first, then
@@ -712,14 +721,33 @@ def parse_blif(text: str) -> Network:
     A cover row's inputs are the ASCII characters ``0``, ``1`` and
     ``-`` only; any other character, even one that ``int`` reads as a
     digit, is a ``bad cover character``.  PIs take the first ids, in
-    ``.inputs`` order.  The ``.names`` blocks then get theirs by
+    ``.inputs`` order.  The ``.names`` blocks then get the ids of
     :func:`_build_in_order` with the blocks in file order as roots.
+
+    A file that lists ``.inputs`` first and each block after its
+    fanins, as :func:`write_blif` writes it, gets them in one pass: the
+    PIs are made as ``.inputs`` is read, and each block is built as it
+    is read, for as long as every block so far has found its fanins
+    built.  The first block that does not, or that redefines an input
+    or has a PO alias's form, switches the reader to keeping
+    definitions, and the walk builds those, from the names already
+    built, once the file is read.  An ``.inputs`` line after a built
+    block, or one that repeats a name, would move every id: the blocks
+    built so far become definitions again, and all are built once the
+    file is read.
     """
     model = "net"
     inputs: list[str] = []
     outputs: list[str] = []
-    defs: dict[str, tuple[int, list[str], int]] = {}
+    defs: dict[str, tuple[int, list[str], int]] = {}  # the blocks not built yet
     offset_buffers: set[str] = set()  # blocks of one row, ``0 0``: a PO alias's form
+    tables: dict[tuple[int, str], int] = {}  # (arity, cover body) -> truth row
+    net = Network()
+    names, nodes = net.names, net.nodes
+    built_lines: list[int] = []  # the line of each block built as it was read
+    # None until the first .inputs; then True while every block has been
+    # built as it was read, and False once the reader keeps definitions.
+    building: bool | None = None
 
     # [text before the first command, command, its body, command, ...]
     pieces = _COMMAND.split(_normalise(text))
@@ -738,19 +766,52 @@ def parse_blif(text: str) -> Network:
                 raise NetlistError(
                     f"line {no}: node {out_name!r} has {arity} fanins, "
                     f"limit is {MAX_BLIF_FANINS}")
-            if out_name in defs:
+            # A block that redefines an input is kept, and reported once
+            # the file is read.
+            if out_name in defs or out_name in names and not nodes[names[out_name]].is_pi:
                 raise NetlistError(f"line {no}: {out_name!r} defined twice")
-            tt = _cover_tt(body, arity, no)
-            defs[out_name] = (no, fanin_names, tt)
-            if arity == 1 and tt == 0b10 and body.split() == ["0", "0"]:
-                offset_buffers.add(out_name)
+            tt = tables.get((arity, body))
+            if tt is None:
+                tt = tables[arity, body] = _cover_tt(body, arity, no)
+            offset = arity == 1 and tt == 0b10 and body.split() == ["0", "0"]
+            if building and not offset and out_name not in names:
+                try:
+                    fanins = [names[f] for f in fanin_names]
+                except KeyError:  # a fanin defined later, or never
+                    building = False
+                else:
+                    net.add_lut(fanins, tt, out_name)
+                    built_lines.append(no)
+            else:
+                building = False
+            if not building:
+                defs[out_name] = (no, fanin_names, tt)
+                if offset:
+                    offset_buffers.add(out_name)
         elif cmd == ".end":
             break
         else:
             if cmd == ".model":
                 model = tokens[1] if len(tokens) > 1 else model
             elif cmd == ".inputs":
-                inputs.extend(tokens[1:])
+                fresh = tokens[1:]
+                inputs += fresh
+                if (building is not False and len(nodes) == len(net.pis)
+                        and len(set(fresh)) == len(fresh) and names.keys().isdisjoint(fresh)):
+                    building = True
+                    for name in fresh:
+                        net.add_pi(name)
+                else:
+                    # PIs take the first ids: what was built becomes
+                    # definitions again.
+                    if nodes:
+                        first = net.first_names()
+                        built = {first[n.id]: (line, [first[f] for f in n.fanins], n.tt)
+                                 for n, line in zip(nodes[len(net.pis):], built_lines)}
+                        defs = built | defs
+                        net = Network()
+                        names, nodes = net.names, net.nodes
+                    building = False
             elif cmd == ".outputs":
                 outputs.extend(tokens[1:])
             else:
@@ -758,17 +819,22 @@ def parse_blif(text: str) -> Network:
             _no_rows(body, no)
         no += body.count("\n")
 
-    net = Network(model)
+    net.name = model
+    # The PIs made while reading are distinct, and no block built as it
+    # was read redefines one.
+    made = bool(net.pis)
     for name in inputs:
-        if name in net.names:
+        if not made and name in names:
             raise NetlistError(f"duplicate input {name!r}")
         if name in defs:
             raise NetlistError(f"input {name!r} also defined by .names")
-        net.add_pi(name)
+        if not made:
+            net.add_pi(name)
 
     # A PO's buffer in off-set form (``0 0``), as ``write_blif`` writes
     # for a PO whose driver a PI or another PO names, is an alias of its
-    # input, not a LUT, unless another signal reads it.
+    # input, not a LUT, unless another signal reads it.  A block built
+    # as it was read found its fanins built, so it reads none of these.
     alias = {name: defs[name][1][0] for name in outputs if name in offset_buffers}
     if alias:
         read = {f for _, fanin_names, _ in defs.values() for f in fanin_names}

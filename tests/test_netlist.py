@@ -17,6 +17,7 @@ from stpsweep import (
     strash,
     write_blif,
 )
+from stpsweep import netlist
 from stpsweep.netlist import _reduce_lut, _strash
 from stpsweep.sweep import constant_prop
 import blif_oracle
@@ -181,14 +182,19 @@ class TestParseBlif:
 
 def assert_reads_as_the_oracle(text: str) -> None:
     """``parse_blif`` returns the network the reference reader returns, or
-    raises a NetlistError with the same message."""
+    raises a NetlistError with the same message.
+
+    The names compare in insertion order, which ``Network.first_names``
+    and ``write_blif`` read, and every node's fanouts compare in order.
+    """
     def outcome(parse):
         try:
             net = parse(text)
         except NetlistError as exc:
             return str(exc)
-        return ([(n.id, n.fanins, n.tt) for n in net.nodes], net.names, net.pis,
-                net.pi_names, net.po_names, net.pos, net.name)
+        return ([(n.id, n.fanins, n.tt, n.fanouts) for n in net.nodes],
+                list(net.names.items()), net.pis, net.pi_names, net.po_names, net.pos,
+                net.name)
 
     assert outcome(parse_blif) == outcome(blif_oracle.parse_blif)
 
@@ -283,6 +289,105 @@ class TestCoverDecoding:
         with pytest.raises(NetlistError) as exc:
             parse_blif(text)
         assert str(exc.value) == f"line 7: bad cover character {char!r}"
+
+
+class TestOnePassFallback:
+    """Files whose blocks cannot all be built as they are read: the reader
+    keeps definitions from the first such block on, or from an
+    ``.inputs`` line after a built block, and still reads each file as
+    the reference reader does."""
+
+    HEAD = [".model t", ".inputs a b", ".outputs y"]
+
+    @pytest.mark.parametrize("lines, error", [
+        # A repeated input name, on one .inputs line and on two.
+        ([".model t", ".inputs a b a", ".outputs y", ".names a b y", "11 1"],
+         "duplicate input 'a'"),
+        (HEAD + [".inputs b", ".names a b y", "11 1"], "duplicate input 'b'"),
+        # An input listed again after a built block, and one that a
+        # built block already defines.
+        (HEAD + [".names a t", "0 1", ".inputs a", ".names t y", "1 1"],
+         "duplicate input 'a'"),
+        (HEAD + [".names a t", "0 1", ".inputs t", ".names t y", "1 1"],
+         "input 't' also defined by .names"),
+        # A second .inputs line after a built block: the PIs still take
+        # the first ids.
+        ([".model t", ".inputs a", ".outputs y", ".names a t", "0 1", ".inputs b",
+          ".names t b y", "11 1"], None),
+        # A block that redefines an input, alone and behind a later
+        # error in the file, which comes first.
+        (HEAD + [".names a b a", "11 1", ".names a b y", "11 1"],
+         "input 'a' also defined by .names"),
+        (HEAD + [".names a b a", "11 1", ".names a b y", "1x 1"],
+         "line 7: bad cover character 'x'"),
+        # A block before .inputs, and a file without .inputs.
+        ([".model t", ".outputs y", ".names a b y", "11 1", ".inputs a b"], None),
+        ([".model t", ".outputs y", ".names y", "1"], None),
+        # Blocks in reverse dependency order.
+        (HEAD + [".names t2 y", "0 1", ".names t1 b t2", "11 1", ".names a b t1", "01 1"],
+         None),
+        # A PO buffer in off-set form that a later block reads, so it is
+        # a LUT, not an alias; and one that no block reads.
+        ([".model t", ".inputs a b", ".outputs z y", ".names a b t", "11 1", ".names t z",
+          "0 0", ".names z b y", "10 1"], None),
+        ([".model t", ".inputs a b", ".outputs y z", ".names a b y", "11 1", ".names y z",
+          "0 0"], None),
+        # A block that redefines a built LUT, at its own line.
+        (HEAD + [".names a b y", "11 1", ".names a y", "1 1"], "line 6: 'y' defined twice"),
+        # A cycle, and a fanin that no block defines.
+        (HEAD + [".names a z y", "11 1", ".names y z", "1 1"],
+         "line 6: cyclic definition through 'y'"),
+        (HEAD + [".names a b t", "11 1", ".names t q y", "11 1"],
+         "signal 'q' is never defined"),
+    ])
+    def test_reads_as_the_oracle(self, lines, error):
+        text = "\n".join(lines + [".end"]) + "\n"
+        assert_reads_as_the_oracle(text)
+        if error is None:
+            parse_blif(text)
+            return
+        with pytest.raises(NetlistError) as exc:
+            parse_blif(text)
+        assert str(exc.value) == error
+
+
+class TestCoverTable:
+    """Each distinct ``(arity, cover body)`` is decoded once per parse."""
+
+    def test_same_rows_at_another_arity_are_decoded_again(self):
+        text = ".model t\n.inputs a\n.outputs c\n.names a b\n1 1\n.names a b c\n1 1\n.end\n"
+        assert_reads_as_the_oracle(text)
+        with pytest.raises(NetlistError) as exc:
+            parse_blif(text)
+        assert str(exc.value) == "line 7: malformed cover row"
+
+    def test_identical_covers_are_decoded_once_per_call(self, monkeypatch):
+        decoded = []
+        cover_tt = netlist._cover_tt
+
+        def counting(body, arity, no):
+            decoded.append((arity, body))
+            return cover_tt(body, arity, no)
+
+        monkeypatch.setattr(netlist, "_cover_tt", counting)
+        text = (".model t\n.inputs a b c\n.outputs y\n.names a b t1\n11 1\n"
+                ".names b c t2\n11 1\n.names t1 t2 t3\n11 1\n.names t3 c t4\n1- 1\n"
+                "-1 1\n.names t4 y\n0 1\n.names t4 t5\n0 1\n.end\n")
+        parse_blif(text)
+        assert decoded == [(2, "\n11 1"), (2, "\n1- 1\n-1 1"), (1, "\n0 1")]
+        parse_blif(text)
+        assert len(decoded) == 6
+
+    @pytest.mark.parametrize("make", [
+        lambda: adder_miter(8),
+        lambda: and_under_inverters(300),
+        lambda: random_network(random.Random(7), 64, 2000, max_k=6, po_count=32,
+                               fresh_bias=0.6),
+    ], ids=["adder_miter8", "chain300", "rand2000"])
+    def test_written_nets_read_as_the_oracle_and_round_trip(self, make):
+        text = write_blif(make())
+        assert_reads_as_the_oracle(text)
+        assert write_blif(parse_blif(text)) == text
 
 
 #: Definitions in reverse dependency order, a PO alias of a LUT (``z``)
