@@ -14,7 +14,8 @@ is a counter-example: a value for each miter PI in the query's scope,
 keyed by PI node id.  The PIs outside the scope are free, and the
 witness that :class:`CecResult` reports sets them to 0.  PI and PO
 correspondence is by name when both sides carry the same name sets,
-otherwise positional.
+otherwise positional.  The exhaustive route simulates only the PO
+drivers' cones.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from dataclasses import dataclass
 
 from .netlist import Network, _var_row
 from .sat import NetSolver, solve
-from .simulate import WINDOW_CAP, PatternSet, simulate_all
+# ``simulate_all`` is not called here: the exhaustive route simulates
+# the PO cones, and the benchmark's tracer (perfbench/tracer.py) patches
+# it in this module by name.
+from .simulate import WINDOW_CAP, PatternSet, simulate_all, simulate_specified
 from .sweep import SweepConfig, sweep
 
 
@@ -58,8 +62,10 @@ def _exhaustive_cec(a: Network, b: Network, pi_map: list[int], po_map: list[int]
     rows_b: list[int] = [0] * n
     for i in range(n):
         rows_b[pi_map[i]] = rows_a[i]
-    sa = simulate_all(a, PatternSet(rows_a, n_pat))
-    sb = simulate_all(b, PatternSet(rows_b, n_pat))
+    # Only the PO drivers' rows are kept: from 2^14 patterns on, each
+    # other row is freed after its last reader.
+    sa = simulate_specified(a, PatternSet(rows_a, n_pat), [d for d, _ in a.pos])
+    sb = simulate_specified(b, PatternSet(rows_b, n_pat), [d for d, _ in b.pos])
     mask = (1 << n_pat) - 1
     for j, (da, pa) in enumerate(a.pos):
         db, pb = b.pos[po_map[j]]

@@ -27,13 +27,14 @@ tables indexed by id stay valid.
 :func:`parse_blif` reads a file one ``.names`` block at a time: its
 Python work is per block, and each block's rows are checked and decoded
 together by C-level string operations.  It decodes each distinct cover
-once per call, through a table that lives only in that call, and it
-builds each block as it reads it, for as long as every block comes
-after its fanins; what the file leaves out of order is built once it
-is read.  Of the errors in a block it reports the header's first, then
-the first malformed row, then mixed output values, then the first bad
-character; errors in the definitions (an undefined signal, a cycle)
-come once the whole file is read.
+once per call, through a table that lives only in that call.  A scan
+of the command lines makes the PIs first, and the read builds each
+block as it reads it, for as long as every block comes after its
+fanins; what the file leaves out of order is built once it is read.
+Of the errors in a block it reports the header's first, then the first
+malformed row, then mixed output values, then the first bad character;
+errors in the definitions (an undefined signal, a cycle) come once the
+whole file is read.
 """
 
 from __future__ import annotations
@@ -537,6 +538,9 @@ _CONTINUED = re.compile(r"\\[^\S\n]*\n(?:[^\n]*\\[^\S\n]*\n)*[^\n]*")
 _LINE_JOIN = re.compile(r"\\[^\S\n]*\n")
 #: A command line: its first token starts with ``.``.
 _COMMAND = re.compile(r"\n[^\S\n]*(\.[^\n]*)")
+#: An ``.inputs`` or ``.end`` line, and the rest of it, among the command
+#: lines that :data:`_COMMAND` splits out, each joined after a ``\n``.
+_INTERFACE = re.compile(r"\n\.(inputs|end)(?!\S)(.*)")
 
 
 def _join_continued(run: re.Match) -> str:
@@ -724,33 +728,35 @@ def parse_blif(text: str) -> Network:
     ``.inputs`` order.  The ``.names`` blocks then get the ids of
     :func:`_build_in_order` with the blocks in file order as roots.
 
-    A file that lists ``.inputs`` first and each block after its
-    fanins, as :func:`write_blif` writes it, gets them in one pass: the
-    PIs are made as ``.inputs`` is read, and each block is built as it
-    is read, for as long as every block so far has found its fanins
-    built.  The first block that does not, or that redefines an input
-    or has a PO alias's form, switches the reader to keeping
-    definitions, and the walk builds those, from the names already
-    built, once the file is read.  An ``.inputs`` line after a built
-    block, or one that repeats a name, would move every id: the blocks
-    built so far become definitions again, and all are built once the
-    file is read.
+    A scan of the command lines up to ``.end`` makes the PIs first, so
+    each block is built as it is read, for as long as every block so
+    far has found its fanins built.  The first block that does not, or
+    that redefines an input or has a PO alias's form, switches the
+    reader to keeping definitions, and the walk builds those, from the
+    names already built, once the file is read.
     """
     model = "net"
-    inputs: list[str] = []
     outputs: list[str] = []
     defs: dict[str, tuple[int, list[str], int]] = {}  # the blocks not built yet
     offset_buffers: set[str] = set()  # blocks of one row, ``0 0``: a PO alias's form
     tables: dict[tuple[int, str], int] = {}  # (arity, cover body) -> truth row
-    net = Network()
-    names, nodes = net.names, net.nodes
-    built_lines: list[int] = []  # the line of each block built as it was read
-    # None until the first .inputs; then True while every block has been
-    # built as it was read, and False once the reader keeps definitions.
-    building: bool | None = None
+    building = True  # until a block is kept as a definition
 
     # [text before the first command, command, its body, command, ...]
     pieces = _COMMAND.split(_normalise(text))
+    # The PIs take the first ids, wherever the .inputs lines are.  A
+    # repeated name makes one PI here and is reported after the read.
+    inputs: list[str] = []
+    for command in _INTERFACE.finditer("\n" + "\n".join(pieces[1::2])):
+        if command[1] == "end":
+            break
+        inputs += command[2].split()
+    net = Network()
+    names, nodes = net.names, net.nodes
+    for name in inputs:
+        if name not in names:
+            net.add_pi(name)
+
     _no_rows(pieces[0], 0)
     no = pieces[0].count("\n")
     for i in range(1, len(pieces), 2):
@@ -781,7 +787,6 @@ def parse_blif(text: str) -> Network:
                     building = False
                 else:
                     net.add_lut(fanins, tt, out_name)
-                    built_lines.append(no)
             else:
                 building = False
             if not building:
@@ -793,43 +798,22 @@ def parse_blif(text: str) -> Network:
         else:
             if cmd == ".model":
                 model = tokens[1] if len(tokens) > 1 else model
-            elif cmd == ".inputs":
-                fresh = tokens[1:]
-                inputs += fresh
-                if (building is not False and len(nodes) == len(net.pis)
-                        and len(set(fresh)) == len(fresh) and names.keys().isdisjoint(fresh)):
-                    building = True
-                    for name in fresh:
-                        net.add_pi(name)
-                else:
-                    # PIs take the first ids: what was built becomes
-                    # definitions again.
-                    if nodes:
-                        first = net.first_names()
-                        built = {first[n.id]: (line, [first[f] for f in n.fanins], n.tt)
-                                 for n, line in zip(nodes[len(net.pis):], built_lines)}
-                        defs = built | defs
-                        net = Network()
-                        names, nodes = net.names, net.nodes
-                    building = False
             elif cmd == ".outputs":
                 outputs.extend(tokens[1:])
-            else:
+            elif cmd != ".inputs":
                 raise NetlistError(f"line {no}: unsupported construct {cmd!r}")
             _no_rows(body, no)
         no += body.count("\n")
 
     net.name = model
-    # The PIs made while reading are distinct, and no block built as it
-    # was read redefines one.
-    made = bool(net.pis)
+    # After the read, so that an error in the read comes first.
+    seen: set[str] = set()
     for name in inputs:
-        if not made and name in names:
+        if name in seen:
             raise NetlistError(f"duplicate input {name!r}")
         if name in defs:
             raise NetlistError(f"input {name!r} also defined by .names")
-        if not made:
-            net.add_pi(name)
+        seen.add(name)
 
     # A PO's buffer in off-set form (``0 0``), as ``write_blif`` writes
     # for a PO whose driver a PI or another PO names, is an alias of its

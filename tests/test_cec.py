@@ -1,6 +1,7 @@
 """Equivalence checking: exhaustive and miter-SAT routes."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,21 @@ class TestExhaustiveRoute:
         assignment = {a.names[k]: val for k, val in result.counterexample.items()}
         (da, pa), (db, pb) = a.pos[j], b.pos[j]
         assert eval_assignment(a, assignment)[da] ^ pa != eval_assignment(b, assignment)[db] ^ pb
+
+    def test_widest_interface_holds_only_the_live_rows(self):
+        # At 2^16 patterns a row is 8 KB, so the 1,000 rows of a whole
+        # net simulated alongside its copy peak at 13 MB; the PO cones,
+        # freed row by row, peak near 3 MB.
+        a = random_network(random.Random(3), WINDOW_CAP, 1000, max_k=6, po_count=16,
+                           fresh_bias=0.6)
+        b = a.clone()
+        tracemalloc.start()
+        try:
+            assert check_equivalence(a, b).equivalent
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
 
     def test_interface_mismatch(self):
         a = parse_blif(".model a\n.inputs x\n.outputs o\n.names x o\n1 1\n.end\n")

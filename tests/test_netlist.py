@@ -292,10 +292,10 @@ class TestCoverDecoding:
 
 
 class TestOnePassFallback:
-    """Files whose blocks cannot all be built as they are read: the reader
-    keeps definitions from the first such block on, or from an
-    ``.inputs`` line after a built block, and still reads each file as
-    the reference reader does."""
+    """Files whose blocks cannot all be built as they are read, and files
+    whose ``.inputs`` lines come late: the reader keeps definitions from
+    the first such block on, makes every PI first, and still reads each
+    file as the reference reader does."""
 
     HEAD = [".model t", ".inputs a b", ".outputs y"]
 
@@ -339,6 +339,27 @@ class TestOnePassFallback:
          "line 6: cyclic definition through 'y'"),
         (HEAD + [".names a b t", "11 1", ".names t q y", "11 1"],
          "signal 'q' is never defined"),
+        # .inputs after .end is ignored, and an output it names is
+        # never defined.
+        (HEAD + [".names a b y", "11 1", ".end", ".inputs c"], None),
+        ([".model t", ".inputs a", ".outputs y", ".names a y", "1 1", ".end", ".inputs y"],
+         None),
+        (HEAD[:2] + [".outputs y c", ".names a b y", "11 1", ".end", ".inputs c"],
+         "output 'c' is never defined"),
+        # .inputs split around built blocks, a constant among them, and
+        # then with a name repeated on the late line.
+        ([".model t", ".inputs a", ".outputs y", ".names k", "1", ".names a k t", "11 1",
+          ".inputs b", ".names t b y", "10 1", ".inputs c"], None),
+        ([".model t", ".inputs a", ".outputs y", ".names k", "1", ".names a k t", "11 1",
+          ".inputs b a", ".names t b y", "10 1"], "duplicate input 'a'"),
+        # A late .inputs that names the output of a built block that a
+        # later block reads.
+        ([".model t", ".inputs a", ".outputs y", ".names a t", "0 1", ".names t y", "1 1",
+          ".inputs b t"], "input 't' also defined by .names"),
+        # An unsupported construct before a late .inputs that repeats a
+        # name: the error in the read comes first.
+        (HEAD + [".names a b t", "11 1", ".latch t q", ".inputs a", ".names t y", "1 1"],
+         "line 6: unsupported construct '.latch'"),
     ])
     def test_reads_as_the_oracle(self, lines, error):
         text = "\n".join(lines + [".end"]) + "\n"
