@@ -16,9 +16,13 @@ the unsigned integer ``v``.  The truth-row helpers are here too:
 :func:`_var_row` is the exhaustive row of one input, from which the
 simulator, CEC and :mod:`stpsweep.bexpr` build their exhaustive
 patterns, and :func:`flip_tt_input` complements one input of a row.
-:func:`strash` hashes a network structurally in one walk by
-representatives, reducing each row with a few shift-and-mask operations
-per input (:func:`_reduce_lut`).
+:func:`strash` hashes a network structurally in one walk, reducing each
+row with a few shift-and-mask operations per input (:func:`_reduce_lut`).
+Strash and the sweep's proving loop merge by representatives, as in a
+FRAIG: a merged LUT records its driver and phase and dies where it is,
+with no reader rewired.  Each LUT reads its fanins through the record
+when the walk visits it (:func:`_read_fanins_through`), and the POs are
+read through it once, after the walk (:func:`_read_pos_through`).
 
 Node ids are dense indices into the node array and are never reused;
 structural edits mark nodes dead instead of renumbering, so external
@@ -329,8 +333,7 @@ class Network:
 
     # -- edits --------------------------------------------------------
 
-    def substitute_node(self, old: int, new: int, inverted: bool = False,
-                        rank: dict[int, int] | None = None) -> None:
+    def substitute_node(self, old: int, new: int, inverted: bool = False) -> None:
         """Re-point every reader of ``old`` to ``new`` and kill ``old``.
 
         With ``inverted`` set, consuming LUTs get the corresponding
@@ -342,13 +345,8 @@ class Network:
         :class:`NetlistError`; checking for it walks ``old``'s fanout
         cone.  A ``new`` with no fanins, such as a PI or a constant,
         reads nothing and lies in no fanout cone, so it needs no walk.
-        ``rank``, if given, must be a topological rank of the live
-        nodes.  When ``new`` ranks before ``old`` there, ``new`` cannot
-        lie in ``old``'s fanout cone either, so the walk is skipped.
-        Without the walk, the substitution costs time in each slot that
+        Besides that walk, the substitution costs time in each slot that
         reads ``old``, in ``old``'s fanins, and in one scan of the POs.
-        The rank then stays topological, since every reader of ``old``
-        ranks after ``old`` and so after ``new``.
         """
         nodes = self.nodes
         old_node, new_node = nodes[old], nodes[new]
@@ -356,8 +354,7 @@ class Network:
             raise NetlistError("cannot substitute a node by itself")
         if old_node.dead or new_node.dead:
             raise NetlistError("substitution involving a dead node")
-        if (new_node.fanins and (rank is None or rank[new] >= rank[old])
-                and self.is_in_tfo(old, new)):
+        if new_node.fanins and self.is_in_tfo(old, new):
             raise NetlistError(f"substituting {old} by {new} would create a cycle")
         # ``old``'s fanouts hold one entry per slot that reads it: each
         # entry rewires its reader's first slot still reading ``old``.
@@ -421,25 +418,20 @@ class Network:
 def strash(net: Network) -> tuple[int, int, int | None]:
     """Structurally hash ``net`` in place, keeping every PO's function.
 
-    One walk in topological order, by representatives as in a FRAIG.
-    Each LUT first reads its fanins through the representatives of the
-    LUTs merged before it, complementing its row's input for an inverted
-    one.  Then it loses the inputs its function does not need
+    One walk in topological order, by representatives (see the module
+    docstring).  Each LUT loses the inputs its function does not need
     (:func:`_reduce_lut`): constant fanins are folded into its row, a
     fanin read twice is read once, and inputs the row ignores are
     dropped.  A LUT with a constant row is then represented by the
     shared constant-0 LUT, complemented for a 1; a buffer or an inverter
     by its fanin, complemented for an inverter; and a LUT with the same
-    fanins and row as an earlier one by that one.  A represented LUT
-    dies where it is, and its readers are not rewired.  The shared
-    constant-0 LUT is the first LUT whose row reduces to 0, rewritten to
-    read nothing, or a new one if a constant 1 comes first.  Every
+    fanins and row as an earlier one by that one.  The shared constant-0
+    LUT is the first LUT whose row reduces to 0, rewritten to read
+    nothing, or a new one if a constant 1 comes first.  Every
     representative is a live node with none of its own, so one lookup
-    resolves a fanin.  After the walk the POs are read through the
-    representatives and the fanout lists are rebuilt, once each; if a
-    LUT dropped a fanin or turned constant, nodes no PO reads are
-    removed as well.  So a merge costs nothing in its readers or in the
-    POs.
+    resolves a fanin.  After the walk the fanout lists are rebuilt once;
+    if a LUT dropped a fanin or turned constant, nodes no PO reads are
+    removed as well.
 
     Returns the merges (buffers, inverters and duplicates), the LUTs
     replaced by the constant, and the constant-0 LUT if it is live.
@@ -478,12 +470,7 @@ def _strash(net: Network) -> tuple[dict[int, tuple[int, bool]], int, int | None]
                 node.dead = True
                 continue
         else:
-            for p, f in enumerate(fanins):
-                if f in rep:
-                    fanins[p], inverted = rep[f]
-                    if inverted:
-                        tt = flip_tt_input(tt, len(fanins), p)
-            node.tt = tt
+            tt = _read_fanins_through(node, rep)
         keep, tt = _reduce_lut(fanins, tt, const0)
         if len(keep) < len(fanins):
             dropped = True
@@ -507,12 +494,7 @@ def _strash(net: Network) -> tuple[dict[int, tuple[int, bool]], int, int | None]
             rep[nid] = (first, False)
             merges += 1
         node.dead = True
-    if rep:
-        outputs = net.pos
-        for j, (driver, phase) in enumerate(outputs):
-            if driver in rep:
-                new, inverted = rep[driver]
-                outputs[j] = (new, phase ^ inverted)
+    _read_pos_through(net, rep)
     if dropped or len(rep) > merges:
         net.remove_dead()
     elif rep:
@@ -520,6 +502,29 @@ def _strash(net: Network) -> tuple[dict[int, tuple[int, bool]], int, int | None]
     if const0 is not None and nodes[const0].dead:
         const0 = None
     return rep, merges, const0
+
+
+def _read_fanins_through(node: LutNode, rep: dict[int, tuple[int, bool]]) -> int:
+    """Point ``node``'s fanins at their ``(driver, inverted)`` in ``rep``,
+    complementing the row's input for an inverted one; returns the row."""
+    fanins, tt = node.fanins, node.tt
+    for p, f in enumerate(fanins):
+        if f in rep:
+            fanins[p], inverted = rep[f]
+            if inverted:
+                tt = flip_tt_input(tt, len(fanins), p)
+    node.tt = tt
+    return tt
+
+
+def _read_pos_through(net: Network, rep: dict[int, tuple[int, bool]]) -> None:
+    """Point every PO of ``net`` at its driver's representative in ``rep``,
+    flipping its phase for an inverted one."""
+    outputs = net.pos
+    for j, (driver, phase) in enumerate(outputs):
+        if driver in rep:
+            new, inverted = rep[driver]
+            outputs[j] = (new, phase ^ inverted)
 
 
 # ---------------------------------------------------------------------------

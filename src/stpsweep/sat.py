@@ -576,8 +576,8 @@ class NetSolver(Solver):
     distinct ``(arity, tt)``, and its template over fanin positions is
     kept in ``templates``; each LUT gets the template with its own
     variables filled in.  The clauses stay sound while the
-    network is swept: a node is substituted only once it is proven equal
-    to its replacement, so each variable still equals its node's
+    network is swept: a node is merged only once it is proven equal
+    to its driver, so each variable still equals its node's
     function of the PIs.
 
     As ABC's fraig prepares its solver with a query's cone, a query's

@@ -9,11 +9,9 @@ prove.  A sweep runs these steps in order:
    collapses repeated fanins, drops inputs a table ignores, absorbs
    buffers and inverters, merges LUTs with equal fanins and tables, and
    sends constant tables to one constant-0 LUT
-   (``SweepStats.strash_merges``, ``SweepStats.strash_constants``).  A
-   merged LUT records its representative and phase and dies, with no
-   substitution; the POs and the fanout lists are rewritten once, after
-   the walk.  No simulation or SAT call is needed for what the
-   structure already shows.
+   (``SweepStats.strash_merges``, ``SweepStats.strash_constants``).  No
+   simulation or SAT call is needed for what the structure already
+   shows.
 2. **Patterns**: SAT-guided initial patterns (:func:`sat_guided_patterns`)
    detect true constants and enrich the pattern set.
 3. **Constants**: :func:`constant_prop` replaces the proven constants by
@@ -26,8 +24,8 @@ prove.  A sweep runs these steps in order:
 6. **Proving**: candidates are visited from the inputs to the outputs.
    As in a FRAIG, each candidate is merged into a class member that
    comes earlier in topological order, tried earliest first; an earlier
-   member cannot lie in the candidate's fanout, so neither picking it
-   nor the substitution needs a cycle check.  A window-proven pair
+   member cannot lie in the candidate's fanout, so picking it needs no
+   cycle check.  A window-proven pair
    merges without a SAT call (``SweepStats.window_merges``).  Every
    other pair is certified by an UNSAT answer from one incremental
    :class:`~stpsweep.sat.NetSolver`, which answers every query of a
@@ -53,10 +51,12 @@ pattern generation selects its gates in one pass over those rows
 (:func:`_stuck`, :func:`_barely_toggling`).  Class init ranks and
 groups the nodes in one pass over the topological order that pattern
 generation simulated, with the constant-0 LUT moved to the front, so
-that a class holding it merges onto it.  Each merge is one
-substitution: a candidate of a window-refined class goes to the first
-member of its class, and only a candidate that got a SAT answer keeps
-a set of the drivers it tried.
+that a class holding it merges onto it.  Each merge of the proving loop
+is one record, by representatives as in strash (see
+:mod:`stpsweep.netlist`), with no reader rewired and no PO scanned: a
+candidate of a window-refined class goes to the first member of its
+class, and only a candidate that got a SAT answer keeps a set of the
+drivers it tried.
 
 A counter-example is the solver's answer to a satisfiable query: a
 value for each PI in the query's scope, keyed by PI node id, with the
@@ -77,7 +77,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .netlist import Network, WindowTooLarge, strash
+from .netlist import Network, WindowTooLarge, _read_fanins_through, _read_pos_through, strash
 # ``encode_cone`` is not called here: the benchmark's tracer
 # (perfbench/tracer.py) patches it, ``solve`` and ``prove_equiv`` in this
 # module by name.
@@ -480,16 +480,17 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
     _window_refine_classes(mgr, net, cfg)
     stats.sim_time += time.perf_counter() - t0
 
-    # ``rank`` holds the live nodes in topological order.  A merge
-    # replaces a node by one of lower rank, so the rank stays a
-    # topological order of the network throughout the loop, and
-    # ``substitute_node`` needs no cycle walk.  A merge kills only its
-    # candidate, which leaves its class at once, so every class member
-    # is live.  Each candidate is visited once.
+    # The proving loop records each merge in ``rep``.  Each live node is
+    # visited once, in topological ``rank``, and merges only at its visit,
+    # onto a live driver of lower rank.  So one lookup in ``rep`` resolves
+    # a fanin, and each node a query loads reads its final fanins.  A
+    # merged candidate leaves its class at once, so every member is live.
     rank = mgr.topo_rank
     class_of, members, phase_of = mgr.class_of, mgr.members, mgr.phase_of
     nodes = net.nodes
+    rep: dict[int, tuple[int, bool]] = {}
     for candidate in [nid for nid in rank if not nodes[nid].is_pi]:
+        _read_fanins_through(nodes[candidate], rep)
         # The drivers that answered SAT; None until one does, so a
         # candidate that merges at its first try builds no set.
         tried: set[int] | None = None
@@ -522,15 +523,19 @@ def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepS
                         tried = set()
                     tried.add(driver)
                     stats.ce_refinements += 1
+                    # Unvisited nodes read through ``rep`` too: windows count their leaves.
+                    for nid in rank:
+                        _read_fanins_through(nodes[nid], rep)
                     t0 = time.perf_counter()
                     refine_classes(mgr, net, outcome.model, cfg, rng)
                     stats.sim_time += time.perf_counter() - t0
                     continue
-            net.substitute_node(candidate, driver, inverted=inverted, rank=rank)
+            rep[candidate] = (driver, inverted)
+            nodes[candidate].dead = True
             stats.merges += 1
             mgr.drop_merged(candidate)
             break
-
+    _read_pos_through(net, rep)
     net.remove_dead()
     stats.final_luts = net.n_luts()
     stats.total_time = time.perf_counter() - t_start

@@ -177,6 +177,20 @@ def and_under_inverters(n: int) -> Network:
     return net
 
 
+def and_pairs(n: int, seed: int = 1) -> Network:
+    """``n`` pairs of LUTs ``AND(x, y)`` and ``AND(y, x)`` over 200 PIs, with
+    ``x`` and ``y`` drawn at random, and a PO on every LUT.  Strash does
+    not sort fanins, so it leaves most pairs to the proving loop."""
+    rng = random.Random(seed)
+    net = Network("and_pairs")
+    pis = [net.add_pi() for _ in range(200)]
+    for _ in range(n):
+        x, y = rng.sample(pis, 2)
+        net.add_po(net.add_lut([x, y], 0b1000))
+        net.add_po(net.add_lut([y, x], 0b1000))
+    return net
+
+
 def blif_roundtrip(net: Network) -> Network:
     from stpsweep import parse_blif, write_blif
 

@@ -25,16 +25,15 @@ def strash(net: Network) -> tuple[int, int, int | None]:
     for an inverter; and a LUT with the same fanins and row as an
     earlier one by that one.  The shared constant-0 LUT is the first LUT
     whose row reduces to 0, rewritten to read nothing, or a new one if a
-    constant 1 comes first.  Every substitution passes the walk's rank,
-    so none walks a fanout cone.  If a LUT dropped a fanin or turned
-    constant, nodes no PO reads are removed at the end.
+    constant 1 comes first.  Each substitution checks for a cycle, as
+    :meth:`~stpsweep.Network.substitute_node` does.  If a LUT dropped a
+    fanin or turned constant, nodes no PO reads are removed at the end.
 
     Returns the merges (buffers, inverters and duplicates), the LUTs
     replaced by the constant, and the constant-0 LUT if it is live.
     """
     nodes = net.nodes
     order = net.topo_order()
-    rank = {nid: i for i, nid in enumerate(order)}
     table: dict[tuple[tuple[int, ...], int], int] = {}
     const0: int | None = None
     merges = constants = 0
@@ -59,18 +58,18 @@ def strash(net: Network) -> tuple[int, int, int | None]:
                 continue
             if const0 is None:
                 const0 = net.add_lut([], 0)
-            substitute(nid, const0, inverted=bool(tt), rank=rank)
+            substitute(nid, const0, inverted=bool(tt))
             constants += 1
             continue
         if len(keep) == 1:
             # A row that needs its one input is a buffer or an inverter.
-            substitute(nid, fanins[keep[0]], inverted=tt == 1, rank=rank)
+            substitute(nid, fanins[keep[0]], inverted=tt == 1)
             merges += 1
             continue
         kept = fanins if len(keep) == len(fanins) else [fanins[p] for p in keep]
         rep = table.setdefault((tuple(kept), tt), nid)
         if rep != nid:
-            substitute(nid, rep, rank=rank)
+            substitute(nid, rep)
             merges += 1
         elif kept is not fanins:
             for p, f in enumerate(fanins):

@@ -26,8 +26,9 @@ from stpsweep.sweep import (
     TOGGLE_THRESHOLD, _barely_toggling, _ce_rows, _stuck, constant_prop, init_equiv_classes,
     refine_classes, sat_guided_patterns,
 )
+import sweep_oracle
 from helpers import (
-    adder_miter, and_under_inverters, exhaustive_tables, lookup_tables, po_tables,
+    adder_miter, and_pairs, and_under_inverters, exhaustive_tables, lookup_tables, po_tables,
     random_network, sweep_fixture, undet_network,
 )
 
@@ -71,6 +72,21 @@ def on_strash_merges(monkeypatch, merged) -> None:
         return rep, merges, const0
 
     monkeypatch.setattr(netlist_module, "_strash", recording)
+
+
+def on_sweep_merges(monkeypatch, merged) -> None:
+    """Call ``merged(old, new, inverted)`` for every merge of every proving
+    loop, in the loop's order, from the loop's own record of its merges
+    as the sweep reads the POs through it.  The loop calls no
+    ``substitute_node``."""
+    read_pos = sweep_module._read_pos_through
+
+    def recording(net, rep):
+        for old, (new, inverted) in rep.items():
+            merged(old, new, inverted)
+        read_pos(net, rep)
+
+    monkeypatch.setattr(sweep_module, "_read_pos_through", recording)
 
 
 # The per-node rules of SAT-guided pattern generation: the oracle of the
@@ -410,15 +426,13 @@ class TestClasses:
         # constant ranked after that LUT by id, it merged onto the LUT,
         # whose cone then survived: the sweep ended at 14 LUTs.
         old_sides = []
-        substitute = Network.substitute_node
-
-        def recording(self, old, new, inverted=False, **kwargs):
-            node = self.nodes[old]
-            old_sides.append(not node.fanins and not node.is_pi)
-            substitute(self, old, new, inverted, **kwargs)
-
-        monkeypatch.setattr(Network, "substitute_node", recording)
         net = sweep_fixture(3)
+
+        def merged(old, new, inverted):
+            node = net.nodes[old]
+            old_sides.append(not node.fanins and not node.is_pi)
+
+        on_sweep_merges(monkeypatch, merged)
         original = net.clone()
         swept, stats = sweep(net, SweepConfig(conflict_limit=1, n_base_patterns=16, seed=3))
         assert stats.sat_calls_undet > 0 and stats.window_merges > 0
@@ -684,17 +698,12 @@ class TestAdderMiterQoR:
         original = net.clone()
         rank = {nid: i for i, nid in enumerate(net.topo_order())}
         merges = []
-        substitute = Network.substitute_node
 
         def merged(old, new, inverted):
             merges.append((old, new))
 
-        def recording(self, old, new, inverted=False, **kwargs):
-            merged(old, new, inverted)
-            substitute(self, old, new, inverted, **kwargs)
-
         on_strash_merges(monkeypatch, merged)
-        monkeypatch.setattr(Network, "substitute_node", recording)
+        on_sweep_merges(monkeypatch, merged)
         swept, stats = sweep(net, SweepConfig())
         assert swept.n_luts() == stats.final_luts == rca_luts
         assert check_equivalence(original, swept).equivalent
@@ -766,8 +775,10 @@ def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
         substitute(self, old, new, inverted, **kwargs)
 
     on_strash_merges(monkeypatch, merged)
+    on_sweep_merges(monkeypatch, merged)
     monkeypatch.setattr(sweep_module, "prove_equiv", proving)
     monkeypatch.setattr(sweep_module, "constant_prop", propagating)
+    # Only constant_prop substitutes.
     monkeypatch.setattr(Network, "substitute_node", recording)
     swept, stats = sweep(net, cfg)
     monkeypatch.undo()
@@ -813,6 +824,86 @@ class TestWindowMergeOracle:
             assert set(scalar) == set(looked_up)
             for nid, row in scalar.items():
                 assert row == sum(1 << int(v) for v in np.flatnonzero(looked_up[nid]))
+
+
+def stale_window_net() -> Network:
+    """A LUT that equals its PI fanin ``a`` through a cone that also reads
+    ``z``, and a reader of it in a class whose window over ``a`` and three
+    more PIs fits a cap of 4 only once the reader reads ``a``.  Swept at
+    that cap from 2 base patterns, a counter-example refines the classes
+    after the LUT merges and before its reader is visited."""
+    net = Network()
+    a, z, p, q, r = (net.add_pi() for _ in range(5))
+    o = net.add_lut([a, z], 0b1110)
+    c = net.add_lut([a, o], 0b1000)
+    t = net.add_lut([a, p], 0b0110)
+    m2 = net.add_lut([t, q, r], 0b10010110)
+    m = net.add_lut([c, p, q, r], 0b0110100110010110)
+    for g in (o, c, m, m2):
+        net.add_po(g)
+    return net
+
+
+def swept_state(net: Network, cfg: SweepConfig, sweeper) -> tuple:
+    """The BLIF, the node array, the POs and every count but the timings
+    of ``net`` swept by ``sweeper``."""
+    swept, stats = sweeper(net.clone(), cfg)
+    counts = {k: v for k, v in vars(stats).items() if k not in ("sim_time", "total_time")}
+    nodes = [(n.fanins, n.tt, n.is_pi, n.dead, n.fanouts) for n in swept.nodes]
+    return write_blif(swept), nodes, swept.pos, counts
+
+
+class TestSweepOracle:
+    """The proving loop merges by representatives; the loop it replaced
+    substituted each merge at once (tests/sweep_oracle.py).  Both must
+    leave the same network and the same counts.  Few base patterns and
+    small windows leave counter-examples to refine the classes in the
+    middle of the loop, where nodes not yet visited may read merged
+    ones."""
+
+    def test_the_same_sweep_as_by_substitution(self):
+        rng = random.Random(32)
+        nets = oracle_corpus()
+        for _ in range(200):
+            nets.append(random_network(rng, rng.randint(4, 22), rng.randint(10, 200),
+                                       max_k=rng.randint(2, 6), po_count=rng.randint(1, 10),
+                                       fresh_bias=rng.choice([0.0, 0.3, 0.6])))
+        cases = [(stale_window_net(), SweepConfig(n_base_patterns=2, seed=1, window_cap=4))]
+        for i, net in enumerate(nets):
+            cases.append((net, SweepConfig(conflict_limit=rng.randint(0, 3),
+                                           n_base_patterns=rng.randint(1, 64), seed=i,
+                                           window_cap=rng.randint(4, 16))))
+        totals = dict(window_merges=0, sat_calls_unsat=0, ce_refinements=0, sat_calls_undet=0)
+        for net, cfg in cases:
+            state = swept_state(net, cfg, sweep)
+            assert state == swept_state(net, cfg, sweep_oracle.sweep), cfg
+            for key in totals:
+                totals[key] += state[3][key]
+        assert all(totals.values()), totals
+
+
+class TestAndPairs:
+    """Counted, not timed: a proving-loop merge rewires no reader and scans
+    no PO.  The oracle's loop substituted each of these merges, and each
+    substitution scanned all 4,000 POs."""
+
+    def test_two_thousand_pairs_merge_without_substitution(self, monkeypatch):
+        net = and_pairs(2000)
+        calls = []
+        substitute = Network.substitute_node
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            substitute(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "substitute_node", counting)
+        swept, stats = sweep(net.clone(), SweepConfig())
+        assert calls == []
+        assert stats.window_merges > 1000 and stats.strash_merges > 0
+        monkeypatch.undo()
+        cfg = SweepConfig()
+        assert swept_state(net, cfg, sweep) == swept_state(net, cfg, sweep_oracle.sweep)
+        assert check_equivalence(net, swept).equivalent
 
 
 class TestPatternsSimulatedOnce:
@@ -902,7 +993,7 @@ class TestStrashAtSweepEntry:
 
     def test_adder_duplicates_merge_before_simulation(self, monkeypatch):
         events = []
-        simulate, substitute = sweep_module._simulate, Network.substitute_node
+        simulate = sweep_module._simulate
 
         def simulating(*args):
             events.append("simulate")
@@ -911,13 +1002,9 @@ class TestStrashAtSweepEntry:
         def merged(old, new, inverted):
             events.append("merge")
 
-        def recording(self, old, new, inverted=False, **kwargs):
-            merged(old, new, inverted)
-            substitute(self, old, new, inverted, **kwargs)
-
         on_strash_merges(monkeypatch, merged)
+        on_sweep_merges(monkeypatch, merged)
         monkeypatch.setattr(sweep_module, "_simulate", simulating)
-        monkeypatch.setattr(Network, "substitute_node", recording)
         _, stats = sweep(adder_miter(8), SweepConfig())
         assert stats.strash_merges == 20 and stats.sat_calls_total == 0
         assert events[:21] == ["merge"] * 20 + ["simulate"]
@@ -946,31 +1033,34 @@ class TestWindowMerges:
         (undet_network, SweepConfig(n_base_patterns=16), 1, 7),
     ], ids=["adder_miter", "adder_miter_sat", "deep_chain", "undet_network"])
     def test_window_merges_take_the_first_member(self, monkeypatch, make, cfg, n_window, n_sat):
-        seen, proofs, merges = {}, [], []
+        proofs, dropped, drivers = [], [], []
         init, prove = sweep_module.init_equiv_classes, sweep_module.prove_equiv
-        substitute = Network.substitute_node
 
         def initializing(*args):
-            seen["mgr"] = init(*args)
-            return seen["mgr"]
+            mgr = init(*args)
+            drop = mgr.drop_merged
+
+            # The loop drops each candidate from its class as it merges:
+            # the class as the merge found it, and the last query then.
+            def dropping(old):
+                cid = mgr.class_of[old]
+                dropped.append((old, cid in mgr.window_refined, mgr.members[cid][0],
+                                proofs[-1] if proofs else None))
+                drop(old)
+
+            mgr.drop_merged = dropping
+            return mgr
 
         def proving(solver, a, b, **kwargs):
             proofs.append((a, b))
             return prove(solver, a, b, **kwargs)
 
-        def recording(self, old, new, inverted=False, **kwargs):
-            mgr = seen.get("mgr")
-            # strash and constant_prop substitute before the classes exist.
-            if mgr is not None:
-                cid = mgr.class_of[old]
-                merges.append((old, new, cid in mgr.window_refined, mgr.members[cid][0],
-                               proofs[-1] if proofs else None))
-            substitute(self, old, new, inverted, **kwargs)
-
         monkeypatch.setattr(sweep_module, "init_equiv_classes", initializing)
         monkeypatch.setattr(sweep_module, "prove_equiv", proving)
-        monkeypatch.setattr(Network, "substitute_node", recording)
+        on_sweep_merges(monkeypatch, lambda old, new, inverted: drivers.append((old, new)))
         _, stats = sweep(make(), cfg)
+        assert [old for old, _ in drivers] == [old for old, *_ in dropped]
+        merges = [(old, new, *found) for (old, new), (_, *found) in zip(drivers, dropped)]
         window = [(old, new, first) for old, new, refined, first, _ in merges if refined]
         assert len(window) == stats.window_merges == n_window
         assert all(new == first for _, new, first in window)
