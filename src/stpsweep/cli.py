@@ -4,12 +4,14 @@ Subcommands: ``sim`` (signature dumps), ``sweep`` (equivalence-driven
 network reduction), ``cec`` (combinational equivalence check),
 ``prove`` (logic-identity proof on expressions), ``stats`` (network
 summary).  Exit codes: 0 success / equivalent / proved, 1 inequivalent
-or refuted, 2 usage error, 3 input error.
+or refuted, 2 usage error, 3 input error, 141 standard output closed by
+its reader (the status of a SIGPIPE kill).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_DIFFER = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_PIPE = 141
 
 
 def load_network(path: str) -> Network:
@@ -185,7 +188,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout is gone.  What is left to flush goes to
+        # devnull, so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (NetlistError, ExprSyntaxError, InterfaceMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

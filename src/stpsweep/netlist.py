@@ -18,11 +18,12 @@ simulator, CEC and :mod:`stpsweep.bexpr` build their exhaustive
 patterns, and :func:`flip_tt_input` complements one input of a row.
 :func:`strash` hashes a network structurally in one walk, reducing each
 row with a few shift-and-mask operations per input (:func:`_reduce_lut`).
-Strash and the sweep's proving loop merge by representatives, as in a
-FRAIG: a merged LUT records its driver and phase and dies where it is,
-with no reader rewired.  Each LUT reads its fanins through the record
-when the walk visits it (:func:`_read_fanins_through`), and the POs are
-read through it once, after the walk (:func:`_read_pos_through`).
+Strash, the sweep's ``constant_prop`` and its proving loop merge by
+representatives, as in a FRAIG: a merged LUT records its driver and
+phase and dies where it is, with no reader rewired.  Each LUT reads
+its fanins through the record when the walk visits it
+(:func:`_read_fanins_through`), and the POs are read through it once,
+after the walk (:func:`_read_pos_through`).
 
 Node ids are dense indices into the node array and are never reused;
 structural edits mark nodes dead instead of renumbering, so external
@@ -347,6 +348,8 @@ class Network:
         reads nothing and lies in no fanout cone, so it needs no walk.
         Besides that walk, the substitution costs time in each slot that
         reads ``old``, in ``old``'s fanins, and in one scan of the POs.
+        No runtime path calls this: it stays for the tests' oracles, and
+        the benchmark's tracer (perfbench/tracer.py) wraps it by name.
         """
         nodes = self.nodes
         old_node, new_node = nodes[old], nodes[new]

@@ -100,10 +100,10 @@ class Solver:
     sits at index ``l``, so ``-v`` lands at ``2 * n_vars + 1 - v``, past
     every positive literal.  Each :meth:`solve` decides its assumptions
     at levels 1..k, returns to level 0, and keeps learnt clauses,
-    activities and saved phases for the next call; learnt clauses
-    satisfied at level 0 are dropped when the next call starts.  Between
-    calls, :meth:`add_vars` and :meth:`add_clause` grow the problem.  A
-    conflict at level 0 makes the solver UNSAT for good.
+    activities and saved phases for the next call; no learnt clause is
+    ever deleted.  Between calls, :meth:`add_vars` and
+    :meth:`add_clause` grow the problem.  A conflict at level 0 makes
+    the solver UNSAT for good.
 
     A query branches only on its scope, here every variable
     (:meth:`_walk_scope`), and builds its heap from the scope's
@@ -146,9 +146,6 @@ class Solver:
         #: The assumption variables and level-0 trail length ``scope`` was walked for.
         self.scope_key: tuple[set[int], int] | None = None
         self.ok = True
-        self.learnts: list[list[int]] = []
-        #: Length of the level-0 trail when learnt clauses were last pruned.
-        self.pruned_at = 0
         for clause in clauses:
             self.add_clause(clause)
 
@@ -366,30 +363,6 @@ class Solver:
 
     # -- main loop --------------------------------------------------------
 
-    def _prune_learnts(self) -> None:
-        """Drop the learnt clauses satisfied by level-0 literals new since the last pruning.
-
-        Such a clause can never propagate again, and a long run of
-        queries would otherwise hold all of them.  After a query under
-        one assumption ``a`` answers UNSAT, ``-a`` holds at level 0, so
-        this frees the clauses learnt under ``a`` that contain ``-a``.
-        """
-        if len(self.trail) == self.pruned_at or not self.learnts:
-            return
-        new_true = set(self.trail[self.pruned_at:])
-        self.pruned_at = len(self.trail)
-        keep: list[list[int]] = []
-        drop: list[list[int]] = []
-        for clause in self.learnts:
-            (keep if new_true.isdisjoint(clause) else drop).append(clause)
-        if not drop:
-            return
-        self.learnts = keep
-        dead = {id(clause) for clause in drop}
-        for lit in {lit for clause in drop for lit in clause[:2]}:
-            watch = self.watches[lit]
-            watch[:] = [clause for clause in watch if id(clause) not in dead]
-
     def _walk_scope(self, assumptions: Sequence[int]) -> tuple[Container[int], list[int]]:
         """A query's scope and its unassigned variables: here, every variable."""
         scope = range(1, self.n_vars + 1)
@@ -423,7 +396,6 @@ class Solver:
             self.ok = False
         if not self.ok:
             return SatOutcome(SatStatus.UNSAT)
-        self._prune_learnts()
         conflicts = 0
         restart_count = 0
         conflicts_until_restart = self._RESTART_BASE * _luby(1)
@@ -445,7 +417,6 @@ class Solver:
                 else:
                     self.watches[learnt[0]].append(learnt)
                     self.watches[learnt[1]].append(learnt)
-                    self.learnts.append(learnt)
                     self._enqueue(learnt[0], learnt)
                 conflicts_until_restart -= 1
                 continue

@@ -14,7 +14,7 @@ prove.  A sweep runs these steps in order:
    shows.
 2. **Patterns**: SAT-guided initial patterns (:func:`sat_guided_patterns`)
    detect true constants and enrich the pattern set.
-3. **Constants**: :func:`constant_prop` replaces the proven constants by
+3. **Constants**: :func:`constant_prop` merges the proven constants onto
    the constant-0 LUT.
 4. **Classes**: signatures group the live nodes into
    polarity-normalized equivalence classes (:func:`init_equiv_classes`).
@@ -38,7 +38,7 @@ simulates the base patterns over the whole network and keeps one row
 per node; after each round it simulates only that round's
 counter-example patterns and appends their bits to the rows.  Class
 init reads those rows after :func:`constant_prop`, with no simulation
-of its own: a substituted node is *proven* constant, so its readers
+of its own: a merged node is *proven* constant, so its readers
 compute the same functions with the constant in its place, and every
 surviving node keeps its row.  The one node that :func:`constant_prop`
 may add is the constant-0 LUT, whose row is 0; it reuses strash's
@@ -51,8 +51,9 @@ pattern generation selects its gates in one pass over those rows
 (:func:`_stuck`, :func:`_barely_toggling`).  Class init ranks and
 groups the nodes in one pass over the topological order that pattern
 generation simulated, with the constant-0 LUT moved to the front, so
-that a class holding it merges onto it.  Each merge of the proving loop
-is one record, by representatives as in strash (see
+that a class holding it merges onto it.  Each merge of
+:func:`constant_prop` and of the proving loop is one record, by
+representatives as in strash (see
 :mod:`stpsweep.netlist`), with no reader rewired and no PO scanned: a
 candidate of a window-refined class goes to the first member of its
 class, and only a candidate that got a SAT answer keeps a set of the
@@ -388,14 +389,25 @@ def sat_guided_patterns(
 
 def constant_prop(net: Network, constants: list[tuple[int, bool]],
                   const0: int | None = None) -> int:
-    """Replace proven-constant nodes, distinct and live, by one shared
-    constant-0 LUT: ``const0`` if given, else a new one."""
+    """Merge proven-constant nodes, distinct and live, onto one shared
+    constant-0 LUT: ``const0`` if given, else a new one.
+
+    The merges are by representatives, as strash's: each constant
+    records ``(const0, value)`` and dies, every live LUT reads its
+    fanins through the record, and so do the POs, once.
+    """
     if not constants:
         return 0
     if const0 is None:
         const0 = net.add_lut([], 0)
-    for nid, value in constants:
-        net.substitute_node(nid, const0, inverted=bool(value))
+    nodes = net.nodes
+    rep = {nid: (const0, bool(value)) for nid, value in constants}
+    for nid in rep:
+        nodes[nid].dead = True
+    for node in nodes:
+        if not node.dead:
+            _read_fanins_through(node, rep)
+    _read_pos_through(net, rep)
     net.remove_dead()
     return len(constants)
 

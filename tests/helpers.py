@@ -191,6 +191,21 @@ def and_pairs(n: int, seed: int = 1) -> Network:
     return net
 
 
+def constant_triples(n: int, n_pis: int = 200, seed: int = 1) -> Network:
+    """``n`` triples ``XOR(a, b)``, ``XNOR(a, b)`` and the ``AND`` of the two
+    over ``n_pis`` PIs, with ``a`` and ``b`` distinct PIs drawn at random,
+    and a PO on every AND.  Strash keeps each AND, whose fanins differ,
+    and SAT proves it constant 0."""
+    rng = random.Random(seed)
+    net = Network("constant_triples")
+    pis = [net.add_pi() for _ in range(n_pis)]
+    for _ in range(n):
+        a, b = rng.sample(pis, 2)
+        net.add_po(net.add_lut([net.add_lut([a, b], 0b0110), net.add_lut([a, b], 0b1001)],
+                               0b1000))
+    return net
+
+
 def blif_roundtrip(net: Network) -> Network:
     from stpsweep import parse_blif, write_blif
 

@@ -1,13 +1,15 @@
-"""Substitution-based proving loop: the reference the tests compare against.
+"""Substitution-based merges: the reference the tests compare against.
 
-This is the :func:`stpsweep.sweep` whose proving loop merged through
-:meth:`~stpsweep.Network.substitute_node`, which rewires every reader,
-flips readers' rows for an inverted merge, edits fanout lists and scans
-every PO.  The package records a representative per merged candidate
-instead, reads each candidate's fanins through the record when the loop
-visits it, and reads the POs through it once after the loop; the tests
-require both to leave the same network and the same counts.  Every step
-before the loop is the package's own.
+This is the :func:`stpsweep.sweep` whose constant step and proving loop
+merged through :meth:`~stpsweep.Network.substitute_node`, which rewires
+every reader, flips readers' rows for an inverted merge, edits fanout
+lists and scans every PO.  The package records a representative per
+merged node instead: :func:`~stpsweep.sweep.constant_prop` reads every
+live LUT's fanins and the POs through its record once, and the proving
+loop reads each candidate's fanins through its record when the loop
+visits it, and the POs once after the loop.  The tests require both to
+leave the same network and the same counts.  Every other step is the
+package's own.
 """
 
 from __future__ import annotations
@@ -21,16 +23,30 @@ from stpsweep.sweep import (
     SweepConfig,
     SweepStats,
     _window_refine_classes,
-    constant_prop,
     init_equiv_classes,
     refine_classes,
     sat_guided_patterns,
 )
 
 
+def constant_prop(net: Network, constants: list[tuple[int, bool]],
+                  const0: int | None = None) -> int:
+    """Replace proven-constant nodes, distinct and live, by one shared
+    constant-0 LUT: ``const0`` if given, else a new one."""
+    if not constants:
+        return 0
+    if const0 is None:
+        const0 = net.add_lut([], 0)
+    for nid, value in constants:
+        net.substitute_node(nid, const0, inverted=bool(value))
+    net.remove_dead()
+    return len(constants)
+
+
 def sweep(net: Network, cfg: SweepConfig | None = None) -> tuple[Network, SweepStats]:
     """Run the full sweeping loop on the network, in place, substituting
-    each proven candidate by its driver as soon as it is proven."""
+    each proven constant by the constant-0 LUT and each proven candidate
+    by its driver as soon as it is proven."""
     if cfg is None:
         cfg = SweepConfig()
     stats = SweepStats()

@@ -65,7 +65,7 @@ class TestExhaustiveRoute:
         def no_sat(*args, **kwargs):
             raise AssertionError("the exhaustive route asked the solver")
 
-        monkeypatch.setattr(cec, "solve", no_sat)
+        monkeypatch.setattr(cec, "prove_equiv", no_sat)
         rng = random.Random(5)
         a = random_network(rng, WINDOW_CAP, 80, max_k=6, po_count=4)
         b = a.clone()
@@ -243,13 +243,13 @@ class TestIncrementalMiter:
         original = net.clone()
         swept, _ = sweep(net, SweepConfig())
         calls = []
-        solve = cec.solve
+        prove = cec.prove_equiv
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return solve(*args, **kwargs)
+            return prove(*args, **kwargs)
 
-        monkeypatch.setattr(cec, "solve", counting)
+        monkeypatch.setattr(cec, "prove_equiv", counting)
         assert check_equivalence(original, swept).equivalent
         assert calls == []
 
@@ -405,21 +405,21 @@ class TestHashedMiter:
         return out
 
     def count_queries(self, monkeypatch, a: Network, b: Network):
-        """``a`` against ``b`` on the miter: the ``cec.solve`` calls, the
-        result, and the output pairs whose swept POs keep two drivers."""
+        """``a`` against ``b`` on the miter: the ``cec.prove_equiv`` calls,
+        the result, and the output pairs whose swept POs keep two drivers."""
         calls, swept = [], []
-        solve, sweep = cec.solve, cec.sweep
+        prove, sweep = cec.prove_equiv, cec.sweep
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return solve(*args, **kwargs)
+            return prove(*args, **kwargs)
 
         def sweeping(net, cfg):
             swept.append(net)
             return sweep(net, cfg)
 
         with monkeypatch.context() as patched:
-            patched.setattr(cec, "solve", counting)
+            patched.setattr(cec, "prove_equiv", counting)
             patched.setattr(cec, "sweep", sweeping)
             result = miter_cec(a, b)
         pos = swept[0].pos

@@ -1,6 +1,10 @@
 """End-to-end runs of the command-line front end."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,28 @@ class TestSweepCmd:
         src.write_text(AND_BLIF)
         assert main(["sweep", str(src), str(tmp_path / "out.blif")]) == 0
         assert configs == [SweepConfig()]
+
+    def test_closed_stdout_is_no_input_error(self, tmp_path, capsys):
+        # ``stpsweep sweep in out | head -1``, with the reader gone before
+        # the child writes: the BLIF is whole, and the exit status is that
+        # of a SIGPIPE kill, with nothing on stderr.
+        src = tmp_path / "in.blif"
+        src.write_text(write_blif(sweep_fixture(42)))
+        assert main(["sweep", str(src), str(tmp_path / "out.blif")]) == 0
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "stpsweep.cli", "sweep", str(src),
+                 str(tmp_path / "piped.blif")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, b"")
+        assert (tmp_path / "piped.blif").read_bytes() == (tmp_path / "out.blif").read_bytes()
 
     def test_negative_conflict_limit_is_an_input_error(self, tmp_path, capsys):
         src = tmp_path / "in.blif"

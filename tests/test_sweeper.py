@@ -28,8 +28,8 @@ from stpsweep.sweep import (
 )
 import sweep_oracle
 from helpers import (
-    adder_miter, and_pairs, and_under_inverters, exhaustive_tables, lookup_tables, po_tables,
-    random_network, sweep_fixture, undet_network,
+    adder_miter, and_pairs, and_under_inverters, constant_triples, exhaustive_tables,
+    lookup_tables, po_tables, random_network, sweep_fixture, undet_network,
 )
 
 # The package exports the ``sweep`` function under the module's name.
@@ -75,10 +75,10 @@ def on_strash_merges(monkeypatch, merged) -> None:
 
 
 def on_sweep_merges(monkeypatch, merged) -> None:
-    """Call ``merged(old, new, inverted)`` for every merge of every proving
-    loop, in the loop's order, from the loop's own record of its merges
-    as the sweep reads the POs through it.  The loop calls no
-    ``substitute_node``."""
+    """Call ``merged(old, new, inverted)`` for every merge of every
+    ``constant_prop`` and every proving loop, in their order, from each
+    one's own record of its merges as it reads the POs through it.
+    Neither calls ``substitute_node``."""
     read_pos = sweep_module._read_pos_through
 
     def recording(net, rep):
@@ -339,9 +339,9 @@ class TestConstantProp:
         assert phase is True  # constant-0 node, inverted
 
     def test_constants_need_no_cycle_walk(self, monkeypatch):
-        # Counted, not timed: the constant-0 LUT has no fanins, so it lies
-        # in no fanout cone, and no substitution onto it walks one, be it
-        # of a constant that strash sees or of one that SAT proves.
+        # Counted, not timed: strash and constant_prop merge onto the
+        # constant-0 LUT by representatives, with no cycle walk, be it a
+        # constant that strash sees or one that SAT proves.
         net = sweep_fixture(1)
         original = net.clone()
         walks = []
@@ -752,8 +752,8 @@ def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
     # constant_prop merges onto its constant-0 LUT.
     proven: set[tuple[int, int]] = set()
     merges: list[tuple[int, int, bool]] = []
+    n_constant_merges = 0
     prove, propagate = sweep_module.prove_equiv, sweep_module.constant_prop
-    substitute = Network.substitute_node
 
     def proving(solver, a, b, **kwargs):
         out = prove(solver, a, b, **kwargs)
@@ -762,26 +762,24 @@ def checked_sweep(net: Network, cfg: SweepConfig, monkeypatch):
         return out
 
     def propagating(net, constants, const0=None):
+        nonlocal n_constant_merges
         first = len(merges)
         count = propagate(net, constants, const0)
         proven.update((old, new) for old, new, _ in merges[first:])
+        n_constant_merges += len(merges) - first
         return count
 
     def merged(old, new, inverted):
         merges.append((old, new, inverted))
 
-    def recording(self, old, new, inverted=False, **kwargs):
-        merged(old, new, inverted)
-        substitute(self, old, new, inverted, **kwargs)
-
     on_strash_merges(monkeypatch, merged)
     on_sweep_merges(monkeypatch, merged)
     monkeypatch.setattr(sweep_module, "prove_equiv", proving)
     monkeypatch.setattr(sweep_module, "constant_prop", propagating)
-    # Only constant_prop substitutes.
-    monkeypatch.setattr(Network, "substitute_node", recording)
     swept, stats = sweep(net, cfg)
     monkeypatch.undo()
+    # Every constant that SAT proved was seen merging.
+    assert n_constant_merges == stats.constants - stats.strash_constants
     zero = np.zeros(1 << len(net.pis), dtype=bool)
     for old, new, inverted in merges:
         # A node the input lacks is a constant-0 LUT that strash or
@@ -808,7 +806,7 @@ class TestWindowMergeOracle:
     @pytest.mark.parametrize("conflict_limit", [0, 1, 2, 3])
     def test_every_merge_without_sat_is_right(self, conflict_limit, monkeypatch):
         totals = dict(window_merges=0, strash_merges=0, strash_constants=0,
-                      sat_calls_total=0, ce_refinements=0)
+                      sat_calls_total=0, ce_refinements=0, constants=0)
         for i, net in enumerate(oracle_corpus()):
             for window_cap in (16, 6):
                 cfg = SweepConfig(conflict_limit=conflict_limit, n_base_patterns=16,
@@ -816,7 +814,8 @@ class TestWindowMergeOracle:
                 stats = checked_sweep(net.clone(), cfg, monkeypatch)
                 for key in totals:
                     totals[key] += getattr(stats, key)
-        assert all(totals.values()), totals
+        # Some constants are left to SAT and constant_prop.
+        assert all(totals.values()) and totals["constants"] > totals["strash_constants"], totals
 
     def test_lookup_tables_match_the_scalar_walk(self):
         for net in (sweep_fixture(3), adder_miter(3), random_network(random.Random(2), 7, 40)):
@@ -846,17 +845,22 @@ def stale_window_net() -> Network:
 
 def swept_state(net: Network, cfg: SweepConfig, sweeper) -> tuple:
     """The BLIF, the node array, the POs and every count but the timings
-    of ``net`` swept by ``sweeper``."""
+    of ``net`` swept by ``sweeper``.  A dead node shows only that it is
+    dead: nothing reads its fanins or table, and a constant that reads
+    another keeps the fanins it had when it died, which differ between
+    substituting the constants one by one and merging them at once."""
     swept, stats = sweeper(net.clone(), cfg)
     counts = {k: v for k, v in vars(stats).items() if k not in ("sim_time", "total_time")}
-    nodes = [(n.fanins, n.tt, n.is_pi, n.dead, n.fanouts) for n in swept.nodes]
+    nodes = [(n.fanins, n.tt, n.is_pi, n.fanouts) if not n.dead else "dead"
+             for n in swept.nodes]
     return write_blif(swept), nodes, swept.pos, counts
 
 
 class TestSweepOracle:
-    """The proving loop merges by representatives; the loop it replaced
-    substituted each merge at once (tests/sweep_oracle.py).  Both must
-    leave the same network and the same counts.  Few base patterns and
+    """``constant_prop`` and the proving loop merge by representatives; the
+    code they replaced substituted each merge at once
+    (tests/sweep_oracle.py).  Both must leave the same network and the
+    same counts, with some constants left to SAT.  Few base patterns and
     small windows leave counter-examples to refine the classes in the
     middle of the loop, where nodes not yet visited may read merged
     ones."""
@@ -873,12 +877,15 @@ class TestSweepOracle:
             cases.append((net, SweepConfig(conflict_limit=rng.randint(0, 3),
                                            n_base_patterns=rng.randint(1, 64), seed=i,
                                            window_cap=rng.randint(4, 16))))
-        totals = dict(window_merges=0, sat_calls_unsat=0, ce_refinements=0, sat_calls_undet=0)
+        totals = dict(window_merges=0, sat_calls_unsat=0, ce_refinements=0, sat_calls_undet=0,
+                      sat_constants=0)
         for net, cfg in cases:
             state = swept_state(net, cfg, sweep)
             assert state == swept_state(net, cfg, sweep_oracle.sweep), cfg
+            counts = state[3]
+            counts["sat_constants"] = counts["constants"] - counts["strash_constants"]
             for key in totals:
-                totals[key] += state[3][key]
+                totals[key] += counts[key]
         assert all(totals.values()), totals
 
 
@@ -900,6 +907,30 @@ class TestAndPairs:
         swept, stats = sweep(net.clone(), SweepConfig())
         assert calls == []
         assert stats.window_merges > 1000 and stats.strash_merges > 0
+        monkeypatch.undo()
+        cfg = SweepConfig()
+        assert swept_state(net, cfg, sweep) == swept_state(net, cfg, sweep_oracle.sweep)
+        assert check_equivalence(net, swept).equivalent
+
+
+class TestConstantTriples:
+    """Counted, not timed: ``constant_prop`` merges every constant that SAT
+    proves by representatives.  The oracle's substituted each of them,
+    and each substitution scanned all 2,000 POs."""
+
+    def test_two_thousand_constants_merge_without_substitution(self, monkeypatch):
+        net = constant_triples(2000)
+        calls = []
+        substitute = Network.substitute_node
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            substitute(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "substitute_node", counting)
+        swept, stats = sweep(net.clone(), SweepConfig())
+        assert calls == []
+        assert stats.constants - stats.strash_constants > 1000
         monkeypatch.undo()
         cfg = SweepConfig()
         assert swept_state(net, cfg, sweep) == swept_state(net, cfg, sweep_oracle.sweep)
