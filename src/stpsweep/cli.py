@@ -141,7 +141,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"levels={net.level()}")
     arities = Counter(node.arity for node in net.nodes if not node.is_pi)
     print("arities=" + ",".join(f"{k}:{arities[k]}" for k in sorted(arities)))
-    print(f"max_fanout={max((len(node.fanouts) for node in net.nodes), default=0)}")
+    print(f"max_fanout={max(map(len, net.fanouts()), default=0)}")
     return EXIT_OK
 
 

@@ -3,8 +3,11 @@
 This module is the one graph layer: every walk of a network's fanins
 is here.  :meth:`Network.cone` gives the targets' input cones in
 topological order, and the simulator, the SAT layer,
-:meth:`Network.remove_dead` and :meth:`Network.transitive_fanin` read
-that.  :func:`_build_in_order` instantiates parsed definitions in
+:meth:`Network.remove_dead`, :meth:`Network.transitive_fanin` and
+:meth:`Network.is_in_tfo` read that.  The graph stores fanins only: a
+node's readers are derived on demand, by one scan of the live nodes
+(:meth:`Network.fanouts`), so no edit has reader lists to keep in
+step.  :func:`_build_in_order` instantiates parsed definitions in
 dependency order: every AIGER file's, and the blocks a BLIF file lists
 before their fanins.
 
@@ -151,8 +154,6 @@ class LutNode:
     tt: int = 0
     is_pi: bool = False
     dead: bool = False
-    #: Live readers, one entry per fanin slot that reads this node.
-    fanouts: list[int] = field(default_factory=list)
 
     @property
     def arity(self) -> int:
@@ -192,10 +193,7 @@ class Network:
         for f in fanins:
             if not 0 <= f < nid:
                 raise NetlistError(f"fanin {f} of node {nid} does not exist yet")
-        node = LutNode(nid, list(fanins), tt)
-        self.nodes.append(node)
-        for f in fanins:
-            self.nodes[f].fanouts.append(nid)
+        self.nodes.append(LutNode(nid, list(fanins), tt))
         if name is not None:
             self.names[name] = nid
         return nid
@@ -216,13 +214,13 @@ class Network:
         return sum(1 for n in self.nodes if not n.dead and not n.is_pi)
 
     def resolve(self, token: str) -> int:
-        """Map a signal name or a decimal id string to a node id."""
-        if token in self.names:
-            return self.names[token]
-        try:
-            nid = int(token)
-        except ValueError:
-            raise NetlistError(f"unknown signal {token!r}") from None
+        """Map a signal name or a decimal id string to a live node id."""
+        nid = self.names.get(token)
+        if nid is None:
+            try:
+                nid = int(token)
+            except ValueError:
+                raise NetlistError(f"unknown signal {token!r}") from None
         if not 0 <= nid < len(self.nodes) or self.nodes[nid].dead:
             raise NetlistError(f"no live node with id {nid}")
         return nid
@@ -242,13 +240,12 @@ class Network:
             indeg[nid] = sum(1 for f in nodes[nid].fanins if not nodes[f].dead)
         ready = [nid for nid, d in indeg.items() if d == 0]
         heapq.heapify(ready)
+        readers = self.fanouts()
         order = []
         while ready:
             nid = heapq.heappop(ready)
             order.append(nid)
-            for out in nodes[nid].fanouts:
-                if nodes[out].dead:
-                    continue
+            for out in readers[nid]:
                 indeg[out] -= 1
                 if indeg[out] == 0:
                     heapq.heappush(ready, out)
@@ -306,21 +303,22 @@ class Network:
             raise NetlistError(f"node {nid} is dead")
         return [n for n in reversed(self.cone([nid])) if not self.nodes[n].is_pi][:max(bound, 0)]
 
+    def fanouts(self) -> list[list[int]]:
+        """The live readers of each node id, one entry per fanin slot that
+        reads it, readers by id.  Derived by one scan of the live nodes."""
+        nodes = self.nodes
+        readers: list[list[int]] = [[] for _ in nodes]
+        for node in nodes:
+            if not node.dead:
+                for f in node.fanins:
+                    readers[f].append(node.id)
+        return readers
+
     def is_in_tfo(self, a: int, b: int) -> bool:
-        """True iff ``b`` is reachable from ``a`` along fanout edges (reflexively)."""
-        if a == b:
-            return True
-        seen = {a}
-        stack = [a]
-        while stack:
-            cur = stack.pop()
-            for out in self.nodes[cur].fanouts:
-                if out == b:
-                    return True
-                if out not in seen and not self.nodes[out].dead:
-                    seen.add(out)
-                    stack.append(out)
-        return False
+        """True iff ``b`` is reachable from ``a`` along fanout edges
+        (reflexively): ``b`` is ``a``, or a live node whose :meth:`cone`
+        holds ``a``.  Costs one walk of ``b``'s fanin cone."""
+        return a == b or not self.nodes[b].dead and a in self.cone([b])
 
     def level(self) -> int:
         depth = {}
@@ -343,13 +341,13 @@ class Network:
         complement of ``old``.
 
         A substitution that would make ``new`` read itself raises
-        :class:`NetlistError`; checking for it walks ``old``'s fanout
-        cone.  A ``new`` with no fanins, such as a PI or a constant,
-        reads nothing and lies in no fanout cone, so it needs no walk.
-        Besides that walk, the substitution costs time in each slot that
-        reads ``old``, in ``old``'s fanins, and in one scan of the POs.
-        No runtime path calls this: it stays for the tests' oracles, and
-        the benchmark's tracer (perfbench/tracer.py) wraps it by name.
+        :class:`NetlistError`; checking for it walks ``new``'s fanin
+        cone (:meth:`is_in_tfo`).  A ``new`` with no fanins, such as a PI
+        or a constant, reads nothing, so it needs no walk.  Besides that
+        walk, the substitution costs one scan of the live nodes, for the
+        slots that read ``old``, and one scan of the POs.  No runtime
+        path calls this: it stays for the tests' oracles, and the
+        benchmark's tracer (perfbench/tracer.py) wraps it by name.
         """
         nodes = self.nodes
         old_node, new_node = nodes[old], nodes[new]
@@ -359,26 +357,20 @@ class Network:
             raise NetlistError("substitution involving a dead node")
         if new_node.fanins and self.is_in_tfo(old, new):
             raise NetlistError(f"substituting {old} by {new} would create a cycle")
-        # ``old``'s fanouts hold one entry per slot that reads it: each
-        # entry rewires its reader's first slot still reading ``old``.
-        readers = old_node.fanouts
-        for reader in readers:
-            rnode = nodes[reader]
+        for rnode in nodes:
             fanins = rnode.fanins
-            pos = fanins.index(old)
-            fanins[pos] = new
-            if inverted:
-                rnode.tt = flip_tt_input(rnode.tt, len(fanins), pos)
-        new_node.fanouts += readers
-        readers.clear()
+            if rnode.dead or old not in fanins:
+                continue
+            for pos, f in enumerate(fanins):
+                if f == old:
+                    fanins[pos] = new
+                    if inverted:
+                        rnode.tt = flip_tt_input(rnode.tt, len(fanins), pos)
         outputs = self.pos
         for j, (driver, phase) in enumerate(outputs):
             if driver == old:
                 outputs[j] = (new, phase ^ inverted)
-        # Nothing reads ``old`` now: it dies and leaves its fanins' lists.
         old_node.dead = True
-        for f in old_node.fanins:
-            nodes[f].fanouts.remove(old)
 
     def remove_dead(self) -> int:
         """Mark nodes unreachable from the POs dead; PIs always survive."""
@@ -391,18 +383,7 @@ class Network:
             if node.id not in live:
                 node.dead = True
                 removed += 1
-        self._rebuild_fanouts()
         return removed
-
-    def _rebuild_fanouts(self) -> None:
-        """Rebuild every fanout list from the live nodes' fanins, readers by id."""
-        nodes = self.nodes
-        for node in nodes:
-            node.fanouts.clear()
-        for node in nodes:
-            if not node.dead:
-                for f in node.fanins:
-                    nodes[f].fanouts.append(node.id)
 
     def clone(self) -> "Network":
         out = Network(self.name)
@@ -412,9 +393,7 @@ class Network:
         out.po_names = list(self.po_names)
         out.names = dict(self.names)
         for n in self.nodes:
-            m = LutNode(n.id, list(n.fanins), n.tt, n.is_pi, n.dead,
-                        list(n.fanouts))
-            out.nodes.append(m)
+            out.nodes.append(LutNode(n.id, list(n.fanins), n.tt, n.is_pi, n.dead))
         return out
 
 
@@ -432,9 +411,8 @@ def strash(net: Network) -> tuple[int, int, int | None]:
     LUT is the first LUT whose row reduces to 0, rewritten to read
     nothing, or a new one if a constant 1 comes first.  Every
     representative is a live node with none of its own, so one lookup
-    resolves a fanin.  After the walk the fanout lists are rebuilt once;
-    if a LUT dropped a fanin or turned constant, nodes no PO reads are
-    removed as well.
+    resolves a fanin.  If a LUT dropped a fanin or turned constant,
+    nodes no PO reads are removed after the walk.
 
     Returns the merges (buffers, inverters and duplicates), the LUTs
     replaced by the constant, and the constant-0 LUT if it is live.
@@ -500,8 +478,6 @@ def _strash(net: Network) -> tuple[dict[int, tuple[int, bool]], int, int | None]
     _read_pos_through(net, rep)
     if dropped or len(rep) > merges:
         net.remove_dead()
-    elif rep:
-        net._rebuild_fanouts()
     if const0 is not None and nodes[const0].dead:
         const0 = None
     return rep, merges, const0

@@ -482,7 +482,8 @@ def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone
     it is a target, drives a PO, or fans out more than once inside the
     scope; otherwise it merges into its unique reader's cut as long as
     that cut keeps at most ``limit`` leaves.  A fresh single-node cut may
-    still exceed ``limit`` when the node's own fanin count does.
+    still exceed ``limit`` when the node's own fanin count does.  The
+    readers come from one :meth:`~stpsweep.netlist.Network.fanouts` scan.
     """
     if limit < 1:
         raise ValueError("cut limit must be >= 1")
@@ -496,6 +497,7 @@ def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone
                    if not net.nodes[nid].is_pi}
 
     po_drivers = {d for d, _ in net.pos}
+    fanouts = net.fanouts()
     cut_of: dict[int, int] = {}
     cuts: dict[int, Cut] = {}
     leaf_sets: dict[int, set[int]] = {}
@@ -507,7 +509,7 @@ def circuit_cut(net: Network, limit: int, targets: list[int], scope: str = "cone
 
     for nid in sorted(scope_nodes, key=rank.__getitem__, reverse=True):
         node = net.nodes[nid]
-        readers = [o for o in node.fanouts if o in scope_nodes]
+        readers = [o for o in fanouts[nid] if o in scope_nodes]
         if nid in tset or nid in po_drivers or len(readers) != 1:
             new_root(nid)
             continue

@@ -145,7 +145,8 @@ def random_network(
             consumed.add(f)
             if f in pool and rng.random() < 0.8:
                 pool.remove(f)
-    unread = [n.id for n in net.nodes if not n.fanouts and not n.is_pi]
+    readers = net.fanouts()
+    unread = [n.id for n in net.nodes if not readers[n.id] and not n.is_pi]
     if po_count is None:
         drivers = unread or [net.nodes[-1].id]
     else:

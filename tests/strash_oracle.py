@@ -2,10 +2,10 @@
 
 This is the strash that :func:`stpsweep.netlist.strash` replaced.  It
 applies each merge at once through :meth:`~stpsweep.Network.substitute_node`,
-which rewires every reader, flips readers' rows for an inverter, edits
-fanout lists and scans every PO.  The package records a representative
-per merged node instead and resolves it when a reader is visited; the
-tests require both to leave the same network and return the same result.
+which rewires every reader, flips readers' rows for an inverter and
+scans every PO.  The package records a representative per merged node
+instead and resolves it when a reader is visited; the tests require
+both to leave the same network and return the same result.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ def strash(net: Network) -> tuple[int, int, int | None]:
                 dropped = True
         if not keep:
             if const0 is None and not tt:
-                for f in fanins:
-                    nodes[f].fanouts.remove(nid)
                 node.fanins, node.tt, const0 = [], 0, nid
                 continue
             if const0 is None:
@@ -72,9 +70,6 @@ def strash(net: Network) -> tuple[int, int, int | None]:
             substitute(nid, rep)
             merges += 1
         elif kept is not fanins:
-            for p, f in enumerate(fanins):
-                if p not in keep:
-                    nodes[f].fanouts.remove(nid)
             node.fanins, node.tt = kept, tt
     if dropped or constants:
         net.remove_dead()

@@ -2,8 +2,8 @@
 
 This is the :func:`stpsweep.sweep` whose constant step and proving loop
 merged through :meth:`~stpsweep.Network.substitute_node`, which rewires
-every reader, flips readers' rows for an inverted merge, edits fanout
-lists and scans every PO.  The package records a representative per
+every reader, flips readers' rows for an inverted merge and scans
+every PO.  The package records a representative per
 merged node instead: :func:`~stpsweep.sweep.constant_prop` reads every
 live LUT's fanins and the POs through its record once, and the proving
 loop reads each candidate's fanins through its record when the loop

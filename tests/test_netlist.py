@@ -1,6 +1,5 @@
 """Network model, parsers, writer, and structural edits."""
 
-import heapq
 import random
 
 import pytest
@@ -11,10 +10,12 @@ from stpsweep import (
     CycleError,
     NetlistError,
     Network,
+    SweepConfig,
     flip_tt_input,
     parse_aiger_ascii,
     parse_blif,
     strash,
+    sweep,
     write_blif,
 )
 from stpsweep import netlist
@@ -28,21 +29,15 @@ from helpers import (
 )
 
 
-def heap_topo_order(net: Network) -> list[int]:
-    """Kahn's algorithm with ties by id over the live nodes."""
-    live = net.live_ids()
-    indeg = {nid: sum(not net.nodes[f].dead for f in net.nodes[nid].fanins) for nid in live}
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        nid = heapq.heappop(ready)
+def least_topo_order(net: Network) -> list[int]:
+    """The live nodes, each time the least id whose live fanins are all
+    placed: the order of Kahn's algorithm with ties by id."""
+    nodes = net.nodes
+    left, order = net.live_ids(), []
+    while left:
+        nid = next(n for n in left if all(nodes[f].dead or f in order for f in nodes[n].fanins))
         order.append(nid)
-        for out in net.nodes[nid].fanouts:
-            if not net.nodes[out].dead:
-                indeg[out] -= 1
-                if indeg[out] == 0:
-                    heapq.heappush(ready, out)
+        left.remove(nid)
     return order
 
 
@@ -185,14 +180,15 @@ def assert_reads_as_the_oracle(text: str) -> None:
     raises a NetlistError with the same message.
 
     The names compare in insertion order, which ``Network.first_names``
-    and ``write_blif`` read, and every node's fanouts compare in order.
+    and ``write_blif`` read, and every node's fanins in order, which
+    determine its readers.
     """
     def outcome(parse):
         try:
             net = parse(text)
         except NetlistError as exc:
             return str(exc)
-        return ([(n.id, n.fanins, n.tt, n.fanouts) for n in net.nodes],
+        return ([(n.id, n.fanins, n.tt) for n in net.nodes],
                 list(net.names.items()), net.pis, net.pi_names, net.po_names, net.pos,
                 net.name)
 
@@ -748,14 +744,15 @@ class TestTraversal:
         rng = random.Random(16)
         for _ in range(30):
             net = random_network(rng, rng.randint(1, 6), rng.randint(0, 40), max_k=5)
-            assert net.topo_order() == heap_topo_order(net) == net.live_ids()
+            assert net.topo_order() == least_topo_order(net) == net.live_ids()
 
     def test_order_after_edits_that_read_higher_ids(self):
         rng = random.Random(17)
         edited = 0
         for _ in range(40):
             net = random_network(rng, 4, 25, po_count=3)
-            gates = [n.id for n in net.nodes if not n.is_pi and n.fanouts]
+            fanouts = net.fanouts()
+            gates = [n.id for n in net.nodes if not n.is_pi and fanouts[n.id]]
             if rng.random() < 0.5:
                 constant_prop(net, [(gates[rng.randrange(len(gates))], rng.random() < 0.5)])
             else:
@@ -768,7 +765,7 @@ class TestTraversal:
             edited += reads_higher
             order = net.topo_order()
             assert_topological(net, order)
-            assert order == heap_topo_order(net)
+            assert order == least_topo_order(net)
         assert edited > 20
 
     @pytest.mark.parametrize("loop", ["self", "pair"])
@@ -781,8 +778,6 @@ class TestTraversal:
         # Point g's fanin at itself or at its own reader h.
         back = g if loop == "self" else h
         net.nodes[g].fanins[0] = back
-        net.nodes[a].fanouts.remove(g)
-        net.nodes[back].fanouts.append(g)
         with pytest.raises(CycleError):
             net.topo_order()
 
@@ -812,7 +807,8 @@ class TestTraversal:
         rng = random.Random(13)
         net = random_network(rng, 4, 30)
         # The lowest id that no node reads.
-        nid = min(n for n in net.live_ids() if not net.nodes[n].fanouts)
+        fanouts = net.fanouts()
+        nid = min(n for n in net.live_ids() if not fanouts[n])
         assert nid == 10
         full = net.transitive_fanin(nid, 10 ** 6)
         if len(full) > 3:
@@ -837,6 +833,96 @@ class TestTraversal:
                 assert net.is_in_tfo(x, y) == (y in reach[x])
 
 
+    def test_resolve_rejects_dead_nodes_by_name_and_by_id(self):
+        # The duplicate AND t and the buffer y of it die in the sweep, and
+        # their names stay in ``names``.
+        net = parse_blif(".model m\n.inputs a b\n.outputs z y\n.names a b z\n11 1\n"
+                         ".names a b t\n11 1\n.names t y\n1 1\n.end\n")
+        swept, _ = sweep(net, SweepConfig())
+        z = swept.resolve("z")
+        assert swept.resolve(str(z)) == z and swept.pos == [(z, False), (z, False)]
+        for name in ("t", "y"):
+            nid = swept.names[name]
+            assert swept.nodes[nid].dead
+            for token in (name, str(nid)):
+                with pytest.raises(NetlistError, match=f"no live node with id {nid}"):
+                    swept.resolve(token)
+
+
+def brute_force_readers(net: Network) -> list[list[int]]:
+    """The live readers of each node id, one entry per fanin slot, readers
+    by id: the slots of every live node, tallied node by node."""
+    return [[r.id for r in net.nodes if not r.dead for f in r.fanins if f == nid]
+            for nid in range(len(net.nodes))]
+
+
+def assert_readers_derived(net: Network) -> None:
+    """``fanouts`` equals the brute-force readers, and ``is_in_tfo`` the
+    closure of the live reader edges for every pair of ids, dead or live."""
+    readers = brute_force_readers(net)
+    assert net.fanouts() == readers
+    for a in range(len(net.nodes)):
+        reach, stack = {a}, [a]
+        while stack:
+            for r in readers[stack.pop()]:
+                if r not in reach:
+                    reach.add(r)
+                    stack.append(r)
+        for b in range(len(net.nodes)):
+            assert net.is_in_tfo(a, b) == (b in reach), (a, b)
+
+
+class TestDerivedReaders:
+    """Readers are derived from the fanins on demand; no edit keeps a list."""
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans()),
+                    max_size=8))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_readers_and_tfo_after_every_edit(self, seed, edits):
+        rng = random.Random(seed)
+        net = random_network(rng, rng.randint(2, 6), rng.randint(4, 30),
+                             max_k=rng.randint(2, 4), po_count=rng.randint(1, 6))
+        net = parse_blif(write_blif(net))
+        assert_readers_derived(net)
+        # The edits are made on a clone of the parsed net, which has more
+        # LUTs, and more that LUTs read, than the strashed one.
+        edited = net.clone()
+        assert_readers_derived(edited)
+        strash(net)
+        assert_readers_derived(net)
+        net, _ = sweep(net, SweepConfig(n_base_patterns=64))
+        assert_readers_derived(net)
+        net = edited
+        for i, j, inverted in edits:
+            gates = [nid for nid in net.live_ids() if not net.nodes[nid].is_pi]
+            if not gates:
+                break
+            old = gates[i % len(gates)]
+            new = net.live_ids()[j % len(net.live_ids())]
+            if old == new:
+                continue
+            if net.nodes[new].fanins and net.is_in_tfo(old, new):
+                with pytest.raises(NetlistError, match="cycle"):
+                    net.substitute_node(old, new, inverted)
+                continue
+            net.substitute_node(old, new, inverted)
+            assert net.nodes[old].dead
+            assert_readers_derived(net)
+        # A constant-0 LUT added last, which the readers of a LUT now read:
+        # they read a higher id, so topo_order takes its heap walk.
+        readers = net.fanouts()
+        read = [nid for nid in net.live_ids() if readers[nid] and not net.nodes[nid].is_pi]
+        if read:
+            const0 = net.add_lut([], 0)
+            net.substitute_node(read[seed % len(read)], const0, inverted=bool(seed & 1))
+            assert any(const0 in net.nodes[r].fanins for r in net.live_ids())
+            assert_readers_derived(net)
+            assert net.topo_order() == least_topo_order(net)
+        net.remove_dead()
+        assert_readers_derived(net)
+
+
 class TestEdits:
     def test_merge_duplicate_and(self):
         net = Network()
@@ -854,7 +940,8 @@ class TestEdits:
         rng = random.Random(21)
         for _ in range(30):
             net = random_network(rng, 4, 12, po_count=2)
-            gates = [n.id for n in net.nodes if not n.is_pi and n.fanouts]
+            fanouts = net.fanouts()
+            gates = [n.id for n in net.nodes if not n.is_pi and fanouts[n.id]]
             if not gates:
                 continue
             old = gates[rng.randrange(len(gates))]
@@ -883,41 +970,6 @@ class TestEdits:
         h = net.add_lut([g], 0b01)
         with pytest.raises(NetlistError, match="cycle"):
             net.substitute_node(g, h)
-
-    def test_merged_buffer_chain_leaves_only_live_fanouts(self):
-        net = Network()
-        top = net.add_lut([net.add_pi(), net.add_pi()], 0b1000)
-        chain = [net.add_lut([top], 0b10)]
-        for _ in range(999):
-            chain.append(net.add_lut([chain[-1]], 0b10))
-        net.add_po(chain[-1])
-        for i, buf in enumerate(chain):
-            net.substitute_node(buf, top)
-            assert net.nodes[buf].dead
-            assert net.nodes[top].fanouts == chain[i + 1:i + 2]
-        assert net.pos == [(top, False)]
-
-    def test_fanouts_track_live_readers_without_remove_dead(self):
-        rng = random.Random(33)
-        done = 0
-        for _ in range(40):
-            net = random_network(rng, 4, 20, po_count=2)
-            gates = [n.id for n in net.nodes if not n.is_pi]
-            old, new = rng.sample(gates, 2)
-            try:
-                net.substitute_node(old, new, inverted=rng.random() < 0.5)
-            except NetlistError:
-                continue
-            done += 1
-            # ``old`` is dead at once, and no fanout list names it.
-            assert net.nodes[old].dead
-            readers = {nid: [] for nid in range(len(net.nodes))}
-            for nid in net.live_ids():
-                for f in net.nodes[nid].fanins:
-                    readers[f].append(nid)
-            for nid in net.live_ids():
-                assert sorted(net.nodes[nid].fanouts) == readers[nid]
-        assert done > 20
 
     def test_self_substitution_rejected(self):
         net = Network()
@@ -951,27 +1003,6 @@ class TestEdits:
         cone = net.cone([d for d, _ in net.pos])
         assert [nid for nid in net.live_ids() if not net.nodes[nid].is_pi] == \
             sorted(nid for nid in cone if not net.nodes[nid].is_pi)
-
-    def test_fanout_counts_match_in_edges(self):
-        rng = random.Random(31)
-        net = random_network(rng, 4, 20, po_count=2)
-        gates = [n.id for n in net.nodes if not n.is_pi]
-        for _ in range(5):
-            old = gates[rng.randrange(len(gates))]
-            new = gates[rng.randrange(len(gates))]
-            if old == new or net.nodes[old].dead or net.nodes[new].dead:
-                continue
-            try:
-                net.substitute_node(old, new)
-            except NetlistError:
-                continue
-            net.remove_dead()
-            tally = {nid: 0 for nid in net.live_ids()}
-            for nid in net.live_ids():
-                for f in net.nodes[nid].fanins:
-                    tally[f] += 1
-            for nid in net.live_ids():
-                assert len(net.nodes[nid].fanouts) == tally[nid]
 
     def test_flip_tt_input(self):
         # AND(a, b) with first input complemented is ~a & b.
@@ -1040,8 +1071,8 @@ def decorated_network(seed: int, n_pi: int, n_gates: int, max_k: int) -> Network
 
 def strash_as_the_oracle(net: Network) -> tuple[int, int, int | None]:
     """Strash ``net``, and check that it leaves the network the
-    substituting reference leaves on a copy: every node's fanins, table,
-    dead flag and readers, the POs and the result.  Strash's record of
+    substituting reference leaves on a copy: every node's fanins, table
+    and dead flag, the POs and the result.  Strash's record of
     merges must be the reference's substitutions, in order.  Returns
     strash's result."""
     expected = net.clone()
@@ -1062,7 +1093,6 @@ def strash_as_the_oracle(net: Network) -> tuple[int, int, int | None]:
     assert len(net.nodes) == len(expected.nodes)
     for node, want in zip(net.nodes, expected.nodes):
         assert (node.fanins, node.tt, node.dead) == (want.fanins, want.tt, want.dead), node.id
-        assert sorted(node.fanouts) == sorted(want.fanouts), node.id
     return result
 
 
@@ -1094,8 +1124,9 @@ def strash_checked(net: Network) -> tuple[int, int, int | None]:
         assert _reduce_lut(node.fanins, node.tt, None) == (list(range(node.arity)), node.tt)
         assert (tuple(node.fanins), node.tt) not in keys
         keys.add((tuple(node.fanins), node.tt))
+    fanouts = net.fanouts()
     for nid, reading in readers.items():
-        assert sorted(net.nodes[nid].fanouts) == reading
+        assert fanouts[nid] == reading
     assert strash(net) == (0, 0, const0)
     return merges, constants, const0
 

@@ -288,6 +288,7 @@ class TestCircuitCut:
             targets = rng.sample(live_gates, min(len(live_gates), rng.randint(1, 4)))
             limit = rng.randint(1, 6)
             cs = circuit_cut(net, limit, targets)
+            fanouts = net.fanouts()
             cone = set()
             stack = list(targets)
             while stack:
@@ -307,7 +308,7 @@ class TestCircuitCut:
                 for m in cut.members:
                     if m == cut.root:
                         continue
-                    readers = [o for o in net.nodes[m].fanouts if o in cone]
+                    readers = [o for o in fanouts[m] if o in cone]
                     assert len(readers) == 1 and readers[0] in cut.members
             assert covered == cone
             for t in targets:

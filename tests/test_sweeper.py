@@ -845,13 +845,15 @@ def stale_window_net() -> Network:
 
 def swept_state(net: Network, cfg: SweepConfig, sweeper) -> tuple:
     """The BLIF, the node array, the POs and every count but the timings
-    of ``net`` swept by ``sweeper``.  A dead node shows only that it is
-    dead: nothing reads its fanins or table, and a constant that reads
-    another keeps the fanins it had when it died, which differ between
-    substituting the constants one by one and merging them at once."""
+    of ``net`` swept by ``sweeper``.  A live node shows its fanins, which
+    determine its readers, and its table.  A dead node shows only that
+    it is dead: nothing reads its fanins or table, and a constant that
+    reads another keeps the fanins it had when it died, which differ
+    between substituting the constants one by one and merging them at
+    once."""
     swept, stats = sweeper(net.clone(), cfg)
     counts = {k: v for k, v in vars(stats).items() if k not in ("sim_time", "total_time")}
-    nodes = [(n.fanins, n.tt, n.is_pi, n.fanouts) if not n.dead else "dead"
+    nodes = [(n.fanins, n.tt, n.is_pi) if not n.dead else "dead"
              for n in swept.nodes]
     return write_blif(swept), nodes, swept.pos, counts
 
